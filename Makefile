@@ -18,15 +18,18 @@ fmt:
 	  echo "fmt: ocamlformat not installed, skipping dune build @fmt"; \
 	fi
 
-# msparlint: the compiler-libs lint pass over lib/ bin/ bench/ test/
-# (see doc/LINTS.md; also wired into dune runtest via the @lint alias).
-# The @lint rule runs with --ci --timings, so per-phase timings land on
-# stderr and the typed pass is held to its 30s budget.
+# msparlint: the compiler-libs lint pass over the .cmt files of lib/
+# bin/ bench/ test/ (see doc/LINTS.md; also wired into dune runtest via
+# the @lint alias, which builds every .cmt first).  The @lint rule runs
+# with --ci --timings, so per-phase timings land on stderr and the run
+# is held to its 30s budget.
 lint:
 	dune build @lint
 
 # the lint engine's own fixture suite (rule true/false positives,
-# typed-rule fixtures, suppression, SARIF shape)
+# suppression, SARIF shape); every fixture is type-checked in memory
+# against the stdlib, unix and the built mspar_prelude/mspar_graph
+# interfaces, so it needs those libraries built (dune exec does that)
 lint-fixtures:
 	dune exec test/test_lint.exe
 

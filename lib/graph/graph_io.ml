@@ -84,8 +84,6 @@ let parse ?(max_vertices = default_max_vertices) s =
 let of_string_exn s =
   match parse s with Ok g -> g | Error e -> failwith (error_message e)
 
-let of_string = of_string_exn
-
 let save path g =
   let oc = open_out path in
   output_string oc (to_string g);
@@ -97,8 +95,6 @@ let load_exn path =
   let s = really_input_string ic len in
   close_in ic;
   of_string_exn s
-
-let load = load_exn
 
 (* ------------------------------------------------------------------ *)
 (* .msgr — the mmap-able binary graph container                       *)

@@ -31,7 +31,7 @@ type error = { line : int; token : string option; reason : string }
 
 val error_message : error -> string
 (** [error_message e] renders [e] in the classic
-    ["Graph_io: line %d: ..."] form used by {!of_string}'s [Failure]. *)
+    ["Graph_io: line %d: ..."] form used by {!of_string_exn}'s [Failure]. *)
 
 val parse : ?max_vertices:int -> string -> (Graph.t, error) result
 (** Total parser: never raises, whatever the input bytes.  [max_vertices]
@@ -44,22 +44,12 @@ val of_string_exn : string -> Graph.t
 (** Raising wrapper around {!parse}.
     @raise Failure on malformed input (with a line number). *)
 
-val of_string : string -> Graph.t
-  [@@deprecated "use of_string_exn (same function; the name now carries the raise contract)"]
-(** Alias of {!of_string_exn}, kept for compatibility.
-    @raise Failure on malformed input (with a line number). *)
-
 val save : string -> Graph.t -> unit
 (** [save path g] writes the graph to a file.
     @raise Sys_error if the file cannot be written. *)
 
 val load_exn : string -> Graph.t
 (** @raise Sys_error if the file cannot be read; [Failure] if malformed. *)
-
-val load : string -> Graph.t
-  [@@deprecated "use load_exn (same function; the name now carries the raise contract)"]
-(** Alias of {!load_exn}, kept for compatibility.
-    @raise Sys_error if the file cannot be read; [Failure] if malformed. *)
 
 (** {2 The [.msgr] binary container} *)
 

@@ -573,7 +573,12 @@ let drain_flush l ~deadline =
   in
   go ()
 
-let run ?replica_of cfg ~listen ~(durable : Durable.t) =
+let unlink_socket cfg =
+  match cfg.addr with
+  | Wire.Unix_path p -> ( try Unix.unlink p with Unix.Unix_error (_, _, _) -> ())
+  | Wire.Tcp _ -> ()
+
+let serve ?replica_of cfg ~listen ~(durable : Durable.t) =
   let metrics = Metrics.create () in
   let redirect = Option.map (Fmt.str "%a" Wire.pp_addr) replica_of in
   let dispatch =
@@ -692,8 +697,37 @@ let run ?replica_of cfg ~listen ~(durable : Durable.t) =
       (match l.role with
       | Replica { up = Some c; _ } -> Conn.close c
       | Replica _ | Primary -> ());
-      (match cfg.addr with
-      | Wire.Unix_path p -> (
-          try Unix.unlink p with Unix.Unix_error (_, _, _) -> ())
-      | Wire.Tcp _ -> ());
+      unlink_socket cfg;
       Ok ())
+
+(* The role comes from a CLI flag; the journal records what the directory
+   really is.  Serving a mismatch either acks writes on a replica the
+   primary never sees (they diverge silently on rejoin) or leaves a
+   primary redirecting every update to an "upstream" it can never
+   replicate from. *)
+let role_mismatch ?replica_of durable =
+  let dir = Filename.dirname (Durable.wal_path durable) in
+  match (replica_of, Durable.replica_cursor durable) with
+  | Some upstream, None ->
+      Some
+        (Fmt.str
+           "--replica-of %a given, but journal dir %s belongs to a primary; \
+            start it without --replica-of, or remove the directory to \
+            re-bootstrap it as a replica"
+           Wire.pp_addr upstream dir)
+  | None, Some _ ->
+      Some
+        (Fmt.str
+           "journal dir %s belongs to an un-promoted replica; start it with \
+            --replica-of ADDR (then `mspar promote` it to make it a primary), \
+            or remove the directory to re-bootstrap it"
+           dir)
+  | Some _, Some _ | None, None -> None
+
+let run ?replica_of cfg ~listen ~durable =
+  match role_mismatch ?replica_of durable with
+  | None -> serve ?replica_of cfg ~listen ~durable
+  | Some msg ->
+      (try Unix.close listen with Unix.Unix_error (_, _, _) -> ());
+      unlink_socket cfg;
+      Error msg

@@ -74,4 +74,9 @@ val run :
     under jittered backoff while the primary is away.  A [Promote]
     request (on this or any node) bumps the replication epoch and turns
     the replica into a full primary; stale-epoch peers are fenced.
+
+    The flag must agree with the journal: [Error] before serving when
+    [?replica_of] is given but [Durable.replica_cursor durable] is [None]
+    (a primary's dir), or omitted while it is [Some _] (an un-promoted
+    replica's dir).  The message names the remedy.
     @raise Unix.Unix_error on journal I/O errors. *)

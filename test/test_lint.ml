@@ -1,23 +1,33 @@
 (* msparlint rule engine: each rule must fire on a minimal bad snippet and
    stay silent on its good twin; [@lint.allow] and the baseline file must
-   suppress findings.  All fixtures are inline strings — the lint engine
-   parses sources, it never compiles them. *)
+   suppress findings.  All fixtures are inline strings, type-checked in
+   memory by Lint_typed.typecheck_impl against the stdlib, unix and the
+   built Mspar_prelude / Mspar_graph interfaces (both opened).  A fixture
+   that does not type-check fails its test; it can never pass as
+   "silent". *)
 
 open Msparlint_lib
 
 let cfg = Lint_config.default
+
+let codes findings = List.map (fun f -> f.Lint_types.code) findings
+let fires code findings = List.exists (fun f -> String.equal f.Lint_types.code code) findings
+
+(* MSP000 means the fixture itself does not compile: fail the test, so a
+   broken fixture can never pass a [check_silent] *)
+let compiled ~file findings =
+  match List.find_opt (fun f -> String.equal f.Lint_types.code "MSP000") findings with
+  | Some f -> Alcotest.failf "fixture %s does not type-check: %s" file f.Lint_types.message
+  | None -> findings
 
 (* Lint a fixture as if it lived at [file]; [intf] is the sibling interface
    source.  The default is an empty (but present) .mli so that lib/ fixtures
    exercise one rule at a time instead of also tripping MSP006; use
    [lint_nomli] to model a missing interface. *)
 let lint ?(intf = "") ~file source =
-  Lint_engine.lint_impl cfg ~file ~source ~mli:(Some intf)
+  compiled ~file (Lint_engine.lint_impl cfg ~file ~source ~mli:(Some intf))
 
-let lint_nomli ~file source = Lint_engine.lint_impl cfg ~file ~source ~mli:None
-
-let codes findings = List.map (fun f -> f.Lint_types.code) findings
-let fires code findings = List.exists (fun f -> String.equal f.Lint_types.code code) findings
+let lint_nomli ~file source = compiled ~file (Lint_engine.lint_impl cfg ~file ~source ~mli:None)
 
 let check_fires msg code findings =
   Alcotest.(check bool) (msg ^ " fires " ^ code) true (fires code findings)
@@ -200,8 +210,8 @@ let test_msp010 () =
     (lint ~file:"lib/dynamic/foo.ml" "let f a i v = Bigarray.Array1.unsafe_set a i v");
   check_fires "unqualified Array1 (open Bigarray)" "MSP010"
     (lint ~file:"lib/core/foo.ml" "open Bigarray\nlet f a i = Array1.unsafe_get a i");
-  check_fires "Genarray" "MSP010"
-    (lint ~file:"lib/core/foo.ml" "let f a i = Bigarray.Genarray.unsafe_get a i");
+  check_fires "Array2" "MSP010"
+    (lint ~file:"lib/core/foo.ml" "let f a i j = Bigarray.Array2.unsafe_get a i j");
   check_fires "test code is not exempt" "MSP010"
     (lint ~file:"test/foo.ml" "let f a i = Bigarray.Array1.unsafe_get a i");
   check_silent "bigvec.ml is a blessed lane" "MSP010"
@@ -319,9 +329,7 @@ let test_msp007_match_exception () =
 let typed_lint ~file source =
   match Lint_typed.typecheck_impl ~file source with
   | Error e -> Alcotest.failf "fixture %s does not type-check: %s" file e
-  | Ok u ->
-      Lint_engine.suppress_in_file ~file ~source
-        (Lint_typed_rules.run cfg [ u ])
+  | Ok u -> Lint_engine.suppress [ u ] (Lint_typed_rules.run cfg [ u ])
 
 (* Minimal Pool signature: [norm_path] reduces both the real
    [Mspar_prelude__Pool] and this local stub to ["Pool.parallel_for_ranges"],
@@ -518,27 +526,8 @@ let test_msp014 () =
       ^ "let peek g v = Graph.iter_neighbors_uncounted g v (fun _ -> ())"))
 
 (* ---------------------------------------------------------------- *)
-(* discovery agreement and SARIF shape                               *)
+(* SARIF shape                                                       *)
 (* ---------------------------------------------------------------- *)
-
-let test_coverage () =
-  (* the typed pass must account for every file the parsetree pass saw *)
-  Alcotest.(check (list string))
-    "typed pass missing a unit is a gap"
-    [ "lib/core/b.ml" ]
-    (Lint_typed.coverage_gaps
-       ~sources:[ "lib/core/a.ml"; "lib/core/b.ml"; "lib/core/a.mli" ]
-       ~covered:[ "lib/core/a.ml" ]);
-  Alcotest.(check (list string))
-    "full coverage has no gaps" []
-    (Lint_typed.coverage_gaps
-       ~sources:[ "lib/core/a.ml" ]
-       ~covered:[ "lib/core/a.ml" ]);
-  (* extra typed units (e.g. generated wrappers) are not gaps *)
-  Alcotest.(check (list string))
-    "extra covered files are fine" []
-    (Lint_typed.coverage_gaps ~sources:[]
-       ~covered:[ "lib/core/wrapper.ml" ])
 
 let test_sarif () =
   let f =
@@ -577,7 +566,8 @@ let test_sarif () =
 
 let test_plumbing () =
   (* parse errors surface as MSP000, never as exceptions *)
-  check_fires "syntax error" "MSP000" (lint ~file:"lib/core/foo.ml" "let let let");
+  check_fires "syntax error" "MSP000"
+    (Lint_engine.lint_impl cfg ~file:"lib/core/foo.ml" ~source:"let let let" ~mli:(Some ""));
   (* findings carry 1-based lines and the rule's location *)
   (match lint ~file:"lib/graph/foo.ml" "let a = 1\nlet f l = List.sort compare l" with
   | [ f ] ->
@@ -629,7 +619,6 @@ let () =
           Alcotest.test_case "MSP012 domain race" `Quick test_msp012;
           Alcotest.test_case "MSP013 hot alloc" `Quick test_msp013;
           Alcotest.test_case "MSP014 probe accounting" `Quick test_msp014;
-          Alcotest.test_case "coverage agreement" `Quick test_coverage;
           Alcotest.test_case "sarif shape" `Quick test_sarif;
         ] );
       ( "suppression",

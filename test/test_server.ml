@@ -385,6 +385,54 @@ let test_dispatch_read_your_writes () =
           check_bool "oracle misses counted" true (s.Wire.oracle_misses > 0);
           check_bool "oracle hits counted" true (s.Wire.oracle_hits > 0)))
 
+(* ------------------------------------------------------------------ *)
+(* Server.run: the --replica-of flag must agree with the journal        *)
+(* ------------------------------------------------------------------ *)
+
+let test_role_mismatch_refused () =
+  with_dir (fun dir ->
+      let module Durable = Mspar_dynamic.Durable in
+      let config =
+        { Durable.n = 8; delta = 3; beta = 4; eps = 0.4; multiplier = 2.0; seed = 3 }
+      in
+      let primary =
+        Durable.create ~sync_every:1 ~dir:(Filename.concat dir "p") config
+      in
+      let dir_r = Filename.concat dir "r" in
+      let op_epoch, snapshot, wal_offset = Durable.bootstrap_payload primary in
+      (match
+         Durable.bootstrap_replica ~dir:dir_r
+           ~config_bytes:(Durable.config_bytes primary) ~op_epoch ~wal_offset
+           ~repl_epoch:(Durable.repl_epoch primary) ~snapshot
+       with
+      | Ok () -> ()
+      | Error e -> Alcotest.failf "bootstrap_replica: %s" e);
+      let replica =
+        match Durable.recover ~sync_every:1 dir_r with
+        | Ok r -> r
+        | Error e -> Alcotest.failf "replica recover: %s" e
+      in
+      Fun.protect
+        ~finally:(fun () ->
+          Durable.close primary;
+          Durable.close replica)
+        (fun () ->
+          let addr = Wire.Unix_path (Filename.concat dir "s.sock") in
+          let run ?replica_of durable =
+            match Server.bind_listen addr with
+            | Error e -> Alcotest.failf "bind: %s" e
+            | Ok listen ->
+                Server.run ?replica_of (Server.default_config addr) ~listen
+                  ~durable
+          in
+          let refused what = function
+            | Error _ -> ()
+            | Ok () -> Alcotest.failf "%s was served" what
+          in
+          refused "primary dir started as a replica"
+            (run ~replica_of:(Wire.Unix_path "/nonexistent/p.sock") primary);
+          refused "replica dir started as a primary" (run replica)))
+
 let () =
   Alcotest.run "mspar_server"
     [
@@ -403,6 +451,11 @@ let () =
         [
           Alcotest.test_case "read your writes" `Quick
             test_dispatch_read_your_writes;
+        ] );
+      ( "server",
+        [
+          Alcotest.test_case "role mismatch refused" `Quick
+            test_role_mismatch_refused;
         ] );
       ( "properties",
         List.map QCheck_alcotest.to_alcotest

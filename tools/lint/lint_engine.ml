@@ -1,13 +1,14 @@
-(* Parse + rule pass + [@lint.allow] suppression for one file.
+(* [@lint.allow] suppression, and the fixture entry point.
 
    Suppression spans: an attribute [[@lint.allow "MSP002"]] (payload: rule
    codes separated by spaces or commas, ["*"] for all) attached to an
    expression or (as [[@@lint.allow]]) to a value binding suppresses
    matching findings within that node's character span.  A floating
-   [[@@@lint.allow "..."]] suppresses for the whole file.  Codes are
-   reported as MSP000 when a file fails to parse at all. *)
+   [[@@@lint.allow "..."]] suppresses for the whole file.  The spans are
+   read from the same Typedtree the rules walked: the compiler keeps the
+   attributes on typed nodes (on [exp_extra] for a constraint). *)
 
-open Parsetree
+open Typedtree
 
 type allow_span = { codes : string list; start_c : int; end_c : int }
 
@@ -15,10 +16,10 @@ let span_matches span (f : Lint_types.finding) =
   f.cnum >= span.start_c && f.cnum < span.end_c
   && List.exists (fun c -> String.equal c "*" || String.equal c f.code) span.codes
 
-let codes_of_payload = function
+let codes_of_payload : Parsetree.payload -> string list = function
   | PStr items ->
       List.concat_map
-        (fun si ->
+        (fun (si : Parsetree.structure_item) ->
           match si.pstr_desc with
           | Pstr_eval ({ pexp_desc = Pexp_constant (Pconst_string (s, _, _)); _ }, _) ->
               String.split_on_char ' ' s
@@ -30,176 +31,56 @@ let codes_of_payload = function
 
 let allow_attr_codes attrs =
   List.concat_map
-    (fun a ->
+    (fun (a : Parsetree.attribute) ->
       match a.attr_name.txt with
       | "lint.allow" -> codes_of_payload a.attr_payload
       | _ -> [])
     attrs
 
-let collect_allow_spans str =
+let allow_spans str =
   let spans = ref [] in
-  let push codes (loc : Location.t) =
-    if List.length codes > 0 then
-      spans :=
-        { codes; start_c = loc.loc_start.pos_cnum; end_c = loc.loc_end.pos_cnum } :: !spans
+  let push attrs (loc : Location.t) =
+    match allow_attr_codes attrs with
+    | [] -> ()
+    | codes ->
+        spans := { codes; start_c = loc.loc_start.pos_cnum; end_c = loc.loc_end.pos_cnum } :: !spans
   in
-  let open Ast_iterator in
   let expr it e =
-    push (allow_attr_codes e.pexp_attributes) e.pexp_loc;
-    default_iterator.expr it e
+    push e.exp_attributes e.exp_loc;
+    List.iter (fun (_, loc, attrs) -> push attrs loc) e.exp_extra;
+    Tast_iterator.default_iterator.expr it e
   in
   let value_binding it vb =
-    push (allow_attr_codes vb.pvb_attributes) vb.pvb_loc;
-    default_iterator.value_binding it vb
+    push vb.vb_attributes vb.vb_loc;
+    Tast_iterator.default_iterator.value_binding it vb
   in
   let structure_item it si =
-    (match si.pstr_desc with
-    | Pstr_attribute a ->
+    (match si.str_desc with
+    | Tstr_attribute a -> (
         (* floating [@@@lint.allow]: file-wide from the top *)
-        let codes = allow_attr_codes [ a ] in
-        if List.length codes > 0 then spans := { codes; start_c = 0; end_c = max_int } :: !spans
+        match allow_attr_codes [ a ] with
+        | [] -> ()
+        | codes -> spans := { codes; start_c = 0; end_c = max_int } :: !spans)
     | _ -> ());
-    default_iterator.structure_item it si
+    Tast_iterator.default_iterator.structure_item it si
   in
-  let it = { default_iterator with expr; value_binding; structure_item } in
+  let it = { Tast_iterator.default_iterator with expr; value_binding; structure_item } in
   it.structure it str;
   !spans
 
-let suppress spans findings =
-  List.filter (fun f -> not (List.exists (fun s -> span_matches s f) spans)) findings
+let suppress units findings =
+  let spans = Hashtbl.create 16 in
+  List.iter
+    (fun (u : Lint_typed.t) -> Hashtbl.replace spans u.file (lazy (allow_spans u.str)))
+    units;
+  List.filter
+    (fun (f : Lint_types.finding) ->
+      match Hashtbl.find_opt spans f.file with
+      | None -> true
+      | Some s -> not (List.exists (fun span -> span_matches span f) (Lazy.force s)))
+    findings
 
-(* ---------------------------------------------------------------- *)
-(* parsing                                                           *)
-(* ---------------------------------------------------------------- *)
-
-let lexbuf_for ~file source =
-  let lexbuf = Lexing.from_string source in
-  Lexing.set_filename lexbuf file;
-  lexbuf
-
-let parse_error_finding ~file exn =
-  let line, col, cnum, msg =
-    match Location.error_of_exn exn with
-    | Some (`Ok (err : Location.error)) ->
-        let loc = err.main.loc in
-        let p = loc.loc_start in
-        ( p.pos_lnum,
-          p.pos_cnum - p.pos_bol,
-          p.pos_cnum,
-          Format.asprintf "%t" err.main.txt )
-    | _ -> (1, 0, 0, Printexc.to_string exn)
-  in
-  { Lint_types.file; line; col; cnum; code = "MSP000"; message = "parse error: " ^ msg }
-
-let parse_structure ~file source =
-  match Parse.implementation (lexbuf_for ~file source) with
-  | str -> Ok str
-  | exception exn -> Error (parse_error_finding ~file exn)
-
-let parse_signature ~file source =
-  match Parse.interface (lexbuf_for ~file source) with
-  | sg -> Ok sg
-  | exception exn -> Error (parse_error_finding ~file exn)
-
-(* The typed rules produce findings from .cmt data; their suppression
-   spans still come from parsing the source text, exactly like the
-   parsetree rules'.  Findings for other files pass through untouched;
-   so does everything when [file] does not parse (its own lint run
-   reports MSP000). *)
-let suppress_in_file ~file ~source findings =
-  match parse_structure ~file source with
-  | Error _ -> findings
-  | Ok str ->
-      let spans = collect_allow_spans str in
-      List.filter
-        (fun (f : Lint_types.finding) ->
-          (not (String.equal f.file file))
-          || not (List.exists (fun s -> span_matches s f) spans))
-        findings
-
-(* ---------------------------------------------------------------- *)
-(* per-file entry points                                             *)
-(* ---------------------------------------------------------------- *)
-
-let sort = List.sort Lint_types.compare_finding
-
-(* [mli]: [None] when no sibling .mli exists on disk (or in the test
-   fixture); [Some source] otherwise.  MSP007 needs the source, MSP006 only
-   the presence. *)
 let lint_impl cfg ~file ~source ~mli =
-  match parse_structure ~file source with
-  | Error f -> [ f ]
-  | Ok str ->
-      let mli_info =
-        match mli with
-        | None -> None
-        | Some msrc -> (
-            match parse_signature ~file:(file ^ "i") msrc with
-            | Ok sg -> Some (Lint_rules.mli_info_of_signature sg)
-            | Error _ -> None (* the .mli's own lint run reports MSP000 *))
-      in
-      let findings = Lint_rules.lint_structure cfg ~file ~mli:mli_info str in
-      let findings =
-        if
-          (match mli with None -> true | Some _ -> false)
-          && Lint_config.requires_mli cfg file
-          && Lint_config.rule_enabled cfg ~code:"MSP006" ~file
-        then
-          {
-            Lint_types.file;
-            line = 1;
-            col = 0;
-            cnum = 0;
-            code = "MSP006";
-            message = "module has no .mli interface";
-          }
-          :: findings
-        else findings
-      in
-      sort (suppress (collect_allow_spans str) findings)
-
-let lint_intf cfg ~file ~source =
-  ignore cfg;
-  match parse_signature ~file source with Error f -> [ f ] | Ok _ -> []
-
-(* ---------------------------------------------------------------- *)
-(* file-system driver helpers                                        *)
-(* ---------------------------------------------------------------- *)
-
-let read_file path =
-  let ic = open_in_bin path in
-  let len = in_channel_length ic in
-  let s = really_input_string ic len in
-  close_in ic;
-  s
-
-let lint_path cfg path =
-  if String.ends_with ~suffix:".mli" path then
-    lint_intf cfg ~file:path ~source:(read_file path)
-  else
-    let mli_path = path ^ "i" in
-    let mli = if Sys.file_exists mli_path then Some (read_file mli_path) else None in
-    lint_impl cfg ~file:path ~source:(read_file path) ~mli
-
-(* Recursively collect .ml/.mli files under [roots], skipping _build and
-   dot-directories; deterministic order. *)
-let collect_files roots =
-  let acc = ref [] in
-  let rec walk p =
-    if Sys.is_directory p then begin
-      let entries = Sys.readdir p in
-      Array.sort String.compare entries;
-      Array.iter
-        (fun e ->
-          if not (String.equal e "_build") && String.length e > 0 && e.[0] <> '.' then
-            walk (Filename.concat p e))
-        entries
-    end
-    else if String.ends_with ~suffix:".ml" p || String.ends_with ~suffix:".mli" p then
-      acc := p :: !acc
-  in
-  List.iter walk roots;
-  List.sort String.compare !acc
-
-let lint_paths cfg roots =
-  sort (List.concat_map (fun p -> lint_path cfg p) (collect_files roots))
+  match Lint_typed.typecheck_impl ~file source with
+  | Error message -> [ { Lint_types.file; line = 1; col = 0; cnum = 0; code = "MSP000"; message } ]
+  | Ok u -> List.sort Lint_types.compare_finding (suppress [ u ] (Lint_rules.lint_unit cfg ~mli u))

@@ -1,4 +1,5 @@
-(** Per-file lint pipeline: parse, run rules, apply [@lint.allow] spans.
+(** [@lint.allow] suppression over typed units, and the per-fixture
+    pipeline the test suite drives.
 
     Suppression forms:
     - [(expr [@lint.allow "MSP002"])] — the expression's span;
@@ -6,34 +7,21 @@
     - [[@@@lint.allow "MSP003"]] — the whole file.
 
     Payloads list rule codes separated by spaces or commas; ["*"] matches
-    every rule.  Unparseable files yield a single [MSP000] finding. *)
+    every rule.  Spans come from the unit's Typedtree attributes, so one
+    mechanism covers MSP001–MSP014. *)
+
+val suppress : Lint_typed.t list -> Lint_types.finding list -> Lint_types.finding list
+(** Drop every finding that falls inside an allow span of the unit for
+    its file.  Findings for files with no unit in the list pass
+    through. *)
 
 val lint_impl :
   Lint_config.t -> file:string -> source:string -> mli:string option ->
   Lint_types.finding list
-(** Lint one implementation.  [mli] is the sibling interface's source when
-    one exists ([None] triggers MSP006 under [require-mli] prefixes and
-    disables MSP007).  Findings are sorted and suppression-filtered, but
-    not baseline-filtered. *)
-
-val lint_intf : Lint_config.t -> file:string -> source:string -> Lint_types.finding list
-(** Interfaces only get the parse check (MSP000). *)
-
-val suppress_in_file :
-  file:string -> source:string -> Lint_types.finding list -> Lint_types.finding list
-(** Drop findings for [file] that fall inside one of its [@lint.allow]
-    spans — how typed-rule findings (whose locations come from [.cmt]
-    data) get the same suppression story as parsetree findings.  Findings
-    for other files, and everything when [source] does not parse, pass
-    through unchanged. *)
-
-val lint_path : Lint_config.t -> string -> Lint_types.finding list
-(** Lint one on-disk [.ml] (pairing its sibling [.mli] if present) or
-    [.mli] file. *)
-
-val collect_files : string list -> string list
-(** All [.ml]/[.mli] files under the given roots, skipping [_build] and
-    dot-directories, in deterministic order. *)
-
-val lint_paths : Lint_config.t -> string list -> Lint_types.finding list
-(** [lint_path] over {!collect_files}, merged and sorted. *)
+(** Lint one implementation given as text, as if it lived at [file]:
+    type-check it with {!Lint_typed.typecheck_impl}, run MSP001–MSP011 and
+    apply its [@lint.allow] spans.  [mli] is the sibling interface's
+    source ([None] triggers MSP006 under [require-mli] prefixes and
+    disables MSP007).  A source that does not parse or type-check yields
+    the single finding [MSP000] carrying the compiler's diagnostic.
+    Sorted, not baseline-filtered. *)

@@ -1,4 +1,4 @@
-(* The msparlint rule set.
+(* The msparlint rule set MSP001–MSP011.
 
    Each rule is grounded in a paper invariant or a past regression (see
    doc/LINTS.md for the catalogue):
@@ -38,25 +38,24 @@
                                   everywhere else byte-level I/O bypasses
                                   the frame/CRC/backpressure discipline
 
-   All detection is on the Parsetree (no typing pass), so the rules are
-   deliberately syntactic approximations; [@lint.allow "MSPxxx"] exists for
-   the cases the approximation gets wrong. *)
+   The rules walk each unit's Typedtree, so an identifier is matched by the
+   path the compiler resolved it to ({!Lint_typed.norm_path}), not by its
+   spelling: a bare [int] after [open Random] and a fully qualified
+   [Mspar_graph.Graph.has_edge] are both seen, and a local binding that
+   happens to be called [compare] is not Stdlib's.  The rules are still
+   approximations of the invariants above; [@lint.allow "MSPxxx"] exists
+   for the cases an approximation gets wrong. *)
 
-open Parsetree
-
-type mli_info = {
-  exported : (string, bool) Hashtbl.t;
-      (* val name -> its doc comment mentions @raise *)
-}
+open Typedtree
 
 let contains_substring ~needle hay =
   let nl = String.length needle and hl = String.length hay in
   let rec go i = i + nl <= hl && (String.equal (String.sub hay i nl) needle || go (i + 1)) in
   nl = 0 || go 0
 
-let doc_mentions_raise attrs =
+let doc_mentions_raise (attrs : Parsetree.attributes) =
   List.exists
-    (fun a ->
+    (fun (a : Parsetree.attribute) ->
       match a.attr_name.txt with
       | "ocaml.doc" | "doc" -> (
           match a.attr_payload with
@@ -73,19 +72,28 @@ let doc_mentions_raise attrs =
       | _ -> false)
     attrs
 
-let mli_info_of_signature sg =
-  let exported = Hashtbl.create 32 in
-  let open Ast_iterator in
-  let signature_item it si =
-    (match si.psig_desc with
-    | Psig_value vd ->
-        Hashtbl.replace exported vd.pval_name.txt (doc_mentions_raise vd.pval_attributes)
-    | _ -> ());
-    default_iterator.signature_item it si
-  in
-  let it = { default_iterator with signature_item } in
-  it.signature it sg;
-  { exported }
+(* The sibling .mli is parsed, not type-checked: MSP007 needs only its
+   value names and the doc comments the parser attaches to them.  Maps
+   each exported value to whether its doc mentions @raise; [None] when
+   the .mli does not parse (the compiler reports that). *)
+let mli_exports ~file source =
+  let lexbuf = Lexing.from_string source in
+  Lexing.set_filename lexbuf file;
+  match Parse.interface lexbuf with
+  | exception _ -> None
+  | sg ->
+      let exported = Hashtbl.create 32 in
+      let open Ast_iterator in
+      let signature_item it (si : Parsetree.signature_item) =
+        (match si.psig_desc with
+        | Psig_value vd ->
+            Hashtbl.replace exported vd.pval_name.txt (doc_mentions_raise vd.pval_attributes)
+        | _ -> ());
+        default_iterator.signature_item it si
+      in
+      let it = { default_iterator with signature_item } in
+      it.signature it sg;
+      Some exported
 
 type ctx = {
   cfg : Lint_config.t;
@@ -93,7 +101,7 @@ type ctx = {
   hot : bool;
   congest : bool;
   in_lib : bool;
-  mli : mli_info option;
+  mli : (string, bool) Hashtbl.t option;
   mutable acc : Lint_types.finding list;
 }
 
@@ -101,46 +109,27 @@ let add ctx ~code ~loc message =
   if Lint_config.rule_enabled ctx.cfg ~code ~file:ctx.file then
     ctx.acc <- Lint_types.of_location ~file:ctx.file ~code ~message loc :: ctx.acc
 
-let path_of_lident lid =
-  match Longident.flatten lid with
-  | parts -> String.concat "." parts
-  | exception _ -> ""
-
 (* ---------------------------------------------------------------- *)
 (* identifier classification                                        *)
 (* ---------------------------------------------------------------- *)
 
-let is_random_path p = String.starts_with ~prefix:"Random." p || String.starts_with ~prefix:"Stdlib.Random." p
-
-let is_unsafe_path p =
-  String.starts_with ~prefix:"Obj." p
-  || String.starts_with ~prefix:"Marshal." p
-  || String.starts_with ~prefix:"Stdlib.Obj." p
-  || String.starts_with ~prefix:"Stdlib.Marshal." p
-
-let is_poly_compare_path p =
-  match p with
-  | "compare" | "min" | "max" | "Stdlib.compare" | "Stdlib.min" | "Stdlib.max" | "Hashtbl.hash"
-  | "Stdlib.Hashtbl.hash" ->
-      true
-  | _ -> false
-
-let forbidden_module_path p =
-  match p with
-  | "Random" | "Stdlib.Random" -> Some ("MSP001", "module Random (seeded determinism: use Mspar_prelude.Rng)")
-  | "Obj" | "Stdlib.Obj" -> Some ("MSP005", "module Obj is forbidden")
-  | "Marshal" | "Stdlib.Marshal" -> Some ("MSP005", "module Marshal is forbidden")
+(* The Stdlib module a resolved path goes through: [Some "Random"] for
+   both the module [Stdlib.Random] and the value
+   [Stdlib.Random.State.make]. *)
+let rec stdlib_module = function
+  | Path.Pdot (Pident id, m) when String.equal (Ident.name id) "Stdlib" -> Some m
+  | Pdot (p, _) -> stdlib_module p
   | _ -> None
 
-let is_domain_spawn_path p =
-  match p with "Domain.spawn" | "Stdlib.Domain.spawn" -> true | _ -> false
-
-let is_file_io_path p =
+let is_poly_compare p =
   match p with
-  | "open_out" | "open_out_bin" | "open_out_gen" | "open_in" | "open_in_bin"
-  | "open_in_gen" | "Stdlib.open_out" | "Stdlib.open_out_bin"
-  | "Stdlib.open_out_gen" | "Stdlib.open_in" | "Stdlib.open_in_bin"
-  | "Stdlib.open_in_gen" | "Unix.openfile" | "UnixLabels.openfile" ->
+  | "Stdlib.compare" | "Stdlib.min" | "Stdlib.max" | "Hashtbl.hash" -> true
+  | _ -> false
+
+let is_file_io p =
+  match p with
+  | "Stdlib.open_out" | "Stdlib.open_out_bin" | "Stdlib.open_out_gen" | "Stdlib.open_in"
+  | "Stdlib.open_in_bin" | "Stdlib.open_in_gen" | "Unix.openfile" | "UnixLabels.openfile" ->
       true
   | _ -> false
 
@@ -149,19 +138,9 @@ let is_file_io_path p =
    [Unix.openfile] is MSP009's business; this list is the socket surface
    plus the read/write/select family, which is only meaningful on an fd
    someone already opened raw. *)
-let is_socket_io_path p =
-  let base =
-    if String.starts_with ~prefix:"Unix." p then
-      Some (String.sub p 5 (String.length p - 5))
-    else if String.starts_with ~prefix:"UnixLabels." p then
-      Some (String.sub p 11 (String.length p - 11))
-    else if String.starts_with ~prefix:"Stdlib.Unix." p then
-      Some (String.sub p 12 (String.length p - 12))
-    else None
-  in
-  match base with
-  | None -> false
-  | Some f -> (
+let is_socket_io p =
+  match String.split_on_char '.' p with
+  | [ ("Unix" | "UnixLabels"); f ] -> (
       match f with
       | "socket" | "bind" | "listen" | "accept" | "connect" | "read"
       | "write" | "write_substring" | "single_write"
@@ -170,26 +149,35 @@ let is_socket_io_path p =
       | "shutdown" | "setsockopt" | "getsockopt" ->
           true
       | _ -> false)
+  | _ -> false
 
-(* Raw Bigarray unsafe accessors ([Bigarray.Array1.unsafe_get] and kin,
-   at any qualification depth).  [Bigvec.unsafe_get] is deliberately not
+(* Raw Bigarray unsafe accessors.  [Bigvec.unsafe_get] is deliberately not
    matched: the wrapper is the sanctioned surface and states its
    precondition. *)
-let is_bigarray_unsafe_path p =
-  (String.ends_with ~suffix:".unsafe_get" p || String.ends_with ~suffix:".unsafe_set" p)
-  && (contains_substring ~needle:"Array1." p
-     || contains_substring ~needle:"Array2." p
-     || contains_substring ~needle:"Array3." p
-     || contains_substring ~needle:"Genarray." p
-     || contains_substring ~needle:"Bigarray." p)
+let is_bigarray_unsafe p =
+  match String.split_on_char '.' p with
+  | [ ("Array1" | "Array2" | "Array3"); ("unsafe_get" | "unsafe_set") ] -> true
+  | _ -> false
 
-let check_ident ctx p loc =
-  if is_random_path p then
-    add ctx ~code:"MSP001" ~loc
-      (Printf.sprintf "%s: Stdlib.Random breaks seeded determinism; thread a Mspar_prelude.Rng.t instead" p);
-  if is_unsafe_path p then
-    add ctx ~code:"MSP005" ~loc (Printf.sprintf "%s: Obj/Marshal are forbidden" p);
-  (if ctx.hot && is_poly_compare_path p then
+let check_module ctx path loc =
+  match stdlib_module path with
+  | Some "Random" ->
+      add ctx ~code:"MSP001" ~loc "module Random (seeded determinism: use Mspar_prelude.Rng)"
+  | Some (("Obj" | "Marshal") as m) ->
+      add ctx ~code:"MSP005" ~loc (Printf.sprintf "module %s is forbidden" m)
+  | _ -> ()
+
+let check_ident ctx path loc =
+  let p = Lint_typed.norm_path path in
+  (match stdlib_module path with
+  | Some "Random" ->
+      add ctx ~code:"MSP001" ~loc
+        (Printf.sprintf
+           "%s: Stdlib.Random breaks seeded determinism; thread a Mspar_prelude.Rng.t instead" p)
+  | Some ("Obj" | "Marshal") ->
+      add ctx ~code:"MSP005" ~loc (Printf.sprintf "%s: Obj/Marshal are forbidden" p)
+  | _ -> ());
+  (if ctx.hot && is_poly_compare p then
      let base =
        match String.rindex_opt p '.' with
        | Some i -> String.sub p (i + 1) (String.length p - i - 1)
@@ -201,27 +189,27 @@ let check_ident ctx p loc =
      in
      add ctx ~code:"MSP002" ~loc
        (Printf.sprintf "polymorphic %s in a hot-path directory; %s" p hint));
-  if is_domain_spawn_path p then
+  if String.equal p "Domain.spawn" then
     add ctx ~code:"MSP008" ~loc
       (Printf.sprintf
          "%s: raw domain spawning is reserved for the pool (lib/prelude/pool.ml); run the work \
           on a Mspar_prelude.Pool.t so the spawn cost is paid once per process"
          p);
-  if ctx.in_lib && is_file_io_path p then
+  if ctx.in_lib && is_file_io p then
     add ctx ~code:"MSP009" ~loc
       (Printf.sprintf
          "%s: raw file I/O in lib/ is reserved for the durability layer (lib/prelude/journal.ml) \
           and Graph_io; route bytes through Mspar_prelude.Journal so framing, CRC and fsync \
           policy stay in one place"
          p);
-  if ctx.in_lib && is_socket_io_path p then
+  if ctx.in_lib && is_socket_io p then
     add ctx ~code:"MSP011" ~loc
       (Printf.sprintf
          "%s: raw Unix socket/fd I/O in lib/ is reserved for lib/server, the journal, and \
           Graph_io; anywhere else it bypasses the frame + CRC + backpressure discipline — go \
           through Mspar_server or Mspar_prelude.Journal"
          p);
-  if is_bigarray_unsafe_path p then
+  if is_bigarray_unsafe p then
     add ctx ~code:"MSP010" ~loc
       (Printf.sprintf
          "%s: raw Bigarray unsafe access outside the blessed lanes; an out-of-bounds index here \
@@ -235,89 +223,68 @@ let check_ident ctx p loc =
           (Thm 3.2/3.3 accounting); route this through Network or annotate protocol-local reads"
          p)
 
+let ident_name f =
+  match f.exp_desc with Texp_ident (path, _, _) -> Some (Lint_typed.norm_path path) | _ -> None
+
+let positional = function Asttypes.Nolabel, Some a -> Some a | _ -> None
+
 (* ---------------------------------------------------------------- *)
 (* MSP002: structural =/<> on syntactically composite operands       *)
 (* ---------------------------------------------------------------- *)
 
 let is_composite e =
-  match e.pexp_desc with
-  | Pexp_tuple _ | Pexp_record _ | Pexp_array _ -> true
-  | Pexp_construct (_, Some _) -> true
-  | Pexp_variant (_, Some _) -> true
+  match e.exp_desc with
+  | Texp_tuple _ | Texp_record _ | Texp_array _ -> true
+  | Texp_construct (_, _, _ :: _) -> true
+  | Texp_variant (_, Some _) -> true
   | _ -> false
 
 let check_poly_eq ctx f args =
-  if not ctx.hot then ()
-  else
-    match f.pexp_desc with
-  | Pexp_ident { txt; _ } -> (
-      match path_of_lident txt with
-      | "=" | "<>" | "Stdlib.=" | "Stdlib.<>" ->
-          let composite =
-            List.exists (fun (lbl, a) -> (match lbl with Asttypes.Nolabel -> true | _ -> false) && is_composite a) args
-          in
-          if composite then
-            add ctx ~code:"MSP002" ~loc:f.pexp_loc
-              "structural =/<> on a composite value in a hot-path directory; compare fields \
-               monomorphically"
-      | _ -> ())
+  match ident_name f with
+  | Some ("Stdlib.=" | "Stdlib.<>") when ctx.hot ->
+      if List.exists is_composite (List.filter_map positional args) then
+        add ctx ~code:"MSP002" ~loc:f.exp_loc
+          "structural =/<> on a composite value in a hot-path directory; compare fields \
+           monomorphically"
   | _ -> ()
 
 (* ---------------------------------------------------------------- *)
 (* MSP004: float log feeding integer rounding                        *)
 (* ---------------------------------------------------------------- *)
 
-let is_round_path p =
-  match p with
-  | "int_of_float" | "truncate" | "Stdlib.int_of_float" | "Stdlib.truncate" | "Float.to_int" -> true
-  | _ -> false
+let is_round p =
+  match p with "Stdlib.int_of_float" | "Stdlib.truncate" | "Float.to_int" -> true | _ -> false
 
-let is_log_path p =
+let is_log p =
   match p with
-  | "log" | "log2" | "log10" | "exp" | "**" | "Stdlib.log" | "Stdlib.log10" | "Stdlib.exp"
-  | "Stdlib.**" | "Float.log" | "Float.log2" | "Float.log10" | "Float.exp" | "Float.pow" ->
+  | "Stdlib.log" | "Stdlib.log10" | "Stdlib.exp" | "Stdlib.**" | "Float.log" | "Float.log2"
+  | "Float.log10" | "Float.exp" | "Float.pow" ->
       true
   | _ -> false
 
 exception Found
 
 let expr_mentions_log e =
-  let open Ast_iterator in
   let expr it e =
-    (match e.pexp_desc with
-    | Pexp_ident { txt; _ } -> if is_log_path (path_of_lident txt) then raise Found
-    | _ -> ());
-    default_iterator.expr it e
+    (match ident_name e with Some p when is_log p -> raise Found | _ -> ());
+    Tast_iterator.default_iterator.expr it e
   in
-  let it = { default_iterator with expr } in
+  let it = { Tast_iterator.default_iterator with expr } in
   match it.expr it e with () -> false | exception Found -> true
 
 let check_float_round ctx f args =
-  match f.pexp_desc with
-  | Pexp_ident { txt; _ } -> (
-      let p = path_of_lident txt in
-      if is_round_path p then begin
-        match args with
-        | (Asttypes.Nolabel, a) :: _ when expr_mentions_log a ->
-            add ctx ~code:"MSP004" ~loc:f.pexp_loc
-              (Printf.sprintf
-                 "%s over a float log/exp/** expression: float rounding misrounds near powers of \
-                  two (the PR 2 ceil_log2 bug); compute integer budgets by shifts"
-                 p)
-        | _ -> ()
-      end
-      else
-        match p with
-        | "/." | "Stdlib./." -> (
-            (* log x /. log 2. — the classic float-log2 idiom *)
-            match args with
-            | (Asttypes.Nolabel, a) :: (Asttypes.Nolabel, b) :: _
-              when expr_mentions_log a && expr_mentions_log b ->
-                add ctx ~code:"MSP004" ~loc:f.pexp_loc
-                  "float log-ratio (log x /. log b) idiom; compute integer logarithms by shifts \
-                   (the PR 2 ceil_log2 bug)"
-            | _ -> ())
-        | _ -> ())
+  match (ident_name f, List.filter_map positional args) with
+  | Some p, a :: _ when is_round p && expr_mentions_log a ->
+      add ctx ~code:"MSP004" ~loc:f.exp_loc
+        (Printf.sprintf
+           "%s over a float log/exp/** expression: float rounding misrounds near powers of \
+            two (the PR 2 ceil_log2 bug); compute integer budgets by shifts"
+           p)
+  | Some "Stdlib./.", a :: b :: _ when expr_mentions_log a && expr_mentions_log b ->
+      (* log x /. log 2. — the classic float-log2 idiom *)
+      add ctx ~code:"MSP004" ~loc:f.exp_loc
+        "float log-ratio (log x /. log b) idiom; compute integer logarithms by shifts \
+         (the PR 2 ceil_log2 bug)"
   | _ -> ()
 
 (* ---------------------------------------------------------------- *)
@@ -325,71 +292,61 @@ let check_float_round ctx f args =
 (* ---------------------------------------------------------------- *)
 
 let raising_apply e =
-  match e.pexp_desc with
-  | Pexp_apply ({ pexp_desc = Pexp_ident { txt; _ }; _ }, args) -> (
-      match path_of_lident txt with
-      | "failwith" | "Stdlib.failwith" | "invalid_arg" | "Stdlib.invalid_arg" -> true
-      | "raise" | "raise_notrace" | "Stdlib.raise" | "Stdlib.raise_notrace" -> (
-          match args with
-          | (_, { pexp_desc = Pexp_construct ({ txt = exc; _ }, _); _ }) :: _ -> (
+  match e.exp_desc with
+  | Texp_apply (f, args) -> (
+      match ident_name f with
+      | Some ("Stdlib.failwith" | "Stdlib.invalid_arg") -> true
+      | Some ("Stdlib.raise" | "Stdlib.raise_notrace") -> (
+          match List.filter_map positional args with
+          | { exp_desc = Texp_construct (_, { Types.cstr_tag = Cstr_extension (exc, _); _ }, _); _ }
+            :: _ ->
               (* [raise Exit] is the local early-exit idiom, not a contract *)
-              match path_of_lident exc with "Exit" | "Stdlib.Exit" -> false | _ -> true)
+              not (String.equal (Lint_typed.norm_path exc) "Stdlib.Exit")
           | _ -> true)
       | _ -> false)
   | _ -> false
 
-(* A raise syntactically under a [try] is assumed caught; handlers still
-   count (re-raises escape).  [match ... with exception] is the same
-   construct spelled differently: raises in the scrutinee are assumed
-   caught by the [exception] arms, raises in any arm's body escape. *)
-let rec has_exception_case p =
-  match p.ppat_desc with
-  | Ppat_exception _ -> true
-  | Ppat_or (a, b) -> has_exception_case a || has_exception_case b
+(* A raise under a [try] is assumed caught; handlers still count
+   (re-raises escape).  [match ... with exception] is the same construct
+   spelled differently: raises in the scrutinee are assumed caught by the
+   [exception] arms, raises in any arm's body escape. *)
+let rec has_exception_case : computation general_pattern -> bool =
+ fun p ->
+  match p.pat_desc with
+  | Tpat_exception _ -> true
+  | Tpat_or (a, b, _) -> has_exception_case a || has_exception_case b
   | _ -> false
 
 let body_raises body =
-  let open Ast_iterator in
-  let expr it e =
+  let expr (it : Tast_iterator.iterator) e =
     if raising_apply e then raise Found;
-    match e.pexp_desc with
-    | Pexp_try (_, handlers) -> List.iter (fun c -> it.case it c) handlers
-    | Pexp_match (_, cases)
-      when List.exists (fun c -> has_exception_case c.pc_lhs) cases ->
-        List.iter (fun c -> it.case it c) cases
-    | _ -> default_iterator.expr it e
+    match e.exp_desc with
+    | Texp_try (_, handlers) -> List.iter (it.case it) handlers
+    | Texp_match (_, cases, _) when List.exists (fun c -> has_exception_case c.c_lhs) cases ->
+        List.iter (it.case it) cases
+    | _ -> Tast_iterator.default_iterator.expr it e
   in
-  let it = { default_iterator with expr } in
+  let it = { Tast_iterator.default_iterator with expr } in
   match it.expr it body with () -> false | exception Found -> true
 
-let rec pattern_name p =
-  match p.ppat_desc with
-  | Ppat_var { txt; _ } -> Some txt
-  | Ppat_constraint (p, _) -> pattern_name p
-  | _ -> None
-
 let check_raise_contract ctx vb =
-  match ctx.mli with
-  | None -> ()
-  | Some info -> (
-      match pattern_name vb.pvb_pat with
-      | None -> ()
-      | Some name -> (
-          if not (String.ends_with ~suffix:"_exn" name) then
-            match Hashtbl.find_opt info.exported name with
-            | Some true (* @raise documented *) | None (* not exported *) -> ()
-            | Some false ->
-                if body_raises vb.pvb_expr then
-                  add ctx ~code:"MSP007" ~loc:vb.pvb_loc
-                    (Printf.sprintf
-                       "%s can raise but is not _exn-suffixed and its .mli doc has no @raise"
-                       name)))
+  match (ctx.mli, vb.vb_pat.pat_desc) with
+  | Some exported, Tpat_var (_, { txt = name; _ }) when not (String.ends_with ~suffix:"_exn" name) -> (
+      match Hashtbl.find_opt exported name with
+      | Some true (* @raise documented *) | None (* not exported *) -> ()
+      | Some false ->
+          if body_raises vb.vb_expr then
+            add ctx ~code:"MSP007" ~loc:vb.vb_loc
+              (Printf.sprintf
+                 "%s can raise but is not _exn-suffixed and its .mli doc has no @raise" name))
+  | _ -> ()
 
 (* ---------------------------------------------------------------- *)
 (* the combined pass                                                 *)
 (* ---------------------------------------------------------------- *)
 
-let lint_structure cfg ~file ~mli str =
+let lint_unit cfg ~mli (u : Lint_typed.t) =
+  let file = u.file in
   let ctx =
     {
       cfg;
@@ -397,33 +354,43 @@ let lint_structure cfg ~file ~mli str =
       hot = Lint_config.in_hot_dir cfg file;
       congest = Lint_config.in_congest_scope cfg file;
       in_lib = Lint_config.under_prefix ~prefix:"lib" file;
-      mli;
+      mli = Option.bind mli (mli_exports ~file:(file ^ "i"));
       acc = [];
     }
   in
-  let open Ast_iterator in
   let expr it e =
-    (match e.pexp_desc with
-    | Pexp_ident { txt; _ } -> check_ident ctx (path_of_lident txt) e.pexp_loc
-    | Pexp_apply (f, args) ->
+    (match e.exp_desc with
+    | Texp_ident (path, _, _) -> check_ident ctx path e.exp_loc
+    | Texp_apply (f, args) ->
         check_poly_eq ctx f args;
         check_float_round ctx f args
     | _ -> ());
-    default_iterator.expr it e
+    Tast_iterator.default_iterator.expr it e
   in
   let module_expr it m =
-    (match m.pmod_desc with
-    | Pmod_ident { txt; loc } -> (
-        match forbidden_module_path (path_of_lident txt) with
-        | Some (code, message) -> add ctx ~code ~loc message
-        | None -> ())
+    (match m.mod_desc with
+    | Tmod_ident (path, lid) -> check_module ctx path lid.loc
     | _ -> ());
-    default_iterator.module_expr it m
+    Tast_iterator.default_iterator.module_expr it m
   in
   let value_binding it vb =
     check_raise_contract ctx vb;
-    default_iterator.value_binding it vb
+    Tast_iterator.default_iterator.value_binding it vb
   in
-  let it = { default_iterator with expr; module_expr; value_binding } in
-  it.structure it str;
-  ctx.acc
+  let it = { Tast_iterator.default_iterator with expr; module_expr; value_binding } in
+  it.structure it u.str;
+  if
+    Option.is_none mli
+    && Lint_config.requires_mli cfg file
+    && Lint_config.rule_enabled cfg ~code:"MSP006" ~file
+  then
+    {
+      Lint_types.file;
+      line = 1;
+      col = 0;
+      cnum = 0;
+      code = "MSP006";
+      message = "module has no .mli interface";
+    }
+    :: ctx.acc
+  else ctx.acc

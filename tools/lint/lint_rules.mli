@@ -1,15 +1,10 @@
-(** The msparlint rule set: a single [Ast_iterator] pass over one
-    implementation file.  Rules MSP001–MSP005 and MSP007 live here; MSP006
-    (missing .mli) is a file-system property checked by {!Lint_engine}. *)
+(** The msparlint rule set MSP001–MSP011: a single [Tast_iterator] pass
+    over one typed unit, matching identifiers by their resolved path. *)
 
-type mli_info
-(** Exported value names of the paired [.mli], with whether each carries an
-    [@raise] doc mention (consumed by MSP007). *)
-
-val mli_info_of_signature : Parsetree.signature -> mli_info
-
-val lint_structure :
-  Lint_config.t -> file:string -> mli:mli_info option -> Parsetree.structure ->
-  Lint_types.finding list
-(** Raw findings, unordered, before [@lint.allow] suppression (applied by
-    {!Lint_engine}) and before baseline filtering. *)
+val lint_unit :
+  Lint_config.t -> mli:string option -> Lint_typed.t -> Lint_types.finding list
+(** Raw findings, unordered, before [[@lint.allow]] suppression (applied by
+    {!Lint_engine}) and before baseline filtering.  [mli] is the sibling
+    interface's source: [None] is MSP006 under [require-mli] prefixes and
+    disables MSP007, which reads the exported names and their [@raise]
+    docs from it. *)

@@ -21,12 +21,15 @@ let demangle s =
   let b = last_mangle 0 0 in
   if b = 0 || b >= n then s else String.sub s b (n - b)
 
+(* Structural, not a split of [Path.name]: an operator such as [Stdlib./.]
+   has a dot in its own name. *)
 let norm_path p =
-  let parts = String.split_on_char '.' (Path.name p) in
-  match List.rev_map demangle parts with
-  | [] -> ""
-  | [ x ] -> x
-  | x :: y :: _ -> y ^ "." ^ x
+  let last = function
+    | Path.Pident id -> demangle (Ident.name id)
+    | Pdot (_, s) -> demangle s
+    | p -> Path.name p
+  in
+  match p with Path.Pdot (m, x) -> last m ^ "." ^ x | p -> last p
 
 (* ------------------------------------------------------------------ *)
 (* cmt discovery                                                      *)
@@ -37,9 +40,6 @@ let trim_root r =
   if r <> "/" && String.length r > 1 && r.[String.length r - 1] = '/' then
     String.sub r 0 (String.length r - 1)
   else r
-
-let under_root ~root file =
-  file = root || Lint_config.under_prefix ~prefix:root file
 
 let rec walk_cmts dir acc =
   match Sys.readdir dir with
@@ -64,6 +64,8 @@ let load_units ~roots =
   let dirs =
     List.concat_map
       (fun r ->
+        (* a file root is looked up in its directory's .objs *)
+        let r = if Sys.file_exists r && not (Sys.is_directory r) then Filename.dirname r else r in
         List.filter
           (fun d -> Sys.file_exists d && Sys.is_directory d)
           [ r; Filename.concat "_build/default" r ])
@@ -80,22 +82,57 @@ let load_units ~roots =
             match (cmt.cmt_annots, cmt.cmt_sourcefile) with
             | Implementation str, Some src
               when Filename.check_suffix src ".ml"
-                   && List.exists (fun r -> under_root ~root:r src) roots
+                   && List.exists (fun prefix -> Lint_config.under_prefix ~prefix src) roots
                    && not (Hashtbl.mem seen src) ->
                 Hashtbl.replace seen src ();
                 Some { file = src; modname = modname_of_cmt cmt; str }
             | _ -> None))
       cmts
   in
-  List.sort (fun a b -> compare a.file b.file) units
+  let covered prefix = List.exists (fun u -> Lint_config.under_prefix ~prefix u.file) units in
+  match List.find_opt (fun r -> not (covered r)) roots with
+  | Some root -> Error root
+  | None -> Ok (List.sort (fun a b -> compare a.file b.file) units)
 
 (* ------------------------------------------------------------------ *)
 (* fixture type-checking                                              *)
 (* ------------------------------------------------------------------ *)
 
+(* Fixtures type-check against the standard library, [unix], and the
+   interfaces of the two libraries whose names the rules match most, both
+   opened, so a fixture says [Rng.int] or [Graph.iter_neighbors] exactly as
+   library code does.  Their .cmi files are the ones dune built, found from
+   the working directory: the repo root, or anywhere under _build/default
+   (where dune runs the tests).  Without them every fixture fails to
+   type-check with "Unbound module", never silently. *)
+let fixture_libs =
+  [
+    ("Mspar_prelude", "lib/prelude/.mspar_prelude.objs/byte");
+    ("Mspar_graph", "lib/graph/.mspar_graph.objs/byte");
+  ]
+
+let rec build_root dir =
+  let has root =
+    List.for_all (fun (_, d) -> Sys.file_exists (Filename.concat root d)) fixture_libs
+  in
+  let in_build = Filename.concat dir "_build/default" in
+  if has dir then Some dir
+  else if has in_build then Some in_build
+  else
+    let parent = Filename.dirname dir in
+    if String.equal parent dir then None else build_root parent
+
 let fixture_env =
   lazy
     (ignore (Warnings.parse_options false "-a");
+     let lib_dirs =
+       match build_root (Sys.getcwd ()) with
+       | Some root -> List.map (fun (_, d) -> Filename.concat root d) fixture_libs
+       | None -> []
+     in
+     Clflags.include_dirs := (Filename.concat Config.standard_library "unix" :: lib_dirs);
+     (* kept reversed, as the compiler's own -open flag parsing does *)
+     Clflags.open_modules := List.rev_map fst fixture_libs;
      Compmisc.init_path ();
      Compmisc.initial_env ())
 
@@ -110,25 +147,9 @@ let describe_exn e =
 let typecheck_impl ~file source =
   let lexbuf = Lexing.from_string source in
   Lexing.set_filename lexbuf file;
-  match Parse.implementation lexbuf with
+  match
+    let pstr = Parse.implementation lexbuf in
+    Typemod.type_structure (Lazy.force fixture_env) pstr
+  with
+  | str, _sig, _names, _shape, _env -> Ok { file; modname = modname_of_file file; str }
   | exception e -> Error (describe_exn e)
-  | pstr -> (
-      let env = Lazy.force fixture_env in
-      match Typemod.type_structure env pstr with
-      | str, _sig, _names, _shape, _env ->
-          Ok { file; modname = modname_of_file file; str }
-      | exception e -> Error (describe_exn e))
-
-(* ------------------------------------------------------------------ *)
-(* discovery agreement                                                *)
-(* ------------------------------------------------------------------ *)
-
-let coverage_gaps ~sources ~covered =
-  let have = Hashtbl.create 16 in
-  List.iter (fun f -> Hashtbl.replace have f ()) covered;
-  (* only implementations need typed coverage: interfaces have no .cmt of
-     their own in this pipeline *)
-  List.sort compare
-    (List.filter
-       (fun f -> Filename.check_suffix f ".ml" && not (Hashtbl.mem have f))
-       sources)

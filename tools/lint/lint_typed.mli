@@ -1,12 +1,13 @@
-(** Typed-AST frontend for the interprocedural rules (MSP012/13/14).
+(** The one lint frontend: every rule (MSP001–MSP014) and every
+    [[@lint.allow]] span works on a typed unit.
 
-    Two ways to obtain a typed unit:
+    Two ways to obtain one:
     - {!load_units} reads the [-bin-annot] [.cmt] files dune emits under
       each root's [.objs]/[.eobjs] directories (also checked under
       [_build/default/<root>] when linting from the repo root);
     - {!typecheck_impl} drives [Typemod.type_structure] over an in-memory
-      fixture, which is how the test suite exercises the typed rules
-      without a dune build.
+      fixture, which is how the test suite exercises the rules without a
+      dune build.
 
     Both produce the same {!t}, so rule logic never cares which frontend
     fed it. *)
@@ -24,17 +25,17 @@ val norm_path : Path.t -> string
     ["Stdlib.Array.unsafe_set"] yields ["Array.unsafe_set"].  Single-component
     paths are returned as-is (after demangling). *)
 
-val load_units : roots:string list -> t list
+val load_units : roots:string list -> (t list, string) result
 (** All typed implementations whose [cmt_sourcefile] is a [.ml] under one of
-    [roots].  Unreadable or interface-only [.cmt]s are skipped; duplicates
-    (same source built into several stanzas) keep the first occurrence.
-    Deterministic order (sorted by source path). *)
+    [roots] (a root may also name one [.ml] file).  Unreadable or
+    interface-only [.cmt]s are skipped; duplicates (same source built into
+    several stanzas) keep the first occurrence.  Deterministic order
+    (sorted by source path).  [Error root] names a root with no unit at
+    all — nothing was built there, and linting it would check nothing. *)
 
 val typecheck_impl : file:string -> string -> (t, string) result
-(** Type-check fixture [source] against the standard library alone.
-    [Error] carries a compiler diagnostic when the fixture does not parse
-    or type-check. *)
-
-val coverage_gaps : sources:string list -> covered:string list -> string list
-(** [.ml] files the parsetree pass saw but the typed pass has no unit for,
-    sorted.  Pure so the discovery-agreement contract is unit-testable. *)
+(** Type-check fixture [source] against the standard library, [unix], and
+    the dune-built [Mspar_prelude] and [Mspar_graph] interfaces (both
+    opened), located from the working directory — the repo root or a
+    directory under [_build/default].  [Error] carries a compiler
+    diagnostic when the fixture does not parse or type-check. *)

@@ -7,7 +7,7 @@
       CONGEST simulator must be dominated by a [Graph.add_probes] charge.
 
     Findings are raw — the driver applies [\[@lint.allow\]] spans via
-    {!Lint_engine.suppress_in_file} and then the baseline. *)
+    {!Lint_engine.suppress} and then the baseline. *)
 
 type analysis
 

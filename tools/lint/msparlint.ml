@@ -4,24 +4,25 @@
      msparlint [--config FILE] [--baseline FILE] [--json | --sarif]
                [--ci] [--timings] [--list-rules] PATH...
 
-   Parses every .ml/.mli under the given paths with compiler-libs and runs
-   the MSP001–MSP011 rule set (doc/LINTS.md).  Paths under lib/, bin/ and
-   bench/ additionally get the typed pass: the .cmt files dune emitted for
-   them are loaded, an intra-package call graph is built, and the
-   interprocedural rules MSP012 (domain races), MSP013 (hot-path
-   allocation) and MSP014 (probe accounting) run on top.  Exits nonzero
-   when any finding is neither [@lint.allow]-suppressed nor covered by the
-   baseline file.
+   Loads the .cmt files (typed syntax trees) dune emitted for every .ml
+   under the given paths and runs the MSP001–MSP011 rule set over each
+   unit (doc/LINTS.md).  Units under lib/, bin/ and bench/ additionally
+   feed an intra-package call graph for the interprocedural rules MSP012
+   (domain races), MSP013 (hot-path allocation) and MSP014 (probe
+   accounting).  [@lint.allow] spans are read from the same trees.  Exits
+   nonzero when any finding is neither suppressed nor covered by the
+   baseline file, and with 2 when a path has no .cmt under it (run
+   `dune build @check` first).
 
    --ci hardens the run for continuous integration: stale baseline entries
-   and missing .cmt coverage become errors, and the typed pass is gated to
-   30 s wall clock.  --timings prints a per-phase breakdown to stderr. *)
+   become errors, and the run is gated to 30 s wall clock.  --timings
+   prints a per-phase breakdown to stderr. *)
 
 open Msparlint_lib
 
 let rules_summary =
   [
-    ("MSP000", "file does not parse");
+    ("MSP000", "source does not parse or type-check");
     ("MSP001", "Stdlib.Random outside lib/prelude/rng.ml (seeded determinism)");
     ("MSP002", "polymorphic compare/min/max/hash in hot-path directories");
     ("MSP003", "direct adjacency access in CONGEST protocol code");
@@ -36,15 +37,14 @@ let rules_summary =
     ("MSP012", "write to shared mutable state reachable from more than one domain context");
     ("MSP013", "per-element allocation inside a [@@hot] function");
     ("MSP014", "uncounted CONGEST adjacency access not dominated by a probe charge");
-    ("MSP015", "source file missing from the typed pass (no .cmt found)");
   ]
 
-(* The typed pass covers the trees that run concurrent or hot code; test/
-   is deliberately out of scope — test fixtures write captured state from
-   pool closures on purpose. *)
-let typed_roots = [ "lib"; "bin"; "bench" ]
+(* The interprocedural rules cover the trees that run concurrent or hot
+   code; test/ is deliberately out of their scope — test fixtures write
+   captured state from pool closures on purpose. *)
+let callgraph_roots = [ "lib"; "bin"; "bench" ]
 
-let typed_pass_budget_s = 30.0
+let budget_s = 30.0
 
 let usage () =
   prerr_endline
@@ -52,32 +52,10 @@ let usage () =
      [--ci] [--timings] [--list-rules] PATH...";
   exit 2
 
-let is_typed_root p =
-  List.exists
-    (fun r -> String.equal p r || Lint_config.under_prefix ~prefix:r p)
-    typed_roots
+let in_callgraph_scope file =
+  List.exists (fun r -> Lint_config.under_prefix ~prefix:r file) callgraph_roots
 
 let read_file path = In_channel.with_open_bin path In_channel.input_all
-
-(* Apply [@lint.allow] spans to typed findings: group per file, parse that
-   file's source (present on disk both in the repo and in _build), filter. *)
-let suppress_typed findings =
-  let by_file = Hashtbl.create 16 in
-  List.iter
-    (fun (f : Lint_types.finding) ->
-      let prev = Option.value ~default:[] (Hashtbl.find_opt by_file f.file) in
-      Hashtbl.replace by_file f.file (f :: prev))
-    findings;
-  Hashtbl.fold
-    (fun file fs acc ->
-      let fs = List.rev fs in
-      let fs =
-        match read_file file with
-        | source -> Lint_engine.suppress_in_file ~file ~source fs
-        | exception Sys_error _ -> fs
-      in
-      fs @ acc)
-    by_file []
 
 let () =
   let config = ref None in
@@ -148,61 +126,36 @@ let () =
     phases := (name, Unix.gettimeofday () -. t0) :: !phases;
     r
   in
-  let parse_findings =
-    timed "parsetree MSP001-011" (fun () -> Lint_engine.lint_paths cfg paths)
+  let t0 = Unix.gettimeofday () in
+  let units =
+    match timed "cmt discovery" (fun () -> Lint_typed.load_units ~roots:paths) with
+    | Ok units -> units
+    | Error root ->
+        Printf.eprintf "msparlint: no .cmt files under %s; run `dune build @check` first\n" root;
+        exit 2
   in
-  (* typed pass *)
-  let typed_t0 = Unix.gettimeofday () in
-  let roots = List.filter is_typed_root paths in
-  let typed_findings =
-    if roots = [] then []
-    else begin
-      let units = timed "cmt discovery" (fun () -> Lint_typed.load_units ~roots) in
-      if units = [] then begin
-        Printf.eprintf
-          "msparlint: no .cmt files under %s; typed rules (MSP012-014) \
-           skipped — run `dune build @check` first\n"
-          (String.concat " " roots);
-        if !ci then exit 2;
-        []
-      end
-      else begin
-        let sources =
-          List.filter
-            (fun f -> Filename.check_suffix f ".ml")
-            (Lint_engine.collect_files roots)
-        in
-        let covered = List.map (fun (u : Lint_typed.t) -> u.file) units in
-        let gaps = Lint_typed.coverage_gaps ~sources ~covered in
-        let gap_findings =
-          List.map
-            (fun file ->
-              {
-                Lint_types.file;
-                line = 1;
-                col = 0;
-                cnum = 0;
-                code = "MSP015";
-                message =
-                  "no .cmt for this file: the typed rules (MSP012-014) did \
-                   not see it; make sure it is attached to a dune stanza";
-              })
-            gaps
-        in
-        let analysis =
-          timed "call graph" (fun () -> Lint_typed_rules.prepare units)
-        in
-        let f12 = timed "MSP012 domain-race" (fun () -> Lint_typed_rules.msp012 cfg analysis) in
-        let f13 = timed "MSP013 hot-alloc" (fun () -> Lint_typed_rules.msp013 cfg analysis) in
-        let f14 = timed "MSP014 probe-accounting" (fun () -> Lint_typed_rules.msp014 cfg analysis) in
-        gap_findings @ suppress_typed (f12 @ f13 @ f14)
-      end
-    end
+  let rule_findings =
+    timed "MSP001-011" (fun () ->
+        List.concat_map
+          (fun (u : Lint_typed.t) ->
+            let mli_path = u.file ^ "i" in
+            let mli = if Sys.file_exists mli_path then Some (read_file mli_path) else None in
+            Lint_rules.lint_unit cfg ~mli u)
+          units)
   in
-  let typed_elapsed = Unix.gettimeofday () -. typed_t0 in
+  let analysis =
+    timed "call graph" (fun () ->
+        Lint_typed_rules.prepare
+          (List.filter (fun (u : Lint_typed.t) -> in_callgraph_scope u.file) units))
+  in
+  let f12 = timed "MSP012 domain-race" (fun () -> Lint_typed_rules.msp012 cfg analysis) in
+  let f13 = timed "MSP013 hot-alloc" (fun () -> Lint_typed_rules.msp013 cfg analysis) in
+  let f14 = timed "MSP014 probe-accounting" (fun () -> Lint_typed_rules.msp014 cfg analysis) in
   let findings =
-    List.sort Lint_types.compare_finding (parse_findings @ typed_findings)
+    List.sort Lint_types.compare_finding
+      (Lint_engine.suppress units (rule_findings @ f12 @ f13 @ f14))
   in
+  let elapsed = Unix.gettimeofday () -. t0 in
   let base =
     match !baseline with
     | None -> Lint_baseline.of_string ""
@@ -238,9 +191,8 @@ let () =
       end
       else Printf.eprintf "msparlint: stale baseline entry (matches nothing): %s\n" e)
     unused;
-  if !ci && typed_elapsed > typed_pass_budget_s then begin
-    Printf.eprintf "msparlint: typed pass took %.1f s (budget %.0f s)\n"
-      typed_elapsed typed_pass_budget_s;
+  if !ci && elapsed > budget_s then begin
+    Printf.eprintf "msparlint: lint took %.1f s (budget %.0f s)\n" elapsed budget_s;
     failed := true
   end;
   if List.length live > 0 then
