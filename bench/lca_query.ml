@@ -89,8 +89,8 @@ let greedy_matched sg ~oseed =
    recursion level scans one neighborhood (~avg_deg probes) and replays
    its marks (O(delta)), and the explored lower-rank chain is bounded by
    the sparsifier degree — polynomial in (avg_deg, delta), with no n
-   term.  Measured headroom over the seeded runs is 2-5x; a regression
-   that makes the tail grow with n blows through it immediately. *)
+   term.  Measured headroom over the seeded runs is 5-16x; a regression
+   that makes the tail grow with n blows through it. *)
 let mm_row ~full ~n ~delta =
   let rng = Rng.create (seed + n) in
   let m' = 3 * n in

@@ -1,47 +1,56 @@
-(** Bounded LRU memoization for the replay oracle.
+(** Bounded LRU memoization for the replay oracle, with stamp-checked
+    entries.
 
-    Int keys (vertices, or packed edge codes) to arbitrary payloads;
-    O(1) expected find/put/remove with least-recently-used eviction at a
-    fixed capacity.  The recency list lives in two int arrays over fixed
-    slots, so a {!find} hit touches no allocator — it can sit on the
-    query hot path — and every hit, miss, insertion, eviction and
+    Int keys (vertices, or packed edge codes).  Each entry holds one int
+    word packing the logical-clock stamp it was computed at with one
+    answer bit, so a memo of booleans costs no boxes; a larger payload
+    lives in a caller-side array indexed by the slot {!find} and {!put}
+    return.  {!find} takes the caller's validity floor: an entry stamped
+    before it is stale, dropped on the spot, and counted as a miss and
+    an invalidation.  Invalidating any set of entries is therefore a
+    stamp or floor bump in the caller, never a sweep over the cache.
+
+    The index is linear probing over a power-of-two table of at least
+    2 × capacity, deleting by backward shift (no tombstones); the
+    recency list lives in two int arrays over fixed slots.  {!find} and
+    {!put} allocate nothing and are [[@@hot]] (MSP013), so they can sit
+    on the query hot path.  Every hit, miss, insertion, eviction and
     invalidation is counted: the oracle's amortization claim
     ([bench_csv/lca-query.csv]) is measured off these counters, not
     asserted. *)
 
-type 'a t
+type t
 
 type stats = {
   hits : int;
-  misses : int;
+  misses : int;  (** includes stale entries found and dropped *)
   insertions : int;
   evictions : int;  (** capacity displacements (LRU victim dropped) *)
   invalidations : int;
-      (** entries dropped by {!remove}/{!clear} — the dynamic-update
-          invalidation traffic *)
+      (** stale entries dropped by {!find} — the dynamic-update
+          invalidation traffic, paid lazily *)
 }
 
-val create : capacity:int -> 'a t
+val create : capacity:int -> t
 (** @raise Invalid_argument if [capacity < 1]. *)
 
-val capacity : 'a t -> int
+val capacity : t -> int
 
-val length : 'a t -> int
-(** Entries currently held. *)
+val length : t -> int
+(** Entries currently held, stale ones not yet dropped included. *)
 
-val find : 'a t -> int -> 'a option
-(** Lookup; a hit refreshes the entry's recency and returns the stored
-    option without allocating. *)
+val find : t -> since:int -> int -> int
+(** [find t ~since k] is the slot holding [k], or [-1] on a miss.  An
+    entry stamped before [since] is a miss: it is dropped and counted
+    in [invalidations].  A hit refreshes the entry's recency. *)
 
-val put : 'a t -> int -> 'a -> unit
-(** Insert or overwrite; evicts the least recently used entry when at
-    capacity. *)
+val bit : t -> int -> bool
+(** [bit t s] is the answer bit stored at slot [s], a slot just returned
+    by {!find} or {!put}. *)
 
-val remove : 'a t -> int -> unit
-(** Drop one key (no-op when absent) — the per-vertex invalidation hook. *)
+val put : t -> stamp:int -> int -> bool -> int
+(** [put t ~stamp k b] stores answer bit [b] for [k], stamped [stamp],
+    and returns its slot.  A held key is overwritten in place; otherwise
+    the least recently used entry is evicted when the cache is full. *)
 
-val clear : 'a t -> unit
-(** Drop everything — the epoch-style invalidation hook for entries
-    whose dependencies cannot be tracked per key (matching state). *)
-
-val stats : 'a t -> stats
+val stats : t -> stats

@@ -20,17 +20,25 @@ open Mspar_core
    G_Delta: edges carry deterministic 62-bit ranks (a splitmix-style
    finalizer over [(seed, a, b)], total order by [(rank, a, b)]), and an
    edge is in the matching iff no adjacent G_Delta edge of strictly
-   lower rank is.  The recursion only ever descends to strictly lower
-   ranks, so it terminates; memoization ([mm] cache) makes repeated
-   queries cheap, and correctness never depends on the memo because LRU
-   eviction only forces recomputation.
+   lower rank is.  Ranks cost no probes, so each level ranks its whole
+   neighborhood first and then visits the lower-ranked edges in
+   ascending order, testing G_Delta membership and recursing lazily and
+   stopping at the first matched one (Yoshida-Yamamoto-Ito).  The
+   recursion only ever descends to strictly lower ranks, so it
+   terminates; memoization ([mm] cache) makes repeated queries cheap,
+   and correctness never depends on the memo because LRU eviction only
+   forces recomputation.
 
    Invalidation rule (the serve daemon's read-your-writes contract):
-   flipping edge (u,v) changes the adjacency — and hence the replayed
-   marks — of u and v only, so [invalidate_edge] drops exactly those two
-   mark entries; the edge-level G_Delta memo and the matching memo are
-   dropped wholesale (their entries cannot be scanned by endpoint, and
-   matching membership cascades along rank chains arbitrarily far). *)
+   every memo entry carries the logical clock it was computed at, and
+   [Cache.find ~since] drops entries older than the caller's floor.
+   Flipping edge (u,v) bumps the clock and stamps u and v as touched.
+   Marks of x depend on N(x) only, and [in_gdelta a b] on N(a) and N(b)
+   only, so those memos are exact: an entry is stale iff an endpoint was
+   touched after it was computed.  Matching membership cascades along
+   rank chains arbitrarily far, so the matched-bit memo's floor rises to
+   the clock on every update.  Each invalidation is O(1); stale entries
+   are dropped when next looked up, or age out through the LRU. *)
 
 type stats = {
   mark_cache : Cache.stats;
@@ -41,17 +49,25 @@ type stats = {
 
 type t = {
   adj : Adj.t;
+  n : int;
   seed : int;
   delta : int;
   rule : Mark_kernel.rule;
   keep : int; (* Mark_kernel.threshold rule delta *)
-  shift : int; (* packing shift for mm-cache edge codes *)
+  shift : int; (* packing shift for edge-memo codes *)
   source : Mark_kernel.source; (* always Split; replay discipline *)
   sampler : Sampling.t;
   idx : int array; (* delta-sized landing zone for sampled positions *)
-  marks : int array Cache.t; (* v -> sorted out-marks of v *)
-  edge : bool Cache.t; (* packed (a,b), a < b -> edge in G_Delta *)
-  mm : bool Cache.t; (* packed (a,b), a < b -> edge in greedy MM *)
+  marks : Cache.t; (* v -> slot of its sorted out-marks in [mark_sets] *)
+  mark_sets : int array array; (* [marks] slot -> sorted out-marks *)
+  edge : Cache.t; (* packed (a,b), a < b -> edge in G_Delta *)
+  mm : Cache.t; (* packed (a,b), a < b -> edge in greedy MM *)
+  mutable clock : int; (* bumped by every invalidation; stamps entries *)
+  mutable touched : int array;
+      (* v -> clock of the last update at v; [||] until the first one, so
+         a static-graph oracle never allocates it *)
+  mutable floor : int; (* [invalidate_all]: older entries are stale *)
+  mutable mm_floor : int; (* matched bits older than this are stale *)
 }
 
 let default_mark_capacity = 4096
@@ -69,8 +85,10 @@ let create ?(rule = Mark_kernel.Mark_all_at_most_two_delta)
     | Some s -> s
     | None -> invalid_arg "Oracle.create: vertex count exceeds packable range"
   in
+  let marks = Cache.create ~capacity:mark_capacity in
   {
     adj;
+    n;
     seed;
     delta;
     rule;
@@ -79,14 +97,32 @@ let create ?(rule = Mark_kernel.Mark_all_at_most_two_delta)
     source = Mark_kernel.Split { seed };
     sampler = Sampling.create ~capacity:(Int.max 1 (Adj.max_sample_degree adj));
     idx = Array.make delta 0;
-    marks = Cache.create ~capacity:mark_capacity;
+    marks;
+    mark_sets = Array.make mark_capacity [||];
     edge = Cache.create ~capacity:edge_capacity;
     mm = Cache.create ~capacity:mm_capacity;
+    clock = 0;
+    touched = [||];
+    floor = 0;
+    mm_floor = 0;
   }
 
 let delta t = t.delta
 let seed t = t.seed
 let rule t = t.rule
+
+(* Out-of-range ids must not reach the memos: they would alias another
+   pair's packed key, and [Dyn_graph.has_edge] indexes one endpoint
+   only, so a bad pair would answer (and poison) silently. *)
+let out_of_range fn t v =
+  invalid_arg (Printf.sprintf "Oracle.%s: vertex %d outside [0, %d)" fn v t.n)
+
+let check_vertex fn t v = if v < 0 || v >= t.n then out_of_range fn t v
+
+(* The oldest stamp an entry depending on N(v) may carry and be fresh. *)
+let fresh_since t v =
+  if Array.length t.touched = 0 then t.floor
+  else Int.max t.floor (Array.unsafe_get t.touched v)
 
 (* Membership in a sorted int array; branchless-ish lower-bound binary
    search, O(log len) and allocation-free. *)
@@ -103,30 +139,33 @@ let mem_sorted a x =
    Cold cost: min(degree, keep) <= 2*delta probes (static; a dynamic
    high-degree vertex pays degree to canonicalize order, see Adj). *)
 let out_marks t v =
-  match Cache.find t.marks v with
-  | Some a -> a
-  | None ->
-      let d = Adj.degree t.adj v in
-      let a =
-        if d <= t.keep then begin
-          let out = Array.make (Int.max 1 d) 0 in
-          let d' = Adj.neighbors_into t.adj v ~out in
-          if d' = 0 then [||] else out
-        end
-        else begin
-          Mark_kernel.sampled_indices_into t.sampler
-            (Mark_kernel.rng_for t.source v)
-            ~delta:t.delta ~degree:d ~out:t.idx;
-          let out = Array.make t.delta 0 in
-          Adj.read_positions t.adj v ~idx:t.idx ~k:t.delta ~out;
-          Isort.sort out;
-          out
-        end
-      in
-      Cache.put t.marks v a;
-      a
+  let s = Cache.find t.marks ~since:(fresh_since t v) v in
+  if s >= 0 then Array.unsafe_get t.mark_sets s
+  else begin
+    let d = Adj.degree t.adj v in
+    let a =
+      if d <= t.keep then begin
+        let out = Array.make (Int.max 1 d) 0 in
+        let d' = Adj.neighbors_into t.adj v ~out in
+        if d' = 0 then [||] else out
+      end
+      else begin
+        Mark_kernel.sampled_indices_into t.sampler
+          (Mark_kernel.rng_for t.source v)
+          ~delta:t.delta ~degree:d ~out:t.idx;
+        let out = Array.make t.delta 0 in
+        Adj.read_positions t.adj v ~idx:t.idx ~k:t.delta ~out;
+        Isort.sort out;
+        out
+      end
+    in
+    Array.unsafe_set t.mark_sets (Cache.put t.marks ~stamp:t.clock v false) a;
+    a
+  end
 
-let marked_neighbors t v = Array.copy (out_marks t v)
+let marked_neighbors t v =
+  check_vertex "marked_neighbors" t v;
+  Array.copy (out_marks t v)
 
 let marks_edge t x y = mem_sorted (out_marks t x) y [@@hot]
 
@@ -134,25 +173,30 @@ let marks_edge t x y = mem_sorted (out_marks t x) y [@@hot]
    the [has_edge] binary search, which would otherwise floor the probe
    cost of *every* repeated query — with the memo a warm hit costs zero
    probes.  Both positive and negative answers are cached (a Zipfian
-   query mix repeats non-edges too). *)
-let in_gdelta t ~u ~v =
-  u <> v
-  &&
-  let a = Int.min u v and b = Int.max u v in
+   query mix repeats non-edges too).  The answer depends on N(a) and
+   N(b) only, so it stays fresh until either endpoint is touched. *)
+let gdelta_edge t a b =
   let code = (a lsl t.shift) lor b in
-  match Cache.find t.edge code with
-  | Some r -> r
-  | None ->
-      let r =
-        Adj.has_edge t.adj a b && (marks_edge t a b || marks_edge t b a)
-      in
-      Cache.put t.edge code r;
-      r
+  let since = Int.max (fresh_since t a) (fresh_since t b) in
+  let s = Cache.find t.edge ~since code in
+  if s >= 0 then Cache.bit t.edge s
+  else begin
+    let r = Adj.has_edge t.adj a b && (marks_edge t a b || marks_edge t b a) in
+    ignore (Cache.put t.edge ~stamp:t.clock code r);
+    r
+  end
 [@@hot]
+
+let in_gdelta t ~u ~v =
+  check_vertex "in_gdelta" t u;
+  check_vertex "in_gdelta" t v;
+  u <> v && gdelta_edge t (Int.min u v) (Int.max u v)
 
 (* Deterministic 62-bit edge rank: splitmix-style finalizer over
    (seed, a, b) with a < b.  Ties (astronomically unlikely) break by
-   (a, b), giving a total order on edges. *)
+   (a, b), giving a total order on edges.  [mix64] is inlined so its
+   Int64 intermediates stay unboxed: the matching simulation ranks
+   every incident edge it reads. *)
 let mix64 z =
   let z =
     Int64.mul (Int64.logxor z (Int64.shift_right_logical z 30))
@@ -163,6 +207,7 @@ let mix64 z =
       0x94D049BB133111EBL
   in
   Int64.logxor z (Int64.shift_right_logical z 31)
+[@@inline]
 
 let edge_rank ~seed u v =
   let a = Int.min u v and b = Int.max u v in
@@ -178,89 +223,133 @@ let edge_rank ~seed u v =
 let rank_before r1 a1 b1 r2 a2 b2 =
   r1 < r2 || (r1 = r2 && (a1 < a2 || (a1 = a2 && b1 < b2)))
 
+(* Rank order over the edges (x, ys.(i)) with ranks rs.(i), i < k: a
+   binary min-heap kept in place in the two arrays, so the simulation
+   takes edges in ascending order one at a time and stops early without
+   sorting the rest.  For edges sharing endpoint x, (min, max) order is
+   the order of the other endpoint, so ties compare [ys] directly. *)
+let heap_before rs ys i j =
+  let ri = Array.unsafe_get rs i and rj = Array.unsafe_get rs j in
+  ri < rj || (ri = rj && Array.unsafe_get ys i < Array.unsafe_get ys j)
+
+let heap_swap rs ys i j =
+  let r = Array.unsafe_get rs i and y = Array.unsafe_get ys i in
+  Array.unsafe_set rs i (Array.unsafe_get rs j);
+  Array.unsafe_set ys i (Array.unsafe_get ys j);
+  Array.unsafe_set rs j r;
+  Array.unsafe_set ys j y
+
+(* Restore the heap below position [i] of [0, k). *)
+let rec sift_down rs ys k i =
+  let l = (2 * i) + 1 in
+  if l < k then begin
+    let c = if l + 1 < k && heap_before rs ys (l + 1) l then l + 1 else l in
+    if heap_before rs ys c i then begin
+      heap_swap rs ys i c;
+      sift_down rs ys k c
+    end
+  end
+[@@hot]
+
 (* Random-greedy MM membership for G_Delta edge (a,b), a < b: in the
    matching iff no adjacent G_Delta edge of strictly lower (rank,a,b)
    is.  Recursion descends only to strictly lower ranks, so it
    terminates regardless of memo state.  Worst-case probe cost is
    polynomial in the degrees along the rank chain (each level scans one
    neighborhood and replays its marks) — the classical local-simulation
-   price; the [mm] memo is what makes the serve daemon's repeated
-   queries cheap. *)
+   price; exploring in rank order and stopping at the first matched
+   edge keeps the expected chain short, and the [mm] memo makes the
+   serve daemon's repeated queries cheap. *)
 let rec edge_in_mm t a b =
   let code = (a lsl t.shift) lor b in
-  match Cache.find t.mm code with
-  | Some r -> r
-  | None ->
-      let ra = edge_rank ~seed:t.seed a b in
-      let r =
-        (not (blocked_via t a b ra a)) && not (blocked_via t a b ra b)
-      in
-      Cache.put t.mm code r;
-      r
+  let s = Cache.find t.mm ~since:t.mm_floor code in
+  if s >= 0 then Cache.bit t.mm s
+  else begin
+    let ra = edge_rank ~seed:t.seed a b in
+    let r = (not (blocked_via t a b ra a)) && not (blocked_via t a b ra b) in
+    ignore (Cache.put t.mm ~stamp:t.clock code r);
+    r
+  end
 
 (* Does some G_Delta edge at endpoint [x], other than (a,b) itself, with
-   strictly lower rank sit in the matching?  Fresh neighbor buffer per
-   level: the recursion below would clobber a shared scratch. *)
+   strictly lower rank sit in the matching?  Fresh neighbor and rank
+   buffers per level: the recursion below would clobber shared
+   scratch. *)
 and blocked_via t a b ra x =
-  let d = Adj.degree t.adj x in
-  if d = 0 then false
-  else begin
-    let nbrs = Array.make d 0 in
-    let d = Adj.neighbors_into t.adj x ~out:nbrs in
-    let om = out_marks t x in
-    try
-      for i = 0 to d - 1 do
-        let y = Array.unsafe_get nbrs i in
-        let ea = Int.min x y and eb = Int.max x y in
-        if
-          (not (ea = a && eb = b))
-          && (mem_sorted om y || marks_edge t y x)
-        then begin
-          let ry = edge_rank ~seed:t.seed ea eb in
-          if rank_before ry ea eb ra a b && edge_in_mm t ea eb then
-            raise Exit
-        end
-      done;
-      false
-    with Exit -> true
-  end
+  let ys = Array.make (Adj.degree t.adj x) 0 in
+  let d = Adj.neighbors_into t.adj x ~out:ys in
+  let rs = Array.make d 0 in
+  let k = ref 0 in
+  for i = 0 to d - 1 do
+    let y = Array.unsafe_get ys i in
+    let ea = Int.min x y and eb = Int.max x y in
+    let r = edge_rank ~seed:t.seed ea eb in
+    if rank_before r ea eb ra a b then begin
+      Array.unsafe_set ys !k y;
+      Array.unsafe_set rs !k r;
+      incr k
+    end
+  done;
+  first_matched t x ys rs !k
+
+(* Is one of the edges (x, ys.(i)), i < k, in G_Delta and matched?
+   Visits them in ascending (rank, a, b) order and stops at the first
+   matched one; x's marks are replayed only if some edge is visited. *)
+and first_matched t x ys rs k =
+  k > 0
+  && begin
+       for i = (k / 2) - 1 downto 0 do
+         sift_down rs ys k i
+       done;
+       visit t x (out_marks t x) ys rs k
+     end
+
+and visit t x om ys rs k =
+  k > 0
+  && begin
+       (* move the lowest remaining edge to position k-1 *)
+       let k = k - 1 in
+       heap_swap rs ys 0 k;
+       sift_down rs ys k 0;
+       let y = Array.unsafe_get ys k in
+       ((mem_sorted om y || marks_edge t y x)
+       && edge_in_mm t (Int.min x y) (Int.max x y))
+       || visit t x om ys rs k
+     end
 
 let in_matching t ~u ~v =
-  in_gdelta t ~u ~v && edge_in_mm t (Int.min u v) (Int.max u v)
+  check_vertex "in_matching" t u;
+  check_vertex "in_matching" t v;
+  u <> v
+  && gdelta_edge t (Int.min u v) (Int.max u v)
+  && edge_in_mm t (Int.min u v) (Int.max u v)
 
 let is_matched t v =
-  let d = Adj.degree t.adj v in
-  if d = 0 then false
-  else begin
-    let nbrs = Array.make d 0 in
-    let d = Adj.neighbors_into t.adj v ~out:nbrs in
-    let om = out_marks t v in
-    try
-      for i = 0 to d - 1 do
-        let y = Array.unsafe_get nbrs i in
-        if
-          (mem_sorted om y || marks_edge t y v)
-          && edge_in_mm t (Int.min v y) (Int.max v y)
-        then raise Exit
-      done;
-      false
-    with Exit -> true
-  end
+  check_vertex "is_matched" t v;
+  let ys = Array.make (Adj.degree t.adj v) 0 in
+  let d = Adj.neighbors_into t.adj v ~out:ys in
+  let rs = Array.make d 0 in
+  for i = 0 to d - 1 do
+    let y = Array.unsafe_get ys i in
+    Array.unsafe_set rs i (edge_rank ~seed:t.seed (Int.min v y) (Int.max v y))
+  done;
+  first_matched t v ys rs d
 
+(* O(1): stamp the endpoints and raise the matched-bit floor; stale
+   entries are dropped when next looked up. *)
 let invalidate_edge t u v =
-  Cache.remove t.marks u;
-  Cache.remove t.marks v;
-  (* every cached G_Delta answer with u or v as an endpoint is stale,
-     and an LRU cannot be scanned by endpoint cheaply: drop it whole *)
-  Cache.clear t.edge;
-  (* rank chains propagate matching changes arbitrarily far: drop the
-     whole memo rather than track per-edge dependencies *)
-  Cache.clear t.mm
+  check_vertex "invalidate_edge" t u;
+  check_vertex "invalidate_edge" t v;
+  if Array.length t.touched = 0 then t.touched <- Array.make t.n 0;
+  t.clock <- t.clock + 1;
+  t.touched.(u) <- t.clock;
+  t.touched.(v) <- t.clock;
+  t.mm_floor <- t.clock
 
 let invalidate_all t =
-  Cache.clear t.marks;
-  Cache.clear t.edge;
-  Cache.clear t.mm
+  t.clock <- t.clock + 1;
+  t.floor <- t.clock;
+  t.mm_floor <- t.clock
 
 let probes t = Adj.probes t.adj
 let reset_probes t = Adj.reset_probes t.adj

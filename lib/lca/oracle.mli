@@ -13,20 +13,29 @@
     Matching queries simulate random-greedy maximal matching locally:
     edges carry deterministic 62-bit ranks ({!edge_rank}) and an edge is
     matched iff no adjacent G_Δ edge of strictly lower [(rank, a, b)]
-    is.  The recursion only descends in rank, so it terminates; its
-    worst-case probe cost is polynomial in the degrees along the rank
-    chain, and the bounded memo ({!Cache}) is what makes repeated
-    queries cheap.
+    is.  Each level ranks its incident edges (free: no probes), then
+    visits the lower-ranked ones in ascending [(rank, a, b)] order,
+    testing G_Δ membership and recursing lazily, and stops at the first
+    matched one.  The recursion only descends in rank, so it
+    terminates; its worst-case probe cost is polynomial in the degrees
+    along the rank chain, and the bounded memo ({!Cache}) is what makes
+    repeated queries cheap.
 
     Replay caching and invalidation: per-vertex mark arrays, per-edge
-    G_Δ answers, and matching-memo entries live in bounded LRU caches.
-    Flipping edge [(u,v)] changes the replayed marks of [u] and [v]
-    only, so {!invalidate_edge} evicts exactly those two mark entries;
-    the edge-level and matching memos are dropped wholesale (their
-    entries cannot be scanned by endpoint, and matching membership
-    cascades along rank chains arbitrarily far).  The serve daemon
-    calls this on every applied update — its read-your-writes
-    contract. *)
+    G_Δ answers and matched bits live in bounded LRU caches whose
+    entries carry the logical clock they were computed at.
+    {!invalidate_edge} is O(1): it bumps the clock and stamps [u] and
+    [v] as touched.  A mark entry is stale once its vertex is touched,
+    and an edge answer once either endpoint is — exact, since marks of
+    [x] read N(x) only.  Matching membership cascades along rank chains
+    arbitrarily far, so every update makes all matched bits stale.
+    Stale entries are dropped when next looked up.  The serve daemon
+    invalidates on every applied update — its read-your-writes
+    contract.
+
+    Every query rejects a vertex id outside [\[0, n)] with
+    [Invalid_argument] before touching a memo: such an id would alias
+    another pair's packed memo key. *)
 
 type t
 
@@ -66,21 +75,33 @@ val in_gdelta : t -> u:int -> v:int -> bool
     [2*keep <= 4*delta] probes for the two endpoint replays plus the
     O(log max_degree) binary search inside [Adj.has_edge]; cached
     endpoints answer from the mark memo, and a repeated query hits the
-    edge-level memo at zero probes.  (Dynamic adjacency pays degree
-    instead of [delta] at a cold high-degree endpoint — see {!Adj}.) *)
+    edge-level memo at zero probes until an update touches [u] or [v].
+    (Dynamic adjacency pays degree instead of [delta] at a cold
+    high-degree endpoint — see {!Adj}.)
+
+    @raise Invalid_argument naming the vertex and [n] if [u] or [v] is
+    out of range. *)
 
 val marked_neighbors : t -> int -> int array
 (** The neighbors [v] marks under its replayed coins, sorted ascending.
-    A fresh array; mutating it does not corrupt the cache. *)
+    A fresh array; mutating it does not corrupt the cache.
+
+    @raise Invalid_argument if [v] is out of range. *)
 
 val in_matching : t -> u:int -> v:int -> bool
 (** Is [(u,v)] in the locally-simulated random-greedy maximal matching
-    of G_Δ? *)
+    of G_Δ?
+
+    @raise Invalid_argument if [u] or [v] is out of range. *)
 
 val is_matched : t -> int -> bool
 (** Is some edge incident to [v] in the locally-simulated random-greedy
-    maximal matching of G_Δ?  Scans the neighborhood of [v], so costs
-    O(degree · Δ) probes cold plus the recursive matching simulation. *)
+    maximal matching of G_Δ?  Reads the neighborhood of [v] and visits
+    its incident edges in rank order until one is matched, so costs
+    O(degree) probes cold plus the marks and recursive matching
+    simulation of the edges it visits.
+
+    @raise Invalid_argument if [v] is out of range. *)
 
 val edge_rank : seed:int -> int -> int -> int
 (** Deterministic non-negative 62-bit rank of an (unordered) edge — a
@@ -90,13 +111,16 @@ val edge_rank : seed:int -> int -> int -> int
 
 val invalidate_edge : t -> int -> int -> unit
 (** [invalidate_edge t u v]: the graph gained or lost edge [(u,v)] —
-    evict the two affected mark entries and the whole edge-level and
-    matching memos.  Required before the next query whenever the
+    O(1): the mark and edge entries at [u] or [v] and every matched bit
+    become stale.  Required before the next query whenever the
     underlying dynamic adjacency changed; stale entries otherwise serve
-    pre-update answers. *)
+    pre-update answers.
+
+    @raise Invalid_argument if [u] or [v] is out of range. *)
 
 val invalidate_all : t -> unit
-(** Drop all three memos (snapshot reload, recovery). *)
+(** Make every entry of all three memos stale, in O(1) (snapshot
+    reload, recovery). *)
 
 val probes : t -> int
 (** Probe counter of the underlying adjacency (shared with any other

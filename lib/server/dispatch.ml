@@ -36,6 +36,7 @@ let create ?crash_after_ops ?redirect ~metrics durable =
   let oracle =
     Oracle.create (Adj.of_dyn g) ~seed:cfg.Durable.seed ~delta:cfg.Durable.delta
   in
+  metrics.Metrics.oracle <- Some oracle;
   {
     durable;
     metrics;
@@ -68,16 +69,10 @@ let crash_point t =
   | Some k when t.applied >= k -> Unix._exit 137
   | Some _ | None -> ()
 
-(* mirror the oracle's cumulative memo counters into the serve metrics;
-   called after every oracle-backed query *)
-let note_oracle t =
-  let s = Oracle.stats t.oracle in
-  t.metrics.Metrics.oracle_hits <-
-    s.Oracle.mark_cache.Cache.hits + s.Oracle.edge_cache.Cache.hits
-    + s.Oracle.mm_cache.Cache.hits;
-  t.metrics.Metrics.oracle_misses <-
-    s.Oracle.mark_cache.Cache.misses + s.Oracle.edge_cache.Cache.misses
-    + s.Oracle.mm_cache.Cache.misses
+(* [Dyn_graph.has_edge] indexes [u] only, so [Query_edge] checks both
+   ids itself and answers as the oracle-backed queries do *)
+let edge_out_of_range x n =
+  Wire.Error (Printf.sprintf "Query_edge: vertex %d outside [0, %d)" x n)
 
 let update t ~client ~u ~v result =
   ignore client;
@@ -126,22 +121,19 @@ let handle t ~client (req : Wire.request) : Wire.response =
   | Wire.Query_matched v -> (
       t.metrics.Metrics.queries <- t.metrics.Metrics.queries + 1;
       match Oracle.is_matched t.oracle v with
-      | b ->
-          note_oracle t;
-          Wire.Bool b
+      | b -> Wire.Bool b
       | exception Invalid_argument msg -> Wire.Error msg)
   | Wire.Query_edge (u, v) -> (
       t.metrics.Metrics.queries <- t.metrics.Metrics.queries + 1;
       let g = Dyn_matching.graph (Durable.matching t.durable) in
-      match Dyn_graph.has_edge g u v with
-      | b -> Wire.Bool b
-      | exception Invalid_argument msg -> Wire.Error msg)
+      let n = Dyn_graph.n g in
+      if u < 0 || u >= n then edge_out_of_range u n
+      else if v < 0 || v >= n then edge_out_of_range v n
+      else Wire.Bool (Dyn_graph.has_edge g u v))
   | Wire.Query_sparsifier (u, v) -> (
       t.metrics.Metrics.queries <- t.metrics.Metrics.queries + 1;
       match Oracle.in_gdelta t.oracle ~u ~v with
-      | b ->
-          note_oracle t;
-          Wire.Bool b
+      | b -> Wire.Bool b
       | exception Invalid_argument msg -> Wire.Error msg)
   | Wire.Checksum -> Wire.Digest (digest t)
   | Wire.Snapshot -> (

@@ -11,7 +11,9 @@
     random-greedy matching, memoized across requests.  Read-your-writes:
     an applied update that changed the graph invalidates the oracle's
     endpoint entries before its Ack is enqueued, so a client that has
-    seen its own Ack never reads a stale pre-update answer. *)
+    seen its own Ack never reads a stale pre-update answer.  A query
+    naming a vertex id that is negative or at least [n] answers
+    [Wire.Error]. *)
 
 open Mspar_dynamic
 open Mspar_lca
@@ -35,10 +37,11 @@ type t = {
 
 val create :
   ?crash_after_ops:int -> ?redirect:string -> metrics:Metrics.t -> Durable.t -> t
-(** [crash_after_ops] is a fault-injection hook: the process [_exit]s
-    with status 137 (simulated kill -9) immediately after the Nth
-    applied update, before any ack reaches a socket.  [redirect] starts
-    the dispatcher in replica (read-only) mode with the given
+(** Registers the new oracle in [metrics], whose reports read its memo
+    counters.  [crash_after_ops] is a fault-injection hook: the process
+    [_exit]s with status 137 (simulated kill -9) immediately after the
+    Nth applied update, before any ack reaches a socket.  [redirect]
+    starts the dispatcher in replica (read-only) mode with the given
     primary-address hint. *)
 
 val is_primary : t -> bool

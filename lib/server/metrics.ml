@@ -1,6 +1,10 @@
 (* Plain mutable counters for the serve loop — single-threaded event
    loop, so no atomics needed.  [summary] freezes them into the wire
-   record answered to a Stats request. *)
+   record answered to a Stats request.  The oracle's memo counters stay
+   in the oracle; [summary] and [to_string] read them when they
+   report. *)
+
+open Mspar_lca
 
 type t = {
   mutable accepted : int;
@@ -15,8 +19,7 @@ type t = {
   mutable ops_applied : int;
   mutable dedup_hits : int;
   mutable queries : int;
-  mutable oracle_hits : int;
-  mutable oracle_misses : int;
+  mutable oracle : Oracle.t option;
   mutable bytes_in : int;
   mutable bytes_out : int;
   mutable repl_followers : int;
@@ -42,8 +45,7 @@ let create () =
     ops_applied = 0;
     dedup_hits = 0;
     queries = 0;
-    oracle_hits = 0;
-    oracle_misses = 0;
+    oracle = None;
     bytes_in = 0;
     bytes_out = 0;
     repl_followers = 0;
@@ -55,7 +57,19 @@ let create () =
     repl_applied = 0;
   }
 
+(* cumulative (hits, misses) over the oracle's three memos *)
+let oracle_counts t =
+  match t.oracle with
+  | None -> (0, 0)
+  | Some o ->
+      let s = Oracle.stats o in
+      let sum f =
+        f s.Oracle.mark_cache + f s.Oracle.edge_cache + f s.Oracle.mm_cache
+      in
+      (sum (fun c -> c.Cache.hits), sum (fun c -> c.Cache.misses))
+
 let summary t =
+  let oracle_hits, oracle_misses = oracle_counts t in
   {
     Wire.accepted = t.accepted;
     active = t.active;
@@ -66,14 +80,15 @@ let summary t =
     ops_applied = t.ops_applied;
     dedup_hits = t.dedup_hits;
     queries = t.queries;
-    oracle_hits = t.oracle_hits;
-    oracle_misses = t.oracle_misses;
+    oracle_hits;
+    oracle_misses;
     repl_followers = t.repl_followers;
     repl_lag = t.repl_lag;
     repl_fenced = t.repl_fenced;
   }
 
 let to_string t =
+  let oracle_hits, oracle_misses = oracle_counts t in
   Printf.sprintf
     "accepted=%d active=%d dropped(proto/idle/slow)=%d/%d/%d frames=%d/%d \
      malformed=%d busy=%d ops=%d dedup=%d queries=%d oracle(hit/miss)=%d/%d \
@@ -81,6 +96,6 @@ let to_string t =
      repl_frames(out/in)=%d/%d repl_acks=%d repl_applied=%d"
     t.accepted t.active t.dropped_protocol t.dropped_idle t.dropped_slowloris
     t.frames_in t.frames_out t.malformed t.busy_rejections t.ops_applied
-    t.dedup_hits t.queries t.oracle_hits t.oracle_misses t.bytes_in t.bytes_out
+    t.dedup_hits t.queries oracle_hits oracle_misses t.bytes_in t.bytes_out
     t.repl_followers t.repl_lag t.repl_fenced t.repl_frames_out t.repl_frames_in
     t.repl_acks t.repl_applied

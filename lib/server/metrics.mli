@@ -1,5 +1,7 @@
 (** Serve-loop counters.  The event loop is single-threaded, so these
-    are plain mutable fields, exposed for direct bumping. *)
+    are plain mutable fields, exposed for direct bumping.  The point-query
+    oracle's memo counters stay in the oracle: {!summary} and
+    {!to_string} read them from the registered one. *)
 
 type t = {
   mutable accepted : int;  (** connections accepted, lifetime *)
@@ -14,10 +16,10 @@ type t = {
   mutable ops_applied : int;  (** updates applied into the pipeline *)
   mutable dedup_hits : int;  (** updates answered from the dedup cache *)
   mutable queries : int;
-  mutable oracle_hits : int;
-      (** cumulative oracle memo hits (mark + matching caches), mirrored
-          from {!Mspar_lca.Oracle.stats} after each oracle-backed query *)
-  mutable oracle_misses : int;  (** cumulative oracle memo misses *)
+  mutable oracle : Mspar_lca.Oracle.t option;
+      (** the dispatcher's point-query oracle, registered by
+          [Dispatch.create]; its memo hits and misses (all three memos)
+          are reported as [oracle_hits] / [oracle_misses] *)
   mutable bytes_in : int;
   mutable bytes_out : int;
   mutable repl_followers : int;  (** replication out-streams attached *)

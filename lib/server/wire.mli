@@ -66,8 +66,10 @@ type summary = {
   dedup_hits : int;
   queries : int;
   oracle_hits : int;
-      (** oracle memo hits (mark + matching caches) on the query path *)
-  oracle_misses : int;  (** oracle memo misses — cold replays *)
+      (** oracle memo hits (mark, edge and matched-bit memos) on the query
+          path *)
+  oracle_misses : int;
+      (** oracle memo misses — cold replays and stale entries dropped *)
   repl_followers : int;  (** replication out-streams currently attached *)
   repl_lag : int;
       (** durable bytes not yet acked by the slowest follower (0 with no

@@ -385,6 +385,62 @@ let test_dispatch_read_your_writes () =
           check_bool "oracle misses counted" true (s.Wire.oracle_misses > 0);
           check_bool "oracle hits counted" true (s.Wire.oracle_hits > 0)))
 
+(* At n = 2048 the oracle's edge-memo key of (0, 2053) is that of
+   (1, 5), and [Dyn_graph.has_edge] indexes one endpoint only: every
+   query naming an id outside [0, n) must answer Error, and the valid
+   pair must read the same before and after. *)
+let test_dispatch_out_of_range () =
+  with_dir (fun dir ->
+      let config =
+        {
+          Mspar_dynamic.Durable.n = 2048;
+          delta = 3;
+          beta = 4;
+          eps = 0.4;
+          multiplier = 2.0;
+          seed = 7;
+        }
+      in
+      let durable = Mspar_dynamic.Durable.create ~sync_every:1 ~dir config in
+      Fun.protect
+        ~finally:(fun () -> Mspar_dynamic.Durable.close durable)
+        (fun () ->
+          let t = Dispatch.create ~metrics:(Metrics.create ()) durable in
+          let client = Some 1 in
+          (match
+             Dispatch.handle t ~client (Wire.Insert { rid = 1; u = 1; v = 5 })
+           with
+          | Wire.Ack true -> Dispatch.sync_if_dirty t
+          | _ -> Alcotest.fail "insert (1,5) not applied");
+          let ask q = Dispatch.handle t ~client q in
+          let out_of_range () =
+            List.iter
+              (fun q ->
+                match ask q with
+                | Wire.Error _ -> ()
+                | _ -> Alcotest.fail "out-of-range query did not answer Error")
+              [
+                Wire.Query_edge (0, 2053);
+                Wire.Query_sparsifier (0, 2053);
+                Wire.Query_matched 2053;
+              ]
+          in
+          let valid () =
+            List.map
+              (fun q -> bool_answer (ask q))
+              [
+                Wire.Query_edge (1, 5);
+                Wire.Query_sparsifier (1, 5);
+                Wire.Query_matched 1;
+              ]
+          in
+          out_of_range ();
+          let first = valid () in
+          check_bool "(1,5) present, in G_delta and matched" true
+            (first = [ true; true; true ]);
+          out_of_range ();
+          check_bool "valid answers unchanged" true (valid () = first)))
+
 (* ------------------------------------------------------------------ *)
 (* Server.run: the --replica-of flag must agree with the journal        *)
 (* ------------------------------------------------------------------ *)
@@ -451,6 +507,8 @@ let () =
         [
           Alcotest.test_case "read your writes" `Quick
             test_dispatch_read_your_writes;
+          Alcotest.test_case "out-of-range queries answer Error" `Quick
+            test_dispatch_out_of_range;
         ] );
       ( "server",
         [
