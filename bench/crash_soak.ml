@@ -12,11 +12,10 @@
      - the recovered state passes the full audit;
      - *extension equivalence*: applying the ops the journal did not
        retain on top of the recovered state reproduces the uncrashed
-       run's final graph, sparsifier edge set and matching size
-       bit-for-bit (the journal runs with sync_every = 1, so every
-       acknowledged op is durable).
+       run's final graph and matched edge set bit-for-bit (the journal
+       runs with sync_every = 1, so every acknowledged op is durable).
 
-   A separate leg injects silent sparsifier corruption and checks the
+   A separate leg injects silent matching corruption and checks the
    audit detects it, repairs it, and counts the repair in stats.
 
    The corruption plan mirrors the seeded Faults style of PR 2: one Rng
@@ -101,21 +100,14 @@ let apply_op d = function
 
 type observed = {
   graph_edges : (int * int) list;
-  gdelta_edges : (int * int) list;
-  matching_size : int;
+  matched_edges : (int * int) list;
 }
 
 let observe d =
-  let sp = Durable.sparsifier d in
   let dm = Durable.matching d in
-  let ge = Dyn_graph.edges (Dyn_matching.graph dm) in
-  let ge_sp = Dyn_graph.edges (Dyn_sparsifier.graph sp) in
-  if ge <> ge_sp then failwith "sparsifier and matcher graphs diverged";
   {
-    graph_edges = ge;
-    gdelta_edges =
-      Array.to_list (Mspar_graph.Graph.edges (Dyn_sparsifier.sparsifier sp));
-    matching_size = Dyn_matching.size dm;
+    graph_edges = Dyn_graph.edges (Dyn_matching.graph dm);
+    matched_edges = Mspar_matching.Matching.edges (Dyn_matching.matching dm);
   }
 
 let config ~n ~seed =
@@ -214,18 +206,17 @@ let crash_trial rng ~n ~seed ~reference ops =
           (Printf.sprintf "[%s] audit repaired a state that replay built" mode);
       (* ...and extending it with the ops the journal did not retain must
          land exactly on the uncrashed run (bit-for-bit replay: same
-         graph, same sparsifier marks, same matching size) *)
+         graph, same matched edges) *)
       Array.iter (apply_op d) (Array.sub ops c (Array.length ops - c));
       let out = observe d in
       Durable.close d;
       if out.graph_edges <> reference.graph_edges then
         failwith (Printf.sprintf "[%s] graph diverged after recovery" mode);
-      if out.gdelta_edges <> reference.gdelta_edges then
-        failwith (Printf.sprintf "[%s] sparsifier diverged after recovery" mode);
-      if out.matching_size <> reference.matching_size then
+      if out.matched_edges <> reference.matched_edges then
         failwith
-          (Printf.sprintf "[%s] matching size diverged: %d vs %d" mode
-             out.matching_size reference.matching_size);
+          (Printf.sprintf "[%s] matching diverged: %d vs %d edges" mode
+             (List.length out.matched_edges)
+             (List.length reference.matched_edges));
       remove_tree dir;
       { mode; recovered_ops = c })
 
@@ -237,17 +228,17 @@ let repair_trial ~n ~seed ops =
   let dir = fresh_dir () in
   let d = Durable.create ~sync_every:1 ~dir (config ~n ~seed) in
   Array.iter (apply_op d) ops;
-  Dyn_sparsifier.inject_corruption (Durable.sparsifier d);
+  Dyn_matching.inject_corruption (Durable.matching d);
   let failures = Durable.audit_now d in
   if failures = [] then failwith "injected corruption escaped the audit";
   let s = Durable.stats d in
   if s.Durable.repairs < 1 then failwith "repair was not counted in stats";
   if s.Durable.audit_failures < 1 then
     failwith "audit failure was not counted in stats";
-  let after = Audit.sparsifier (Durable.sparsifier d) in
+  let after = Audit.matching (Durable.matching d) in
   if after <> [] then
     failwith
-      (Printf.sprintf "repair left the sparsifier unhealthy: %s"
+      (Printf.sprintf "repair left the matching unhealthy: %s"
          (String.concat "; " after));
   Durable.close d;
   remove_tree dir

@@ -19,7 +19,7 @@
      degree and delta but must stay independent of n.  Measured on a
      constant-average-degree companion graph (the main sizes sweep
      density, which would conflate degree growth with n growth) and
-     gated per query at [64 * avg_deg * (delta + 8)] probes, with every
+     gated per query at [16 * avg_deg * (delta + 8)] probes, with every
      answer cross-checked against the materialized greedy matching.
 
    Every query batch is pre-sampled before timing so the measured loop
@@ -89,8 +89,11 @@ let greedy_matched sg ~oseed =
    recursion level scans one neighborhood (~avg_deg probes) and replays
    its marks (O(delta)), and the explored lower-rank chain is bounded by
    the sparsifier degree — polynomial in (avg_deg, delta), with no n
-   term.  Measured headroom over the seeded runs is 5-16x; a regression
-   that makes the tail grow with n blows through it. *)
+   term.  The seeded maxima sit 1.4-4x below the ceiling (643 and 1,120
+   of 1,536 at the smoke sizes, 962 and 1,263 of 3,840 at n = 25k and
+   100k), and probe counts are exact for the fixed seed, so a 4x
+   regression of the matching simulation fails the gate at every size
+   without making it flaky. *)
 let mm_row ~full ~n ~delta =
   let rng = Rng.create (seed + n) in
   let m' = 3 * n in
@@ -100,7 +103,7 @@ let mm_row ~full ~n ~delta =
   let o = Oracle.create (Adj.of_static g) ~seed ~delta in
   let q_mm = if full then 500 else 300 in
   let avg_deg = 2 * m' / n in
-  let mm_budget = 64 * avg_deg * (delta + 8) in
+  let mm_budget = 16 * avg_deg * (delta + 8) in
   let total = ref 0 and maxp = ref 0 in
   for _ = 1 to q_mm do
     let v = Rng.int rng n in
@@ -113,7 +116,7 @@ let mm_row ~full ~n ~delta =
       failwith
         (Printf.sprintf "lca-query is_matched parity failed at v=%d n=%d" v n)
   done;
-  gate "is_matched probes <= 64 * avg_deg * (delta + 8)"
+  gate "is_matched probes <= 16 * avg_deg * (delta + 8)"
     (!maxp <= mm_budget)
     (Printf.sprintf "max=%d budget=%d n=%d" !maxp mm_budget n);
   (float_of_int !total /. float_of_int q_mm, !maxp)

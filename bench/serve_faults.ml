@@ -341,7 +341,7 @@ let drain_leg () =
             | problems ->
                 failwith
                   ("drain leg: audit: " ^ String.concat "; " problems));
-            let got = Serve_util.durable_digest d in
+            let got = Dispatch.digest d in
             Durable.close d;
             (* extension equivalence: the recovered state equals the
                reference after ops 1..k for exactly one k in
@@ -356,7 +356,7 @@ let drain_leg () =
                 if rid <= !sent then begin
                   Serve_util.apply_req rd ~client ~rid op;
                   if rid >= !acked && !matched = None then
-                    if Serve_util.digest_eq got (Serve_util.durable_digest rd)
+                    if Serve_util.digest_eq got (Dispatch.digest rd)
                     then matched := Some rid
                 end)
               ops;

@@ -157,22 +157,6 @@ let pp_digest d =
   Printf.sprintf "ops=%d graph=%Lx sp=%Lx |M|=%d" d.Wire.op_count d.Wire.graph
     d.Wire.sparsifier d.Wire.matching
 
-(* Same digest the server computes for Wire.Checksum, off an in-process
-   Durable — lets the harness compare a recovered journal against a live
-   server bit-for-bit. *)
-let durable_digest d =
-  let open Mspar_graph in
-  let dm = Durable.matching d in
-  let sp = Durable.sparsifier d in
-  {
-    Wire.op_count = Durable.op_count d;
-    graph =
-      Graph.checksum
-        (Mspar_dynamic.Dyn_graph.snapshot (Mspar_dynamic.Dyn_matching.graph dm));
-    sparsifier = Graph.checksum (Mspar_dynamic.Dyn_sparsifier.sparsifier sp);
-    matching = Mspar_dynamic.Dyn_matching.size dm;
-  }
-
 let apply_req d ~client ~rid = function
   | Ins (u, v) -> ignore (Durable.insert_req d ~client ~rid u v)
   | Del (u, v) -> ignore (Durable.delete_req d ~client ~rid u v)
@@ -183,7 +167,7 @@ let apply_req d ~client ~rid = function
 let reference_digest ~dir ~client cfg ops =
   let d = Durable.create ~sync_every:1 ~dir cfg in
   Array.iteri (fun i op -> apply_req d ~client ~rid:(i + 1) op) ops;
-  let r = durable_digest d in
+  let r = Dispatch.digest d in
   Durable.close d;
   r
 

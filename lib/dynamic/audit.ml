@@ -19,25 +19,6 @@ let graph dg =
   in
   dyn @ csr @ cross
 
-let sparsifier sp =
-  let g = graph (Dyn_sparsifier.graph sp) in
-  let marks = prefix "marks" (Dyn_sparsifier.invariant_failures sp) in
-  (* The containment check (every marked edge is a current graph edge)
-     lives in the mark invariants; here we additionally materialise G_Δ
-     and verify it is a well-formed CSR of the expected size. *)
-  let gd = Dyn_sparsifier.sparsifier sp in
-  let csr = prefix "gdelta-csr" (Graph.audit gd) in
-  let count =
-    if Graph.m gd <> Dyn_sparsifier.sparsifier_edge_count sp then
-      [
-        Printf.sprintf
-          "gdelta: materialised %d edges, distinct counter says %d" (Graph.m gd)
-          (Dyn_sparsifier.sparsifier_edge_count sp);
-      ]
-    else []
-  in
-  g @ marks @ csr @ count
-
 let matching dm =
   let g = graph (Dyn_matching.graph dm) in
   let m = prefix "matching" (Dyn_matching.invariant_failures dm) in

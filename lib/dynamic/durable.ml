@@ -1,6 +1,6 @@
 open Mspar_prelude
 
-(* Crash-safe wrapper around the dynamic pipeline: a Journal WAL of ops,
+(* Crash-safe wrapper around the dynamic matcher: a Journal WAL of ops,
    periodic snapshot blobs, periodic invariant audits with self-repair.
 
    Layout of [dir]:
@@ -48,7 +48,6 @@ type t = {
          up to.  [None] on primaries.  Maintained by [apply_shipped];
          recomputed at recovery from the bootstrap marker plus the
          byte-identical shipped suffix. *)
-  sp : Dyn_sparsifier.t;
   dm : Dyn_matching.t;
   (* at-most-once: client id -> (last applied request id, its result).
      Request ids are client-assigned and strictly increasing per client,
@@ -153,18 +152,15 @@ let marker_of_meta s =
       | m -> Some m
       | exception _ -> None)
 
-let fresh_state config =
-  (* Two split streams off one base seed: the sparsifier and the matcher
-     draw independently, and both positions are checkpointed in full. *)
+let fresh_matching config =
+  (* The matcher draws from the second split of the base seed.  Layout 1
+     snapshots (below) also kept a sequential-stream sparsifier on the
+     first split; leaving the matcher's stream where it was lets a
+     journal written then replay to the same matching. *)
   let base = Rng.create config.seed in
-  let rng_sp = Rng.split base in
-  let rng_dm = Rng.split base in
-  let sp = Dyn_sparsifier.create rng_sp ~n:config.n ~delta:config.delta in
-  let dm =
-    Dyn_matching.create ~multiplier:config.multiplier rng_dm ~n:config.n
-      ~beta:config.beta ~eps:config.eps
-  in
-  (sp, dm)
+  ignore (Rng.split base);
+  Dyn_matching.create ~multiplier:config.multiplier (Rng.split base)
+    ~n:config.n ~beta:config.beta ~eps:config.eps
 
 (* ------------------------------------------------------------------ *)
 (* audit / repair / snapshot                                          *)
@@ -172,22 +168,14 @@ let fresh_state config =
 
 let audit_now t =
   t.audits <- t.audits + 1;
-  let sp_failures = Audit.sparsifier t.sp in
-  let dm_failures = Audit.matching t.dm in
-  let failures = sp_failures @ dm_failures in
+  let failures = Audit.matching t.dm in
   if not (List.is_empty failures) then begin
     t.audit_failures <- t.audit_failures + 1;
     (* Self-repair from the authoritative dynamic graph.  The graph is
-       the ground truth (it is what the journal reconstructs); marking
-       and matching state are derived and can be rebuilt from it. *)
-    if not (List.is_empty sp_failures) then begin
-      Dyn_sparsifier.repair t.sp;
-      t.repairs <- t.repairs + 1
-    end;
-    if not (List.is_empty dm_failures) then begin
-      Dyn_matching.force_rebuild t.dm;
-      t.repairs <- t.repairs + 1
-    end
+       the ground truth (it is what the journal reconstructs); the
+       matching is derived state and can be rebuilt from it. *)
+    Dyn_matching.force_rebuild t.dm;
+    t.repairs <- t.repairs + 1
   end;
   failures
 
@@ -223,10 +211,23 @@ let decode_dedup r =
   done;
   dedup
 
+(* Snapshot payloads open with a layout tag, checked before any field is
+   decoded.  Layout 1 had no tag and held a sparsifier section (graph,
+   RNG, marks) ahead of the matcher; layout 2 holds the op count, the
+   matcher and the dedup table. *)
+let snapshot_layout = "mspar-snap/2"
+
+let layout_mismatch =
+  Printf.sprintf
+    "snapshot layout mismatch: this build reads layout 2 (tag %S: op count, \
+     matcher, dedup), the payload lacks that tag (layout 1 blobs are \
+     untagged and also carry the sparsifier)"
+    snapshot_layout
+
 let encode_state t =
   let buf = Buffer.create 4096 in
+  Buffer.add_string buf snapshot_layout;
   Codec.add_uvarint buf t.ops;
-  Dyn_sparsifier.encode t.sp buf;
   Dyn_matching.encode t.dm buf;
   encode_dedup buf t.dedup;
   Buffer.contents buf
@@ -240,17 +241,48 @@ let snapshot_now t =
   Journal.sync t.writer;
   t.snapshots <- t.snapshots + 1
 
+(* [Error] for a payload of another layout; a damaged payload of this
+   layout raises from the codec or the validating decoder instead. *)
 let decode_snapshot payload =
-  let r = Codec.reader payload in
-  let epoch = Codec.read_uvarint r in
-  let sp = Dyn_sparsifier.decode r in
-  let dm = Dyn_matching.decode r in
-  let dedup = decode_dedup r in
-  (epoch, sp, dm, dedup)
+  if not (String.starts_with ~prefix:snapshot_layout payload) then
+    Error layout_mismatch
+  else
+    let r = Codec.reader ~pos:(String.length snapshot_layout) payload in
+    let epoch = Codec.read_uvarint r in
+    let dm = Dyn_matching.decode r in
+    let dedup = decode_dedup r in
+    Ok (epoch, dm, dedup)
 
 (* ------------------------------------------------------------------ *)
 (* ops                                                                *)
 (* ------------------------------------------------------------------ *)
+
+(* The at-most-once guard: [Some (last, result)] iff [client] already
+   had [rid] (or a later rid) applied. *)
+let seen dedup ~client ~rid =
+  match Hashtbl.find_opt dedup client with
+  | Some (last, _) as entry when rid <= last -> entry
+  | Some _ | None -> None
+
+(* The one place an update reaches the matcher — live, replayed at
+   recovery, or shipped from a primary.  A [Tagged] record passes the
+   at-most-once guard and records its outcome in [dedup]; the primary
+   only journals rids it applied, so on a healthy stream the guard never
+   fires.  Returns the applied update, or [None] for a record that is
+   not one (or a duplicate rid). *)
+let rec apply dm dedup = function
+  | Journal.Insert (u, v) -> Some (u, v, Dyn_matching.insert dm u v)
+  | Journal.Delete (u, v) -> Some (u, v, Dyn_matching.delete dm u v)
+  | Journal.Tagged (client, rid, op) -> (
+      match seen dedup ~client ~rid with
+      | Some _ -> None
+      | None ->
+          let applied = apply dm dedup op in
+          Option.iter
+            (fun (_, _, changed) -> Hashtbl.replace dedup client (rid, changed))
+            applied;
+          applied)
+  | Journal.Epoch _ | Journal.Meta _ -> None
 
 let after_op t =
   t.ops <- t.ops + 1;
@@ -261,21 +293,22 @@ let after_op t =
   | Some s when t.ops mod s = 0 -> snapshot_now t
   | Some _ | None -> ()
 
-let insert t u v =
-  Journal.append t.writer (Journal.Insert (u, v));
-  let changed_sp = Dyn_sparsifier.insert t.sp u v in
-  let changed = Dyn_matching.insert t.dm u v in
-  assert (Bool.equal changed changed_sp);
+(* Live updates range-check before journaling: a record that replay
+   cannot apply would make every later recovery of the dir fail. *)
+let journal_and_apply t record u v =
+  let n = t.config.n in
+  if u < 0 || v < 0 || u >= n || v >= n then
+    invalid_arg
+      (Printf.sprintf "Durable: endpoint of (%d, %d) outside [0, %d)" u v n);
+  Journal.append t.writer record;
+  let changed =
+    match apply t.dm t.dedup record with Some (_, _, c) -> c | None -> false
+  in
   after_op t;
   changed
 
-let delete t u v =
-  Journal.append t.writer (Journal.Delete (u, v));
-  let changed_sp = Dyn_sparsifier.delete t.sp u v in
-  let changed = Dyn_matching.delete t.dm u v in
-  assert (Bool.equal changed changed_sp);
-  after_op t;
-  changed
+let insert t u v = journal_and_apply t (Journal.Insert (u, v)) u v
+let delete t u v = journal_and_apply t (Journal.Delete (u, v)) u v
 
 (* At-most-once variants for the server: the op is journaled as [Tagged]
    so replay rebuilds the dedup table.  A resend of the last applied rid
@@ -283,25 +316,11 @@ let delete t u v =
    sequence, or an out-of-order duplicate) is refused as a duplicate
    rather than re-applied. *)
 let apply_req t ~client ~rid op u v =
-  match Hashtbl.find_opt t.dedup client with
-  | Some (last, res) when rid = last ->
+  match seen t.dedup ~client ~rid with
+  | Some (last, res) ->
       t.dedup_hits <- t.dedup_hits + 1;
-      `Duplicate res
-  | Some (last, _) when rid < last ->
-      t.dedup_hits <- t.dedup_hits + 1;
-      `Duplicate false
-  | Some _ | None ->
-      Journal.append t.writer (Journal.Tagged (client, rid, op));
-      let changed_sp, changed =
-        match op with
-        | Journal.Insert _ ->
-            (Dyn_sparsifier.insert t.sp u v, Dyn_matching.insert t.dm u v)
-        | _ -> (Dyn_sparsifier.delete t.sp u v, Dyn_matching.delete t.dm u v)
-      in
-      assert (Bool.equal changed changed_sp);
-      Hashtbl.replace t.dedup client (rid, changed);
-      after_op t;
-      `Applied changed
+      `Duplicate (rid = last && res)
+  | None -> `Applied (journal_and_apply t (Journal.Tagged (client, rid, op)) u v)
 
 let insert_req t ~client ~rid u v =
   apply_req t ~client ~rid (Journal.Insert (u, v)) u v
@@ -315,7 +334,7 @@ let sync t = Journal.sync t.writer
 (* create / recover                                                   *)
 (* ------------------------------------------------------------------ *)
 
-let make ~dir ~config ~writer ~lock ~repl_epoch ~cursor ~sp ~dm ~dedup
+let make ~dir ~config ~writer ~lock ~repl_epoch ~cursor ~dm ~dedup
     ~snapshot_every ~audit_every ~ops ~recovered_epoch ~replayed =
   {
     dir;
@@ -324,7 +343,6 @@ let make ~dir ~config ~writer ~lock ~repl_epoch ~cursor ~sp ~dm ~dedup
     lock;
     repl_epoch;
     cursor;
-    sp;
     dm;
     dedup;
     snapshot_every;
@@ -342,6 +360,10 @@ let make ~dir ~config ~writer ~lock ~repl_epoch ~cursor ~sp ~dm ~dedup
 let create ?sync_every ?snapshot_every ?audit_every ~dir config =
   if Sys.file_exists (journal_path dir) then
     invalid_arg "Durable.create: journal already exists (use recover)";
+  (* parameters are checked before anything touches disk; the G_Δ the
+     service answers from is built with this Δ *)
+  if config.delta < 1 then invalid_arg "Durable.create: delta >= 1";
+  let dm = fresh_matching config in
   Journal.ensure_dir dir;
   let lock =
     match Journal.acquire_lock dir with
@@ -352,8 +374,7 @@ let create ?sync_every ?snapshot_every ?audit_every ~dir config =
     let writer = Journal.open_writer ?sync_every (journal_path dir) in
     Journal.append writer (Journal.Meta (encode_config config));
     Journal.sync writer;
-    let sp, dm = fresh_state config in
-    make ~dir ~config ~writer ~lock ~repl_epoch:0 ~cursor:None ~sp ~dm
+    make ~dir ~config ~writer ~lock ~repl_epoch:0 ~cursor:None ~dm
       ~dedup:(Hashtbl.create 16) ~snapshot_every ~audit_every ~ops:0
       ~recovered_epoch:None ~replayed:0
   with
@@ -385,135 +406,112 @@ let recover ?sync_every ?snapshot_every ?audit_every dir =
             | config -> (
                 let records = Array.of_list rest in
                 (* highest replication epoch this dir has witnessed, from
-                   promotion records and the bootstrap marker *)
-                let repl_epoch =
+                   promotion records and the bootstrap marker; a
+                   promotion record also means this dir became a primary *)
+                let repl_epoch, promoted =
                   Array.fold_left
-                    (fun acc r ->
+                    (fun (acc, promoted) r ->
                       match r with
                       | Journal.Meta m -> (
                           match repl_epoch_of_meta m with
-                          | Some e -> Int.max acc e
+                          | Some e -> (Int.max acc e, true)
                           | None -> (
                               match marker_of_meta m with
-                              | Some (_, _, e) -> Int.max acc e
-                              | None -> acc))
-                      | _ -> acc)
-                    0 records
+                              | Some (_, _, e) -> (Int.max acc e, promoted)
+                              | None -> (acc, promoted)))
+                      | _ -> (acc, promoted))
+                    (0, false) records
+                in
+                (* a replica journal opens with its bootstrap marker and
+                   the Epoch of the primary snapshot it was seeded from *)
+                let marker =
+                  match rest with
+                  | Journal.Meta m :: Journal.Epoch e :: _ -> (
+                      match marker_of_meta m with
+                      | Some (wal_offset, op_epoch, _) when e = op_epoch ->
+                          Some (m, wal_offset, op_epoch)
+                      | Some _ | None -> None)
+                  | _ -> None
                 in
                 (* replica cursor: the marker layout pins the 3-record
                    prefix; everything after it is the primary's shipped
                    bytes verbatim, so the applied-up-to offset is implied
-                   by our own valid length.  A later promotion record
-                   means this dir became a primary — no cursor. *)
+                   by our own valid length.  Promoted dirs have none. *)
                 let cursor =
-                  match rest with
-                  | Journal.Meta m :: Journal.Epoch e :: tail_records -> (
-                      match marker_of_meta m with
-                      | Some (wal_offset, op_epoch, _) when e = op_epoch ->
-                          let promoted =
-                            List.exists
-                              (fun r ->
-                                match r with
-                                | Journal.Meta m' ->
-                                    Option.is_some (repl_epoch_of_meta m')
-                                | _ -> false)
-                              tail_records
-                          in
-                          if promoted then None
-                          else
-                            let prefix =
-                              Journal.header_bytes
-                              + Journal.frame_size (Journal.Meta meta)
-                              + Journal.frame_size (Journal.Meta m)
-                              + Journal.frame_size (Journal.Epoch e)
-                            in
-                            Some
-                              (wal_offset
-                              + (result.Journal.valid_bytes - prefix))
-                      | _ -> None)
-                  | _ -> None
+                  match marker with
+                  | Some (m, wal_offset, op_epoch) when not promoted ->
+                      let prefix =
+                        Journal.header_bytes
+                        + Journal.frame_size (Journal.Meta meta)
+                        + Journal.frame_size (Journal.Meta m)
+                        + Journal.frame_size (Journal.Epoch op_epoch)
+                      in
+                      Some (wal_offset + (result.Journal.valid_bytes - prefix))
+                  | Some _ | None -> None
                 in
-                (* newest Epoch whose blob is intact wins; a damaged or
-                   missing blob falls back to the next older one, and with
-                   no usable snapshot we replay the whole journal from
-                   scratch *)
-                let start = ref None in
-                (try
-                   for i = Array.length records - 1 downto 0 do
-                     match records.(i) with
-                     | Journal.Epoch e when Option.is_none !start -> (
-                         match Journal.read_blob (snap_path dir e) with
-                         | None -> ()
-                         | Some payload -> (
-                             match decode_snapshot payload with
-                             | epoch, sp, dm, dedup when epoch = e ->
-                                 start := Some (i, e, sp, dm, dedup);
-                                 raise Exit
-                             | _ -> ()
-                             | exception _ -> ()))
-                     | _ -> ()
-                   done
-                 with Exit -> ());
-                let (first, epoch, sp, dm, dedup), recovered_epoch =
-                  match !start with
-                  | Some (i, e, sp, dm, dedup) ->
-                      ((i + 1, e, sp, dm, dedup), Some e)
-                  | None ->
-                      let sp, dm = fresh_state config in
-                      ((0, 0, sp, dm, Hashtbl.create 16), None)
+                (* newest Epoch whose blob is intact and of this layout
+                   wins; a damaged, missing or foreign blob falls back to
+                   the next older one *)
+                let rec newest i =
+                  if i < 0 then None
+                  else
+                    match records.(i) with
+                    | Journal.Epoch e -> (
+                        match
+                          Option.map decode_snapshot
+                            (Journal.read_blob (snap_path dir e))
+                        with
+                        | Some (Ok (epoch, dm, dedup)) when epoch = e ->
+                            Some (i + 1, Some e, dm, dedup)
+                        | Some _ | None -> newest (i - 1)
+                        | exception _ -> newest (i - 1))
+                    | _ -> newest (i - 1)
                 in
-                let replayed = ref 0 in
-                let replay_error = ref None in
-                let apply op =
-                  let changed =
-                    match op with
-                    | Journal.Insert (u, v) ->
-                        ignore (Dyn_sparsifier.insert sp u v);
-                        Dyn_matching.insert dm u v
-                    | Journal.Delete (u, v) ->
-                        ignore (Dyn_sparsifier.delete sp u v);
-                        Dyn_matching.delete dm u v
-                    | Journal.Epoch _ | Journal.Meta _ | Journal.Tagged _ ->
-                        assert false
-                  in
-                  incr replayed;
-                  changed
+                (* with no usable blob a primary replays its whole journal
+                   from the config record; a replica journal holds only
+                   the ops after its bootstrap snapshot, so replaying it
+                   onto an empty state would silently diverge *)
+                let start =
+                  match (newest (Array.length records - 1), marker) with
+                  | Some s, _ -> Ok s
+                  | None, None ->
+                      Ok (0, None, fresh_matching config, Hashtbl.create 16)
+                  | None, Some (_, _, op_epoch) ->
+                      Error
+                        (Printf.sprintf
+                           "replica journal starts at primary op %d, but its \
+                            bootstrap blob %s and every later one are \
+                            missing, damaged or of another layout: \
+                            re-bootstrap this dir from the primary"
+                           op_epoch (snap_path dir op_epoch))
                 in
-                (try
-                   for i = first to Array.length records - 1 do
-                     match records.(i) with
-                     | (Journal.Insert _ | Journal.Delete _) as op ->
-                         ignore (apply op)
-                     | Journal.Tagged (client, rid, op) ->
-                         (* same dedup guard as the live path, so a journal
-                            that (impossibly) repeats an rid replays the op
-                            exactly once *)
-                         let skip =
-                           match Hashtbl.find_opt dedup client with
-                           | Some (last, _) -> rid <= last
-                           | None -> false
-                         in
-                         if not skip then begin
-                           let changed = apply op in
-                           Hashtbl.replace dedup client (rid, changed)
-                         end
-                     | Journal.Epoch _ | Journal.Meta _ -> ()
-                   done
-                 with e -> replay_error := Some (Printexc.to_string e));
-                match !replay_error with
-                | Some msg -> fail ("replay failed: " ^ msg)
-                | None ->
-                    (* ops before the snapshot point are counted by the
-                       epoch itself; the replayed ops come after it *)
-                    let ops = epoch + !replayed in
-                    let writer = Journal.open_writer ?sync_every path in
-                    (* stamp the fence on the lockfile so a claimant from
-                       an older epoch is refused even after we die *)
-                    Journal.refresh_lock_epoch lock repl_epoch;
-                    Ok
-                      (make ~dir ~config ~writer ~lock ~repl_epoch ~cursor
-                         ~sp ~dm ~dedup ~snapshot_every ~audit_every ~ops
-                         ~recovered_epoch ~replayed:!replayed)))
+                match start with
+                | Error msg -> fail msg
+                | Ok (first, recovered_epoch, dm, dedup) -> (
+                    let replayed = ref 0 in
+                    match
+                      for i = first to Array.length records - 1 do
+                        if Option.is_some (apply dm dedup records.(i)) then
+                          incr replayed
+                      done
+                    with
+                    | exception e ->
+                        fail ("replay failed: " ^ Printexc.to_string e)
+                    | () ->
+                        (* ops before the snapshot point are counted by the
+                           epoch itself; the replayed ops come after it *)
+                        let ops =
+                          Option.value ~default:0 recovered_epoch + !replayed
+                        in
+                        let writer = Journal.open_writer ?sync_every path in
+                        (* stamp the fence on the lockfile so a claimant
+                           from an older epoch is refused even after we
+                           die *)
+                        Journal.refresh_lock_epoch lock repl_epoch;
+                        Ok
+                          (make ~dir ~config ~writer ~lock ~repl_epoch ~cursor
+                             ~dm ~dedup ~snapshot_every ~audit_every ~ops
+                             ~recovered_epoch ~replayed:!replayed))))
         | _ :: _ -> fail "journal does not start with a config record")
   end
 
@@ -557,11 +555,12 @@ let bootstrap_replica ~dir ~config_bytes ~op_epoch ~wal_offset ~repl_epoch
   | _ -> (
       match decode_snapshot snapshot with
       | exception _ -> Error "bootstrap: corrupt snapshot payload"
-      | epoch, _, _, _ when epoch <> op_epoch ->
+      | Error msg -> Error ("bootstrap: " ^ msg)
+      | Ok (epoch, _, _) when epoch <> op_epoch ->
           Error
             (Printf.sprintf "bootstrap: snapshot epoch %d, primary announced %d"
                epoch op_epoch)
-      | _ ->
+      | Ok _ ->
           if Sys.file_exists (journal_path dir) then
             Error "bootstrap: journal already exists (remove the dir first)"
           else begin
@@ -609,47 +608,10 @@ let apply_shipped t payload ~on_update =
                  suffix, then apply each record in order *)
               Journal.append_raw t.writer payload;
               let applied = ref 0 in
-              let apply op =
-                let u, v, changed =
-                  match op with
-                  | Journal.Insert (u, v) ->
-                      let changed_sp = Dyn_sparsifier.insert t.sp u v in
-                      let changed = Dyn_matching.insert t.dm u v in
-                      assert (Bool.equal changed changed_sp);
-                      (u, v, changed)
-                  | Journal.Delete (u, v) ->
-                      let changed_sp = Dyn_sparsifier.delete t.sp u v in
-                      let changed = Dyn_matching.delete t.dm u v in
-                      assert (Bool.equal changed changed_sp);
-                      (u, v, changed)
-                  | Journal.Epoch _ | Journal.Meta _ | Journal.Tagged _ ->
-                      assert false
-                in
-                t.ops <- t.ops + 1;
-                incr applied;
-                on_update ~u ~v ~changed;
-                changed
-              in
               match
                 List.iter
                   (fun r ->
                     match r with
-                    | (Journal.Insert _ | Journal.Delete _) as op ->
-                        ignore (apply op)
-                    | Journal.Tagged (client, rid, op) ->
-                        (* the primary only journals Tagged records it
-                           actually applied, so the guard never fires on a
-                           healthy stream — it protects replay of a stream
-                           overlapping a recovered prefix *)
-                        let skip =
-                          match Hashtbl.find_opt t.dedup client with
-                          | Some (last, _) -> rid <= last
-                          | None -> false
-                        in
-                        if not skip then begin
-                          let changed = apply op in
-                          Hashtbl.replace t.dedup client (rid, changed)
-                        end
                     | Journal.Epoch e ->
                         (* the primary snapshotted here; our state is
                            bit-for-bit the same, so a local blob at the
@@ -658,7 +620,15 @@ let apply_shipped t payload ~on_update =
                     | Journal.Meta m -> (
                         match repl_epoch_of_meta m with
                         | Some e when e > t.repl_epoch -> t.repl_epoch <- e
-                        | _ -> ()))
+                        | Some _ | None -> ())
+                    | Journal.Insert _ | Journal.Delete _ | Journal.Tagged _
+                      -> (
+                        match apply t.dm t.dedup r with
+                        | Some (u, v, changed) ->
+                            t.ops <- t.ops + 1;
+                            incr applied;
+                            on_update ~u ~v ~changed
+                        | None -> ()))
                   records
               with
               | () ->
@@ -672,7 +642,6 @@ let apply_shipped t payload ~on_update =
 (* accessors                                                          *)
 (* ------------------------------------------------------------------ *)
 
-let sparsifier t = t.sp
 let matching t = t.dm
 let config t = t.config
 let op_count t = t.ops

@@ -1,18 +1,22 @@
 (** Crash-safe dynamic pipeline: WAL + snapshots + audit with self-repair.
 
-    Wraps {!Dyn_sparsifier} and {!Dyn_matching} behind a write-ahead
-    journal (see {!Mspar_prelude.Journal}): every op is journaled before
-    it is applied, snapshot blobs are written every [snapshot_every] ops
-    (with an [Epoch] journal record marking the boundary), and the
-    {!Audit} checks run every [audit_every] ops — a failed audit repairs
-    the derived state (sparsifier marks, matching) from the
-    authoritative dynamic graph and counts the repair in {!stats}.
+    Wraps {!Dyn_matching} — whose dynamic graph is the only dynamic
+    state kept — behind a write-ahead journal (see
+    {!Mspar_prelude.Journal}): every op is journaled before it is
+    applied, snapshot blobs are written every [snapshot_every] ops (with
+    an [Epoch] journal record marking the boundary), and the {!Audit}
+    checks run every [audit_every] ops — a failed audit rebuilds the
+    matching from the authoritative dynamic graph and counts the repair
+    in {!stats}.  The G_Δ the service answers point queries from is not
+    stored here: it is a pure function of the graph and
+    [(config.seed, config.delta)], replayed by [Mspar_lca.Oracle].
 
     {!recover} rebuilds the state after a crash: truncate the journal's
-    torn tail, load the newest snapshot blob that passes its CRC and
-    structural validation (falling back to older ones, then to replay
-    from scratch), and replay the op suffix.  Snapshots carry the exact
-    adjacency order and RNG stream positions, so replay is bit-for-bit
+    torn tail, load the newest snapshot blob that passes its CRC, its
+    layout tag and structural validation (falling back to older ones;
+    with none left a primary replays its whole journal, a replica must
+    re-bootstrap), and replay the op suffix.  Snapshots carry the exact
+    adjacency order and RNG stream position, so replay is bit-for-bit
     identical to the uncrashed run — with [sync_every = 1], recovery
     loses nothing and diverges nowhere.
 
@@ -20,7 +24,10 @@
 
 type config = {
   n : int;
-  delta : int;  (** sparsifier marks per vertex (Theorem 2.1 Δ) *)
+  delta : int;
+      (** marks per vertex (Theorem 2.1 Δ) of the seeded G_Δ that point
+          queries and the digest read; the matcher sizes its own Δ from
+          [beta], [eps] and [multiplier] *)
   beta : int;  (** neighborhood independence bound *)
   eps : float;
   multiplier : float;  (** Δ headroom multiplier for the matcher *)
@@ -32,7 +39,7 @@ type stats = {
   snapshots : int;  (** snapshot blobs written by this process *)
   audits : int;  (** audit passes run by this process *)
   audit_failures : int;  (** audits that found at least one violation *)
-  repairs : int;  (** repair / forced-rebuild actions taken *)
+  repairs : int;  (** matcher rebuilds forced by failed audits *)
   recovered_epoch : int option;
       (** snapshot epoch this process recovered from, if any *)
   replayed : int;  (** ops replayed from the journal at recovery *)
@@ -51,12 +58,12 @@ val create :
   t
 (** Start a fresh durable pipeline in [dir] (created if missing): claim
     the directory lockfile ({!Mspar_prelude.Journal.acquire_lock}), write
-    the journal header and the [Meta] config record, derive the
-    sparsifier and matcher RNG streams from [config.seed].  [sync_every]
-    is the journal fsync batch (default 32; 1 = lose nothing).
+    the journal header and the [Meta] config record, derive the matcher
+    RNG stream from [config.seed].  [sync_every] is the journal fsync
+    batch (default 32; 1 = lose nothing).
     @raise Invalid_argument if [dir] already holds a journal (use
     {!recover}), is locked by a live process, or a parameter is out of
-    range.
+    range ([delta < 1], [eps] outside (0, 1)).
     @raise Unix.Unix_error on filesystem errors. *)
 
 val recover :
@@ -68,9 +75,13 @@ val recover :
 (** Recover from the journal in the given directory.  Claims the
     directory lockfile first — a dir held by a live process is an
     [Error], a stale lock (dead owner) is broken automatically.  Never
-    raises on corrupt state: torn tails are truncated, damaged snapshot
-    blobs are skipped in favour of older ones or full replay, and any
-    structural problem is returned as [Error].  On [Ok t], [t] continues
+    raises on corrupt state: torn tails are truncated, damaged or
+    foreign-layout snapshot blobs are skipped in favour of older ones or
+    full replay, and any structural problem is returned as [Error].  A
+    replica journal (one holding a bootstrap marker) with no usable blob
+    is an [Error] naming its bootstrap blob: its ops start at the
+    primary's snapshot, so replaying them onto an empty state would
+    diverge — re-bootstrap it.  On [Ok t], [t] continues
     exactly where the durable prefix of the journal left off, including
     the at-most-once dedup table rebuilt from [Tagged] records. *)
 
@@ -78,7 +89,8 @@ val insert : t -> int -> int -> bool
 (** Journal then apply an insertion; returns [false] if the edge was
     already present.  Triggers the periodic audit and snapshot if their
     counters come due.
-    @raise Invalid_argument on out-of-range endpoints.
+    @raise Invalid_argument on out-of-range endpoints, before anything
+    is journaled.
     @raise Unix.Unix_error on filesystem errors. *)
 
 val delete : t -> int -> int -> bool
@@ -108,10 +120,11 @@ val sync : t -> unit
     @raise Unix.Unix_error on filesystem errors. *)
 
 val audit_now : t -> string list
-(** Run the full {!Audit} suite now.  On failure, repairs the sparsifier
-    ({!Dyn_sparsifier.repair}) and/or rebuilds the matching, bumping
-    [repairs]; the returned list is what the audit {e found} (pre-repair).
-    Consumes randomness only when a repair actually happens. *)
+(** Run {!Audit.matching} (dynamic graph, its CSR snapshot, matching
+    invariants) now.  On failure, rebuilds the matching from the graph
+    ({!Dyn_matching.force_rebuild}), bumping [repairs]; the returned
+    list is what the audit {e found} (pre-repair).  Consumes randomness
+    only when a repair actually happens. *)
 
 val snapshot_now : t -> unit
 (** Sync the journal, write a snapshot blob at the current op count, and
@@ -171,8 +184,9 @@ val bootstrap_replica :
 (** Seed a fresh replica dir from a primary's {!bootstrap_payload}:
     validates the payloads, writes the snapshot blob, and creates a
     journal holding exactly [Meta config; Meta marker; Epoch op_epoch].
-    [Error] if the payloads are corrupt, the snapshot does not match
-    [op_epoch], the dir already holds a journal, or it is locked.
+    [Error] if the payloads are corrupt, the snapshot is of another
+    layout (the message names both), does not match [op_epoch], the dir
+    already holds a journal, or it is locked.
     {!recover} the dir afterwards to obtain a [t] with
     [replica_cursor = Some wal_offset].
     @raise Unix.Unix_error on filesystem errors. *)
@@ -203,7 +217,6 @@ val bump_repl_epoch : t -> int
     presenting an older epoch is refused by lock and handshake alike.
     @raise Unix.Unix_error on filesystem errors. *)
 
-val sparsifier : t -> Dyn_sparsifier.t
 val matching : t -> Dyn_matching.t
 val config : t -> config
 val op_count : t -> int

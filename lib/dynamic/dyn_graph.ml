@@ -28,7 +28,11 @@ let check t u v =
   if u < 0 || v < 0 || u >= t.nv || v >= t.nv then
     invalid_arg "Dyn_graph: endpoint out of range"
 
-let has_edge t u v = u <> v && Hashtbl.mem t.index.(u) v
+let mem t u v = u <> v && Hashtbl.mem t.index.(u) v
+
+let has_edge t u v =
+  check t u v;
+  mem t u v
 
 let add_arc t u v =
   Hashtbl.replace t.index.(u) v (Vec.length t.adj.(u));
@@ -47,7 +51,7 @@ let remove_arc t u v =
 
 let insert t u v =
   check t u v;
-  if u = v || has_edge t u v then false
+  if u = v || mem t u v then false
   else begin
     add_arc t u v;
     add_arc t v u;
@@ -59,7 +63,7 @@ let insert t u v =
 
 let delete t u v =
   check t u v;
-  if not (has_edge t u v) then false
+  if not (mem t u v) then false
   else begin
     remove_arc t u v;
     remove_arc t v u;

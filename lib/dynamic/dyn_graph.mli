@@ -18,7 +18,8 @@ val m : t -> int
 val degree : t -> int -> int
 
 val has_edge : t -> int -> int -> bool
-(** O(1) expected; not counted as a probe. *)
+(** O(1) expected; not counted as a probe.
+    @raise Invalid_argument if either endpoint is out of range. *)
 
 val insert : t -> int -> int -> bool
 (** [insert t u v] adds the edge; returns [false] (and changes nothing) if

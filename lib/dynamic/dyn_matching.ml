@@ -172,6 +172,14 @@ let invariant_failures t =
   if t.window_left < 0 then fail "window_left is negative (%d)" t.window_left;
   List.rev !failures
 
+(* Deterministic white-box damage for audit tests: unpair one side of
+   the lowest matched pair (breaking the involution and the size
+   recount), or on an empty matching bump the size counter. *)
+let inject_corruption t =
+  match Array.find_index (fun u -> u >= 0) t.mate with
+  | Some v -> t.mate.(v) <- -1
+  | None -> t.msize <- t.msize + 1
+
 (* ------------------------------------------------------------------ *)
 (* Snapshot codec                                                     *)
 (* ------------------------------------------------------------------ *)

@@ -62,6 +62,12 @@ val invariant_failures : t -> string list
     the size counter matches.  One message per violation; [[]] = healthy.
     O(n). *)
 
+val inject_corruption : t -> unit
+(** Test hook: deterministically damage the matching (unpair one side
+    of a matched pair, or on an empty matching bump the size counter) so
+    that {!invariant_failures} is non-empty and the audit →
+    {!force_rebuild} repair can be exercised. *)
+
 val encode : t -> Buffer.t -> unit
 (** Serialise the full state — dynamic graph (exact adjacency order), RNG
     position, parameters, mate array, stability window, work counters —

@@ -5,7 +5,6 @@ type stats = {
   updates : int;
   total_resample_work : int;
   max_update_work : int;
-  repairs : int;
 }
 
 type t = {
@@ -18,7 +17,6 @@ type t = {
   mutable updates : int;
   mutable total_work : int;
   mutable max_work : int;
-  mutable repairs : int;
 }
 
 let create rng ~n ~delta =
@@ -33,7 +31,6 @@ let create rng ~n ~delta =
     updates = 0;
     total_work = 0;
     max_work = 0;
-    repairs = 0;
   }
 
 let key u v = if u < v then (u, v) else (v, u)
@@ -96,14 +93,12 @@ let sparsifier t =
       Hashtbl.iter (fun (u, v) _count -> push u v) t.multiplicity)
 
 let sparsifier_edge_count t = t.distinct
-let in_sparsifier t u v = Hashtbl.mem t.multiplicity (key u v)
 
 let stats t =
   {
     updates = t.updates;
     total_resample_work = t.total_work;
     max_update_work = t.max_work;
-    repairs = t.repairs;
   }
 
 let invariant_failures t =
@@ -143,111 +138,3 @@ let invariant_failures t =
   List.rev !failures
 
 let check_invariants t = List.is_empty (invariant_failures t)
-
-(* Rebuild the marking state from the authoritative dynamic graph: throw
-   away whatever the multiplicity table and mark lists claim and redraw
-   every vertex's marks fresh.  Theorem 2.1 needs only that each vertex
-   holds min(delta, deg) independent uniform marks — fresh randomness
-   after a detected corruption is exactly as good as the lost draws. *)
-let repair t =
-  Hashtbl.reset t.multiplicity;
-  t.distinct <- 0;
-  let work = ref 0 in
-  let n = Dyn_graph.n t.dg in
-  for v = 0 to n - 1 do
-    t.marks.(v) <- [];
-    if Dyn_graph.degree t.dg v > 0 then begin
-      let fresh = Dyn_graph.sample_neighbors t.dg t.rng v ~k:t.delta in
-      List.iter (mark t v) fresh;
-      t.marks.(v) <- fresh;
-      work := !work + List.length fresh
-    end
-  done;
-  t.repairs <- t.repairs + 1;
-  t.total_work <- t.total_work + !work
-
-(* Deterministic white-box damage for audit tests: drop one mark without
-   updating the multiplicity table (breaking both the mark-count and the
-   recount invariants), or — on an empty structure — invent a phantom
-   marked edge that is not in the graph at all. *)
-let inject_corruption t =
-  let n = Dyn_graph.n t.dg in
-  let v = ref (-1) in
-  (try
-     for u = 0 to n - 1 do
-       if not (List.is_empty t.marks.(u)) then begin
-         v := u;
-         raise Exit
-       end
-     done
-   with Exit -> ());
-  if !v >= 0 then t.marks.(!v) <- List.tl t.marks.(!v)
-  else if n >= 2 then begin
-    Hashtbl.replace t.multiplicity (0, 1) 1;
-    t.distinct <- t.distinct + 1
-  end
-  else invalid_arg "Dyn_sparsifier.inject_corruption: nothing to corrupt"
-
-(* ------------------------------------------------------------------ *)
-(* Snapshot codec                                                     *)
-(* ------------------------------------------------------------------ *)
-
-let encode t buf =
-  Dyn_graph.encode t.dg buf;
-  Array.iter (Codec.add_int64 buf) (Rng.state t.rng);
-  Codec.add_uvarint buf t.delta;
-  Array.iter
-    (fun ms ->
-      Codec.add_uvarint buf (List.length ms);
-      List.iter (Codec.add_uvarint buf) ms)
-    t.marks;
-  Codec.add_uvarint buf t.updates;
-  Codec.add_uvarint buf t.total_work;
-  Codec.add_uvarint buf t.max_work;
-  Codec.add_uvarint buf t.repairs
-
-let decode r =
-  let dg = Dyn_graph.decode r in
-  let rng = Rng.of_state (Array.init 4 (fun _ -> Codec.read_int64 r)) in
-  let delta = Codec.read_uvarint r in
-  if delta < 1 then failwith "Dyn_sparsifier.decode: delta < 1";
-  let n = Dyn_graph.n dg in
-  let marks =
-    Array.init n (fun _ ->
-        let len = Codec.read_uvarint r in
-        List.init len (fun _ -> Codec.read_uvarint r))
-  in
-  let updates = Codec.read_uvarint r in
-  let total_work = Codec.read_uvarint r in
-  let max_work = Codec.read_uvarint r in
-  let repairs = Codec.read_uvarint r in
-  (* multiplicity and distinct are derived state: recount from the marks *)
-  let multiplicity = Hashtbl.create 64 in
-  Array.iteri
-    (fun v ms ->
-      List.iter
-        (fun u ->
-          if u < 0 || u >= n then failwith "Dyn_sparsifier.decode: mark out of range";
-          let k = key v u in
-          Hashtbl.replace multiplicity k
-            (1 + Option.value ~default:0 (Hashtbl.find_opt multiplicity k)))
-        ms)
-    marks;
-  let t =
-    {
-      dg;
-      rng;
-      delta;
-      marks;
-      multiplicity;
-      distinct = Hashtbl.length multiplicity;
-      updates;
-      total_work;
-      max_work;
-      repairs;
-    }
-  in
-  (match invariant_failures t with
-  | [] -> ()
-  | f :: _ -> failwith ("Dyn_sparsifier.decode: " ^ f));
-  t

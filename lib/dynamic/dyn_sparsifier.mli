@@ -22,7 +22,6 @@ type stats = {
   updates : int;
   total_resample_work : int;  (** marks drawn + discarded across updates *)
   max_update_work : int;
-  repairs : int;  (** times {!repair} rebuilt the marking state *)
 }
 
 val create : Rng.t -> n:int -> delta:int -> t
@@ -43,43 +42,9 @@ val sparsifier : t -> Graph.t
 val sparsifier_edge_count : t -> int
 (** Number of distinct currently marked edges, O(1). *)
 
-val in_sparsifier : t -> int -> int -> bool
-(** Is the (undirected) edge currently marked into G_Δ?  O(1) — the
-    point-query read path for the service daemon; no materialisation. *)
-
 val stats : t -> stats
 
 val check_invariants : t -> bool
 (** Every marked edge is a current graph edge; every vertex holds exactly
-    min(Δ, deg) distinct marks.  For tests. *)
-
-val invariant_failures : t -> string list
-(** The checks behind {!check_invariants}, one human-readable message per
-    violation (mark counts, duplicates, graph membership, multiplicity
-    recount, distinct counter).  [[]] means healthy.  O(n·Δ). *)
-
-val repair : t -> unit
-(** Rebuild the marking state from the authoritative dynamic graph:
-    discard the (possibly corrupt) mark lists and multiplicity table and
-    redraw min(Δ, deg) fresh marks for every vertex.  Fresh randomness
-    keeps Theorem 2.1 valid — mark independence is all it needs.  Bumps
-    [repairs] in {!stats} and adds the redraw to the work total.  O(n·Δ). *)
-
-val inject_corruption : t -> unit
-(** Test hook: deterministically damage the marking state (drop a mark
-    without unmarking it, or invent a phantom marked edge on an empty
-    structure) so that {!invariant_failures} is non-empty and audit →
-    {!repair} paths can be exercised.
-    @raise Invalid_argument if the structure is too small to corrupt
-    ([n < 2] with no marks). *)
-
-val encode : t -> Buffer.t -> unit
-(** Serialise the full state — dynamic graph (exact adjacency order), RNG
-    position, mark lists, work counters — for a snapshot blob.  The
-    multiplicity table is derived state and is recounted on decode. *)
-
-val decode : Mspar_prelude.Codec.reader -> t
-(** Inverse of {!encode}; validates with {!invariant_failures} before
-    returning, so a corrupt blob is rejected rather than installed.
-    @raise Failure on validation failure.
-    @raise Mspar_prelude.Codec.Truncated on short input. *)
+    min(Δ, deg) distinct marks; the multiplicity table and the distinct
+    counter agree with a recount of the mark lists.  O(n·Δ).  For tests. *)

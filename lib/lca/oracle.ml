@@ -112,8 +112,8 @@ let seed t = t.seed
 let rule t = t.rule
 
 (* Out-of-range ids must not reach the memos: they would alias another
-   pair's packed key, and [Dyn_graph.has_edge] indexes one endpoint
-   only, so a bad pair would answer (and poison) silently. *)
+   pair's packed key, so a memo hit would answer for the wrong pair
+   before any adjacency read could reject the id. *)
 let out_of_range fn t v =
   invalid_arg (Printf.sprintf "Oracle.%s: vertex %d outside [0, %d)" fn v t.n)
 

@@ -52,13 +52,22 @@ let oracle t = t.oracle
 let is_primary t = Option.is_none t.redirect
 let set_primary t = t.redirect <- None
 
-let digest t =
-  let dm = Durable.matching t.durable in
-  let sp = Durable.sparsifier t.durable in
+(* The one place a [Wire.digest] is built.  [sparsifier] is the
+   checksum of the G_Δ the point queries answer from: the seeded batch
+   build on the config's [(seed, delta)], which the oracle replays
+   bit-for-bit (test_lca). *)
+let digest durable =
+  let cfg = Durable.config durable in
+  let dm = Durable.matching durable in
+  let g = Dyn_graph.snapshot (Dyn_matching.graph dm) in
+  let gdelta, _ =
+    Mspar_core.Gdelta.sparsify_seeded ~seed:cfg.Durable.seed g
+      ~delta:cfg.Durable.delta
+  in
   {
-    Wire.op_count = Durable.op_count t.durable;
-    graph = Graph.checksum (Dyn_graph.snapshot (Dyn_matching.graph dm));
-    sparsifier = Graph.checksum (Dyn_sparsifier.sparsifier sp);
+    Wire.op_count = Durable.op_count durable;
+    graph = Graph.checksum g;
+    sparsifier = Graph.checksum gdelta;
     matching = Dyn_matching.size dm;
   }
 
@@ -68,11 +77,6 @@ let crash_point t =
   match t.crash_after_ops with
   | Some k when t.applied >= k -> Unix._exit 137
   | Some _ | None -> ()
-
-(* [Dyn_graph.has_edge] indexes [u] only, so [Query_edge] checks both
-   ids itself and answers as the oracle-backed queries do *)
-let edge_out_of_range x n =
-  Wire.Error (Printf.sprintf "Query_edge: vertex %d outside [0, %d)" x n)
 
 let update t ~client ~u ~v result =
   ignore client;
@@ -126,16 +130,15 @@ let handle t ~client (req : Wire.request) : Wire.response =
   | Wire.Query_edge (u, v) -> (
       t.metrics.Metrics.queries <- t.metrics.Metrics.queries + 1;
       let g = Dyn_matching.graph (Durable.matching t.durable) in
-      let n = Dyn_graph.n g in
-      if u < 0 || u >= n then edge_out_of_range u n
-      else if v < 0 || v >= n then edge_out_of_range v n
-      else Wire.Bool (Dyn_graph.has_edge g u v))
+      match Dyn_graph.has_edge g u v with
+      | b -> Wire.Bool b
+      | exception Invalid_argument msg -> Wire.Error msg)
   | Wire.Query_sparsifier (u, v) -> (
       t.metrics.Metrics.queries <- t.metrics.Metrics.queries + 1;
       match Oracle.in_gdelta t.oracle ~u ~v with
       | b -> Wire.Bool b
       | exception Invalid_argument msg -> Wire.Error msg)
-  | Wire.Checksum -> Wire.Digest (digest t)
+  | Wire.Checksum -> Wire.Digest (digest t.durable)
   | Wire.Snapshot -> (
       match t.redirect with
       | Some hint -> Wire.Redirect hint

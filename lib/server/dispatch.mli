@@ -56,8 +56,12 @@ val handle : t -> client:int option -> Wire.request -> Wire.response
     back as [Wire.Error], not exceptions.
     @raise Unix.Unix_error on journal I/O errors. *)
 
-val digest : t -> Wire.digest
-(** Full-state digest (op count, graph/sparsifier checksums, |M|). *)
+val digest : Durable.t -> Wire.digest
+(** Full-state digest, the answer to [Checksum]: op count, checksum of
+    the graph snapshot, checksum of the G_Δ the point queries answer
+    from ([Gdelta.sparsify_seeded] on that snapshot with the config's
+    [seed] and [delta]), and |M| of the maintained matching.  Costs one
+    snapshot plus one O(n·Δ) batch G_Δ build. *)
 
 val oracle : t -> Oracle.t
 (** The dispatcher's point-query oracle (tests inspect its cache

@@ -1,8 +1,7 @@
 (* Plain mutable counters for the serve loop — single-threaded event
    loop, so no atomics needed.  [summary] freezes them into the wire
    record answered to a Stats request.  The oracle's memo counters stay
-   in the oracle; [summary] and [to_string] read them when they
-   report. *)
+   in the oracle; [summary] reads them when it reports. *)
 
 open Mspar_lca
 
@@ -86,16 +85,3 @@ let summary t =
     repl_lag = t.repl_lag;
     repl_fenced = t.repl_fenced;
   }
-
-let to_string t =
-  let oracle_hits, oracle_misses = oracle_counts t in
-  Printf.sprintf
-    "accepted=%d active=%d dropped(proto/idle/slow)=%d/%d/%d frames=%d/%d \
-     malformed=%d busy=%d ops=%d dedup=%d queries=%d oracle(hit/miss)=%d/%d \
-     bytes=%d/%d repl(followers/lag/fenced)=%d/%d/%d \
-     repl_frames(out/in)=%d/%d repl_acks=%d repl_applied=%d"
-    t.accepted t.active t.dropped_protocol t.dropped_idle t.dropped_slowloris
-    t.frames_in t.frames_out t.malformed t.busy_rejections t.ops_applied
-    t.dedup_hits t.queries oracle_hits oracle_misses t.bytes_in t.bytes_out
-    t.repl_followers t.repl_lag t.repl_fenced t.repl_frames_out t.repl_frames_in
-    t.repl_acks t.repl_applied

@@ -1,7 +1,7 @@
 (** Serve-loop counters.  The event loop is single-threaded, so these
     are plain mutable fields, exposed for direct bumping.  The point-query
-    oracle's memo counters stay in the oracle: {!summary} and
-    {!to_string} read them from the registered one. *)
+    oracle's memo counters stay in the oracle: {!summary} reads them
+    from the registered one. *)
 
 type t = {
   mutable accepted : int;  (** connections accepted, lifetime *)
@@ -35,4 +35,3 @@ type t = {
 
 val create : unit -> t
 val summary : t -> Wire.summary
-val to_string : t -> string

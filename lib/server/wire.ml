@@ -53,7 +53,7 @@ type request =
 type digest = {
   op_count : int;
   graph : int64;  (* Graph.checksum of the dynamic graph snapshot *)
-  sparsifier : int64;  (* Graph.checksum of the materialised G_Δ *)
+  sparsifier : int64;  (* Graph.checksum of the seeded G_Δ queries read *)
   matching : int;  (* matching size *)
 }
 

@@ -51,7 +51,10 @@ type request =
 type digest = {
   op_count : int;
   graph : int64;  (** [Graph.checksum] of the dynamic graph snapshot *)
-  sparsifier : int64;  (** [Graph.checksum] of the materialised G_Δ *)
+  sparsifier : int64;
+      (** [Graph.checksum] of the G_Δ that [Query_sparsifier] answers
+          from: [Gdelta.sparsify_seeded] on the graph snapshot with the
+          config's seed and Δ *)
   matching : int;  (** matching size *)
 }
 

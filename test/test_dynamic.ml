@@ -28,6 +28,22 @@ let test_dyn_graph_basic () =
   check "m back to 0" 0 (Dyn_graph.m dg);
   check "deg back to 0" 0 (Dyn_graph.degree dg 0)
 
+(* Every id is range-checked, either endpoint: an out-of-range [v] must
+   not read as an absent edge. *)
+let test_dyn_graph_out_of_range () =
+  let dg = Dyn_graph.create 4 in
+  ignore (Dyn_graph.insert dg 0 1);
+  List.iter
+    (fun (u, v) ->
+      check_bool
+        (Printf.sprintf "has_edge %d %d raises" u v)
+        true
+        (match Dyn_graph.has_edge dg u v with
+        | exception Invalid_argument _ -> true
+        | _ -> false))
+    [ (0, 4); (4, 0); (-1, 1); (1, -1); (0, 2053) ];
+  check_bool "in-range pair still answers" true (Dyn_graph.has_edge dg 1 0)
+
 let test_dyn_graph_vs_reference () =
   (* random update stream cross-checked against a naive edge set *)
   let rng = Rng.create 1 in
@@ -487,6 +503,8 @@ let () =
       ( "dyn-graph",
         [
           Alcotest.test_case "basic" `Quick test_dyn_graph_basic;
+          Alcotest.test_case "has_edge range check" `Quick
+            test_dyn_graph_out_of_range;
           Alcotest.test_case "vs reference" `Quick test_dyn_graph_vs_reference;
           Alcotest.test_case "sampling" `Quick test_dyn_graph_sampling;
           Alcotest.test_case "non-isolated tracking" `Quick

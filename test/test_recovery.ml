@@ -5,7 +5,7 @@
    any op sequence and any crash point (torn-tail crash model,
    sync_every = 1), recovering and applying the remaining ops is
    indistinguishable from never having crashed — same graph edge set,
-   same sparsifier edge set, same matching size. *)
+   same matched edge set. *)
 
 open Mspar_prelude
 open Mspar_dynamic
@@ -59,6 +59,11 @@ let flip_byte path pos =
   let s = Bytes.of_string (read_file path) in
   Bytes.set s pos (Char.chr (Char.code (Bytes.get s pos) lxor 0x5a));
   write_file path (Bytes.to_string s)
+
+let is_substring hay needle =
+  let n = String.length needle and h = String.length hay in
+  let rec go i = i + n <= h && (String.sub hay i n = needle || go (i + 1)) in
+  n = 0 || go 0
 
 (* ------------------------------------------------------------------ *)
 (* codec                                                               *)
@@ -228,38 +233,6 @@ let ops_of_seed seed ~n ~count =
       let u, v = if u = v then (u, (v + 1) mod n) else (u, v) in
       (Rng.int rng 10 < 7, u, v))
 
-let test_sparsifier_snapshot_roundtrip () =
-  let n = 20 in
-  let sp = Dyn_sparsifier.create (Rng.create 5) ~n ~delta:3 in
-  Array.iter
-    (fun (ins, u, v) ->
-      ignore (if ins then Dyn_sparsifier.insert sp u v else Dyn_sparsifier.delete sp u v))
-    (ops_of_seed 11 ~n ~count:80);
-  let buf = Buffer.create 256 in
-  Dyn_sparsifier.encode sp buf;
-  let sp' = Dyn_sparsifier.decode (Codec.reader (Buffer.contents buf)) in
-  check_bool "graph equal" true
-    (Dyn_graph.edges (Dyn_sparsifier.graph sp)
-    = Dyn_graph.edges (Dyn_sparsifier.graph sp'));
-  check_bool "gdelta equal" true
-    (Mspar_graph.Graph.edges (Dyn_sparsifier.sparsifier sp)
-    = Mspar_graph.Graph.edges (Dyn_sparsifier.sparsifier sp'));
-  (* the decoded copy replays bit-for-bit: same ops -> same marks *)
-  Array.iter
-    (fun (ins, u, v) ->
-      let app sp =
-        ignore
-          (if ins then Dyn_sparsifier.insert sp u v
-           else Dyn_sparsifier.delete sp u v)
-      in
-      app sp;
-      app sp')
-    (ops_of_seed 12 ~n ~count:60);
-  check_bool "gdelta equal after divergence window" true
-    (Mspar_graph.Graph.edges (Dyn_sparsifier.sparsifier sp)
-    = Mspar_graph.Graph.edges (Dyn_sparsifier.sparsifier sp'));
-  check_bool "audit clean" true (Audit.sparsifier sp' = [])
-
 let test_matching_snapshot_roundtrip () =
   let n = 20 in
   let dm = Dyn_matching.create (Rng.create 6) ~n ~beta:4 ~eps:0.4 in
@@ -289,36 +262,22 @@ let test_matching_snapshot_roundtrip () =
 
 let test_decode_rejects_corruption () =
   let n = 10 in
-  let sp = Dyn_sparsifier.create (Rng.create 7) ~n ~delta:2 in
-  ignore (Dyn_sparsifier.insert sp 0 1);
-  ignore (Dyn_sparsifier.insert sp 1 2);
+  let dm = Dyn_matching.create (Rng.create 7) ~n ~beta:4 ~eps:0.4 in
+  ignore (Dyn_matching.insert dm 0 1);
+  ignore (Dyn_matching.insert dm 1 2);
   let buf = Buffer.create 64 in
-  Dyn_sparsifier.encode sp buf;
+  Dyn_matching.encode dm buf;
   let bytes = Bytes.of_string (Buffer.contents buf) in
   (* damage the payload: decode must raise, not return junk *)
   Bytes.set bytes 1 '\xff';
   check_bool "decode rejects" true
-    (match Dyn_sparsifier.decode (Codec.reader (Bytes.to_string bytes)) with
+    (match Dyn_matching.decode (Codec.reader (Bytes.to_string bytes)) with
     | exception (Failure _ | Codec.Truncated | Invalid_argument _) -> true
     | _ -> false)
 
 (* ------------------------------------------------------------------ *)
-(* audit + repair                                                      *)
+(* audit                                                               *)
 (* ------------------------------------------------------------------ *)
-
-let test_audit_detects_and_repairs () =
-  let n = 16 in
-  let sp = Dyn_sparsifier.create (Rng.create 8) ~n ~delta:3 in
-  Array.iter
-    (fun (ins, u, v) ->
-      ignore (if ins then Dyn_sparsifier.insert sp u v else Dyn_sparsifier.delete sp u v))
-    (ops_of_seed 31 ~n ~count:60);
-  check_bool "healthy before" true (Audit.sparsifier sp = []);
-  Dyn_sparsifier.inject_corruption sp;
-  check_bool "corruption detected" true (Audit.sparsifier sp <> []);
-  Dyn_sparsifier.repair sp;
-  check_bool "healthy after repair" true (Audit.sparsifier sp = []);
-  check_int "repair counted" 1 (Dyn_sparsifier.stats sp).Dyn_sparsifier.repairs
 
 let test_graph_audit_and_checksum () =
   let g = Mspar_graph.Gen.gnp (Rng.create 17) ~n:40 ~p:0.2 in
@@ -335,6 +294,15 @@ let test_graph_audit_and_checksum () =
 
 let durable_config n seed =
   { Durable.n; delta = 4; beta = 4; eps = 0.4; multiplier = 2.0; seed }
+
+(* ops.(lo..hi) through the at-most-once entry points, rid = index + 1 *)
+let apply_reqs d ops lo hi =
+  for i = lo to hi do
+    let ins, u, v = ops.(i) in
+    ignore
+      (if ins then Durable.insert_req d ~client:1 ~rid:(i + 1) u v
+       else Durable.delete_req d ~client:1 ~rid:(i + 1) u v)
+  done
 
 let test_durable_create_recover () =
   with_dir (fun dir ->
@@ -376,7 +344,7 @@ let test_durable_audit_repairs () =
         (fun (ins, u, v) ->
           ignore (if ins then Durable.insert d u v else Durable.delete d u v))
         (ops_of_seed 51 ~n:16 ~count:40);
-      Dyn_sparsifier.inject_corruption (Durable.sparsifier d);
+      Dyn_matching.inject_corruption (Durable.matching d);
       let found = Durable.audit_now d in
       check_bool "detected" true (found <> []);
       let s = Durable.stats d in
@@ -385,14 +353,80 @@ let test_durable_audit_repairs () =
       check_bool "healthy now" true (Durable.audit_now d = []);
       Durable.close d)
 
+(* An update naming an id outside [0, n) is refused before it reaches
+   the journal: a journaled record that replay cannot apply would make
+   every later recovery of the dir fail. *)
+let test_durable_out_of_range_not_journaled () =
+  with_dir (fun dir ->
+      let d = Durable.create ~sync_every:1 ~dir (durable_config 8 5) in
+      ignore (Durable.insert_req d ~client:1 ~rid:1 0 1);
+      check_bool "out-of-range insert raises" true
+        (match Durable.insert_req d ~client:1 ~rid:2 0 99 with
+        | exception Invalid_argument _ -> true
+        | _ -> false);
+      check_bool "out-of-range delete raises" true
+        (match Durable.delete d (-1) 3 with
+        | exception Invalid_argument _ -> true
+        | _ -> false);
+      ignore (Durable.insert_req d ~client:1 ~rid:3 2 3);
+      Durable.close d;
+      match Durable.recover dir with
+      | Error e -> Alcotest.failf "recover: %s" e
+      | Ok d ->
+          check_int "only the applied ops replay" 2 (Durable.op_count d);
+          Durable.close d)
+
+(* Snapshot payloads open with a layout tag.  A blob of another layout
+   is skipped at recovery like a damaged one, so a primary reaches the
+   same state by full replay; bootstrap refuses one outright. *)
+let layout_tag = "mspar-snap/2"
+
+let foreign_layout payload =
+  check_bool "payload opens with the layout tag" true
+    (String.starts_with ~prefix:layout_tag payload);
+  let tl = String.length layout_tag in
+  "mspar-snap/1" ^ String.sub payload tl (String.length payload - tl)
+
+let test_durable_foreign_layout () =
+  with_dir (fun dir ->
+      with_dir (fun dir_r ->
+          let d =
+            Durable.create ~sync_every:1 ~snapshot_every:10 ~dir
+              (durable_config 16 12)
+          in
+          apply_reqs d (ops_of_seed 61 ~n:16 ~count:35) 0 34;
+          let want = Mspar_server.Dispatch.digest d in
+          let config_bytes = Durable.config_bytes d in
+          let op_epoch, snapshot, wal_offset = Durable.bootstrap_payload d in
+          Durable.close d;
+          (match
+             Durable.bootstrap_replica ~dir:dir_r ~config_bytes ~op_epoch
+               ~wal_offset ~repl_epoch:0 ~snapshot:(foreign_layout snapshot)
+           with
+          | Ok () -> Alcotest.fail "bootstrap must refuse a foreign layout"
+          | Error msg ->
+              check_bool "refusal names both layouts" true
+                (is_substring msg "layout 2" && is_substring msg "layout 1"));
+          List.iter
+            (fun e ->
+              let path = Filename.concat dir (Printf.sprintf "snap-%d.bin" e) in
+              match Journal.read_blob path with
+              | Some payload -> Journal.write_blob path (foreign_layout payload)
+              | None -> Alcotest.failf "snap-%d.bin missing" e)
+            [ 10; 20; 30 ];
+          match Durable.recover dir with
+          | Error e -> Alcotest.failf "recover: %s" e
+          | Ok d ->
+              let s = Durable.stats d in
+              check_bool "no blob used" true (s.Durable.recovered_epoch = None);
+              check_int "whole journal replayed" 35 s.Durable.replayed;
+              check_bool "same digest" true
+                (Mspar_server.Dispatch.digest d = want);
+              Durable.close d))
+
 (* ------------------------------------------------------------------ *)
 (* journal directory lockfile                                           *)
 (* ------------------------------------------------------------------ *)
-
-let is_substring hay needle =
-  let n = String.length needle and h = String.length hay in
-  let rec go i = i + n <= h && (String.sub hay i n = needle || go (i + 1)) in
-  n = 0 || go 0
 
 let test_lock_contended () =
   with_dir (fun dir ->
@@ -503,9 +537,9 @@ let test_dedup_survives_recover () =
 (* ------------------------------------------------------------------ *)
 
 let observe d =
-  ( Dyn_graph.edges (Dyn_matching.graph (Durable.matching d)),
-    Array.to_list (Mspar_graph.Graph.edges (Dyn_sparsifier.sparsifier (Durable.sparsifier d))),
-    Dyn_matching.size (Durable.matching d) )
+  let dm = Durable.matching d in
+  ( Dyn_graph.edges (Dyn_matching.graph dm),
+    Mspar_matching.Matching.edges (Dyn_matching.matching dm) )
 
 let qcheck_crash_recover_equivalence =
   QCheck.Test.make ~count:30
@@ -784,46 +818,41 @@ let qcheck_tail_from_suffix =
 (* replica bootstrap + shipped-WAL application (in-process)            *)
 (* ------------------------------------------------------------------ *)
 
+(* seed [dir_r] from [d]'s current state and open it as a replica *)
+let bootstrap_and_recover d dir_r =
+  let op_epoch, snapshot, wal_offset = Durable.bootstrap_payload d in
+  (match
+     Durable.bootstrap_replica ~dir:dir_r ~config_bytes:(Durable.config_bytes d)
+       ~op_epoch ~wal_offset ~repl_epoch:(Durable.repl_epoch d) ~snapshot
+   with
+  | Ok () -> ()
+  | Error e -> Alcotest.failf "bootstrap_replica: %s" e);
+  match Durable.recover ~sync_every:1 dir_r with
+  | Ok r -> (op_epoch, wal_offset, r)
+  | Error e -> Alcotest.failf "replica recover: %s" e
+
+(* the primary's durable WAL bytes from [pos] on, as the shipper sends them *)
+let shipped_since d pos =
+  Durable.sync d;
+  Journal.read_slice (Durable.wal_path d) ~pos
+    ~len:(Durable.durable_offset d - pos)
+
 let test_replica_roundtrip () =
   with_dir (fun dir_p ->
       with_dir (fun dir_r ->
           let n = 16 in
           let d = Durable.create ~sync_every:1 ~dir:dir_p (durable_config n 8) in
           let ops = ops_of_seed 21 ~n ~count:40 in
-          let apply_to d lo hi =
-            for i = lo to hi do
-              let ins, u, v = ops.(i) in
-              ignore
-                (if ins then Durable.insert_req d ~client:1 ~rid:(i + 1) u v
-                 else Durable.delete_req d ~client:1 ~rid:(i + 1) u v)
-            done
-          in
           (* state exists before the replica does *)
-          apply_to d 0 19;
-          let op_epoch, snapshot, wal_offset = Durable.bootstrap_payload d in
-          (match
-             Durable.bootstrap_replica ~dir:dir_r
-               ~config_bytes:(Durable.config_bytes d) ~op_epoch ~wal_offset
-               ~repl_epoch:(Durable.repl_epoch d) ~snapshot
-           with
-          | Ok () -> ()
-          | Error e -> Alcotest.failf "bootstrap_replica: %s" e);
-          let r =
-            match Durable.recover ~sync_every:1 dir_r with
-            | Ok r -> r
-            | Error e -> Alcotest.failf "replica recover: %s" e
-          in
+          apply_reqs d ops 0 19;
+          let op_epoch, wal_offset, r = bootstrap_and_recover d dir_r in
           check_bool "cursor at the bootstrap offset" true
             (Durable.replica_cursor r = Some wal_offset);
           check_int "snapshot state restored" op_epoch (Durable.op_count r);
           (* the primary moves on; ship the delta verbatim *)
-          apply_to d 20 39;
-          Durable.sync d;
+          apply_reqs d ops 20 39;
+          let payload = shipped_since d wal_offset in
           let d_off = Durable.durable_offset d in
-          let payload =
-            Journal.read_slice (Durable.wal_path d) ~pos:wal_offset
-              ~len:(d_off - wal_offset)
-          in
           let fired = ref 0 in
           (match
              Durable.apply_shipped r payload
@@ -876,19 +905,7 @@ let test_apply_shipped_rejects_garbage () =
           let n = 16 in
           let d = Durable.create ~sync_every:1 ~dir:dir_p (durable_config n 9) in
           ignore (Durable.insert_req d ~client:1 ~rid:1 0 1);
-          let op_epoch, snapshot, wal_offset = Durable.bootstrap_payload d in
-          (match
-             Durable.bootstrap_replica ~dir:dir_r
-               ~config_bytes:(Durable.config_bytes d) ~op_epoch ~wal_offset
-               ~repl_epoch:0 ~snapshot
-           with
-          | Ok () -> ()
-          | Error e -> Alcotest.failf "bootstrap_replica: %s" e);
-          let r =
-            match Durable.recover ~sync_every:1 dir_r with
-            | Ok r -> r
-            | Error e -> Alcotest.failf "replica recover: %s" e
-          in
+          let _, wal_offset, r = bootstrap_and_recover d dir_r in
           let before = observe r in
           List.iter
             (fun payload ->
@@ -910,6 +927,35 @@ let test_apply_shipped_rejects_garbage () =
                Buffer.contents b);
             ];
           Durable.close r;
+          Durable.close d))
+
+(* A replica journal holds only the ops after its bootstrap snapshot:
+   with that blob unusable, recovery must refuse and name it rather than
+   replay the shipped suffix onto an empty state. *)
+let test_replica_recover_needs_blob () =
+  with_dir (fun dir_p ->
+      with_dir (fun dir_r ->
+          let d = Durable.create ~sync_every:1 ~dir:dir_p (durable_config 16 10) in
+          let ops = ops_of_seed 71 ~n:16 ~count:25 in
+          apply_reqs d ops 0 19;
+          let op_epoch, wal_offset, r = bootstrap_and_recover d dir_r in
+          apply_reqs d ops 20 24;
+          (match
+             Durable.apply_shipped r (shipped_since d wal_offset)
+               ~on_update:(fun ~u:_ ~v:_ ~changed:_ -> ())
+           with
+          | Ok applied -> check_int "shipped ops applied" 5 applied
+          | Error e -> Alcotest.failf "apply_shipped: %s" e);
+          Durable.close r;
+          let blob = Printf.sprintf "snap-%d.bin" op_epoch in
+          flip_byte (Filename.concat dir_r blob) 40;
+          (match Durable.recover ~sync_every:1 dir_r with
+          | Ok r ->
+              Durable.close r;
+              Alcotest.fail "replica without its bootstrap blob must not recover"
+          | Error msg ->
+              check_bool "error names the blob and says to re-bootstrap" true
+                (is_substring msg blob && is_substring msg "re-bootstrap"));
           Durable.close d))
 
 (* ------------------------------------------------------------------ *)
@@ -939,8 +985,6 @@ let () =
       ( "snapshots",
         [
           Alcotest.test_case "rng state" `Quick test_rng_state_roundtrip;
-          Alcotest.test_case "sparsifier roundtrip" `Quick
-            test_sparsifier_snapshot_roundtrip;
           Alcotest.test_case "matching roundtrip" `Quick
             test_matching_snapshot_roundtrip;
           Alcotest.test_case "decode rejects corruption" `Quick
@@ -948,8 +992,6 @@ let () =
         ] );
       ( "audit",
         [
-          Alcotest.test_case "detect + repair" `Quick
-            test_audit_detects_and_repairs;
           Alcotest.test_case "graph audit + checksum" `Quick
             test_graph_audit_and_checksum;
         ] );
@@ -959,6 +1001,10 @@ let () =
           Alcotest.test_case "recover empty dir" `Quick
             test_durable_recover_empty;
           Alcotest.test_case "audit repairs" `Quick test_durable_audit_repairs;
+          Alcotest.test_case "out-of-range update not journaled" `Quick
+            test_durable_out_of_range_not_journaled;
+          Alcotest.test_case "foreign layout tag" `Quick
+            test_durable_foreign_layout;
         ] );
       ( "lockfile",
         [
@@ -976,6 +1022,8 @@ let () =
             test_replica_roundtrip;
           Alcotest.test_case "apply_shipped rejects garbage" `Quick
             test_apply_shipped_rejects_garbage;
+          Alcotest.test_case "recover without bootstrap blob refuses" `Quick
+            test_replica_recover_needs_blob;
         ] );
       ( "dedup",
         [

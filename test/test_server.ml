@@ -385,10 +385,58 @@ let test_dispatch_read_your_writes () =
           check_bool "oracle misses counted" true (s.Wire.oracle_misses > 0);
           check_bool "oracle hits counted" true (s.Wire.oracle_hits > 0)))
 
+(* The digest's [sparsifier] field describes the G_Δ the queries
+   answer from: the checksum of the graph assembled from every pair
+   [Query_sparsifier] answers [true] on. *)
+let test_digest_matches_queries () =
+  with_dir (fun dir ->
+      let n = 64 in
+      let config =
+        {
+          Mspar_dynamic.Durable.n;
+          delta = 3;
+          beta = 4;
+          eps = 0.4;
+          multiplier = 2.0;
+          seed = 11;
+        }
+      in
+      let durable = Mspar_dynamic.Durable.create ~sync_every:1 ~dir config in
+      Fun.protect
+        ~finally:(fun () -> Mspar_dynamic.Durable.close durable)
+        (fun () ->
+          let t = Dispatch.create ~metrics:(Metrics.create ()) durable in
+          let client = Some 1 in
+          let rng = Mspar_prelude.Rng.create 19 in
+          for rid = 1 to 400 do
+            let u = Mspar_prelude.Rng.int rng n
+            and v = Mspar_prelude.Rng.int rng n in
+            if u <> v then
+              match Dispatch.handle t ~client (Wire.Insert { rid; u; v }) with
+              | Wire.Ack _ -> ()
+              | _ -> Alcotest.fail "insert not acked"
+          done;
+          Dispatch.sync_if_dirty t;
+          let answered = ref [] in
+          for u = 0 to n - 1 do
+            for v = u + 1 to n - 1 do
+              if bool_answer (Dispatch.handle t ~client (Wire.Query_sparsifier (u, v)))
+              then answered := (u, v) :: !answered
+            done
+          done;
+          let gdelta = Mspar_graph.Graph.of_edges ~n !answered in
+          check_bool "G_delta is non-trivial" true
+            (Mspar_graph.Graph.m gdelta > n);
+          match Dispatch.handle t ~client Wire.Checksum with
+          | Wire.Digest d ->
+              check_bool "digest sparsifier = checksum of queried G_delta" true
+                (Int64.equal d.Wire.sparsifier
+                   (Mspar_graph.Graph.checksum gdelta))
+          | _ -> Alcotest.fail "Checksum did not answer a Digest"))
+
 (* At n = 2048 the oracle's edge-memo key of (0, 2053) is that of
-   (1, 5), and [Dyn_graph.has_edge] indexes one endpoint only: every
-   query naming an id outside [0, n) must answer Error, and the valid
-   pair must read the same before and after. *)
+   (1, 5): every query naming an id outside [0, n) must answer Error,
+   and the valid pair must read the same before and after. *)
 let test_dispatch_out_of_range () =
   with_dir (fun dir ->
       let config =
@@ -509,6 +557,8 @@ let () =
             test_dispatch_read_your_writes;
           Alcotest.test_case "out-of-range queries answer Error" `Quick
             test_dispatch_out_of_range;
+          Alcotest.test_case "digest sparsifier = queried G_delta" `Quick
+            test_digest_matches_queries;
         ] );
       ( "server",
         [
