@@ -6,10 +6,10 @@
    complexity *shape* (probes, messages, work units), the micro-benchmarks
    measure raw constants on this machine.
 
-   The construction rows compare the seed's boxed pipeline (cons an
-   (int * int) list, List.sort_uniq compare, per-block Array.sort compare)
-   against the packed-int Edgebuf/counting-sort pipeline, sequential and
-   multi-domain.  They are best-of-N wall times, not OLS estimates: the
+   The construction rows time the packed-int Edgebuf/counting-sort
+   pipeline, sequential and multi-domain, and the cache-blocked marking
+   loop against its per-vertex predecessor.  They are best-of-N wall
+   times, not OLS estimates: the
    interesting configuration (100k vertices, ~5M edges) is too large to
    iterate under bechamel's sampling loop. *)
 
@@ -121,20 +121,6 @@ let pooled_label domains =
   if host_cores >= 2 then Printf.sprintf "par-%ddom" domains
   else Printf.sprintf "pooled-serial-%ddom" domains
 
-(* the seed's boxed mark collector, reproduced verbatim as the baseline *)
-let seed_collect_marks rng g ~delta =
-  let sampler = Sampling.create ~capacity:(Graph.max_degree g) in
-  let pairs = ref [] in
-  for v = 0 to Graph.n g - 1 do
-    let d = Graph.degree g v in
-    if d <= 2 * delta then
-      Graph.iter_neighbors g v (fun u -> pairs := (v, u) :: !pairs)
-    else
-      Sampling.sample_indices sampler rng ~n:d ~k:delta ~f:(fun i ->
-          pairs := (v, Graph.neighbor g v i) :: !pairs)
-  done;
-  !pairs
-
 let random_edge_array rng ~n ~m =
   Array.init m (fun _ ->
       let u = Rng.int rng n in
@@ -231,16 +217,9 @@ let construction_rows ~full =
   in
   let rng = Rng.create 20200715 in
   let pairs = random_edge_array rng ~n ~m in
-  let pair_list = Array.to_list pairs in
   let g = Graph.of_edge_array ~n pairs in
   let require name cond = if not cond then failwith ("micro-bench: " ^ name) in
-  require "packed of_edges mismatches reference"
-    (Graph.equal g (Graph.of_edges_reference ~n pair_list));
-  let shift =
-    match Graph.pack_shift ~n with
-    | Some s -> s
-    | None -> failwith "micro-bench: bench sizes must be packable"
-  in
+  let shift = Graph.pack_shift ~n in
   let codes = Array.map (fun (u, v) -> Graph.pack ~shift u v) pairs in
   let pool1 = Pool.create ~num_domains:1 () in
   let pool2 = Pool.create ~num_domains:2 () in
@@ -254,12 +233,11 @@ let construction_rows ~full =
         (Graph.equal
            (Graph.of_packed ~n (Array.copy codes))
            (Graph.of_packed_par ~pool:pool4 ~n (Array.copy codes)));
-      let seq = Mspar_parallel.Par_gdelta.sequential ~seed:7 g ~delta in
+      let seq, _ = Gdelta.sparsify_seeded ~seed:7 g ~delta in
       require "4-domain pooled sparsifier mismatches sequential"
-        (Graph.equal seq
-           (Mspar_parallel.Par_gdelta.sparsify ~pool:pool4 ~seed:7 g ~delta));
-      ignore (Mspar_parallel.Par_gdelta.sparsify ~pool:pool2 ~seed:7 g ~delta);
-      ignore (Mspar_parallel.Par_gdelta.sparsify ~pool:pool8 ~seed:7 g ~delta);
+        (Graph.equal seq (Par_gdelta.sparsify ~pool:pool4 ~seed:7 g ~delta));
+      ignore (Par_gdelta.sparsify ~pool:pool2 ~seed:7 g ~delta);
+      ignore (Par_gdelta.sparsify ~pool:pool8 ~seed:7 g ~delta);
       (let blocked, bshift = Gdelta.marked_codes (Rng.create 7) g ~delta in
        require "marked_codes shift mismatches pack_shift" (bshift = shift);
        require "per-vertex mark baseline mismatches the blocked collector"
@@ -285,8 +263,6 @@ let construction_rows ~full =
             Sys.opaque_identity (Gdelta.marked_codes (Rng.create 7) g ~delta))
       in
       [
-        row ~cores:1 "of-edges-list-seed" (fun () ->
-            Sys.opaque_identity (Graph.of_edges_reference ~n pair_list));
         row ~cores:1 "of-edges-packed" (fun () ->
             Sys.opaque_identity (Graph.of_edge_array ~n pairs));
         (* both CSR builders mutate their input prefix, so each timed run
@@ -298,9 +274,6 @@ let construction_rows ~full =
           (fun () ->
             Sys.opaque_identity
               (Graph.of_packed_par ~pool:pool4 ~n (Array.copy codes)));
-        row ~cores:1 "gdelta-list-seed" (fun () ->
-            let marks = seed_collect_marks (Rng.create 7) g ~delta in
-            Sys.opaque_identity (Graph.of_edges_reference ~n marks));
         row ~cores:1 "gdelta-packed" (fun () ->
             Sys.opaque_identity (Gdelta.sparsify (Rng.create 7) g ~delta));
         (* the marking hot path in isolation (no CSR build): per-vertex
@@ -312,26 +285,25 @@ let construction_rows ~full =
         (tag "gdelta-mark/pervertex-unbatched", 1, fst mark_pair_ns);
         (tag "gdelta-mark/blocked-batched", 1, snd mark_pair_ns);
         row ~cores:1 "par-gdelta-seq" (fun () ->
-            Sys.opaque_identity
-              (Mspar_parallel.Par_gdelta.sequential ~seed:7 g ~delta));
+            Sys.opaque_identity (Gdelta.sparsify_seeded ~seed:7 g ~delta));
         row ~cores:1 "par-gdelta-pool-1dom" (fun () ->
             Sys.opaque_identity
-              (Mspar_parallel.Par_gdelta.sparsify ~pool:pool1 ~seed:7 g ~delta));
+              (Par_gdelta.sparsify ~pool:pool1 ~seed:7 g ~delta));
         row ~cores:2
           ("par-gdelta-pool/" ^ pooled_label 2)
           (fun () ->
             Sys.opaque_identity
-              (Mspar_parallel.Par_gdelta.sparsify ~pool:pool2 ~seed:7 g ~delta));
+              (Par_gdelta.sparsify ~pool:pool2 ~seed:7 g ~delta));
         row ~cores:4
           ("par-gdelta-pool/" ^ pooled_label 4)
           (fun () ->
             Sys.opaque_identity
-              (Mspar_parallel.Par_gdelta.sparsify ~pool:pool4 ~seed:7 g ~delta));
+              (Par_gdelta.sparsify ~pool:pool4 ~seed:7 g ~delta));
         row ~cores:8
           ("par-gdelta-pool/" ^ pooled_label 8)
           (fun () ->
             Sys.opaque_identity
-              (Mspar_parallel.Par_gdelta.sparsify ~pool:pool8 ~seed:7 g ~delta));
+              (Par_gdelta.sparsify ~pool:pool8 ~seed:7 g ~delta));
       ])
 
 (* Pooled speedup curve (fresh warmed pool per domain count); emitted as
@@ -355,7 +327,7 @@ let scaling_table () =
     let rng = Rng.create 20200715 in
     let g = Graph.of_edge_array ~n (random_edge_array rng ~n ~m) in
     let times =
-      Mspar_parallel.Par_gdelta.time_comparison ~seed:7 g ~delta
+      Par_gdelta.time_comparison ~seed:7 g ~delta
         ~domains:[ 1; 2; 4; 8 ]
     in
     let base = match times with (_, ms) :: _ -> ms | [] -> 1.0 in

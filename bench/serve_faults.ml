@@ -123,12 +123,20 @@ let protocol_legs () =
         name = "junk-bytes";
         run =
           (fun () ->
-            let fd = raw_connect path in
-            (* nine 0xFF bytes: an over-long uvarint, unambiguous junk *)
-            raw_send fd (String.make 16 '\xff');
-            assert (closed_by_server fd);
-            Unix.close fd;
-            healthy_ping addr "junk-bytes");
+            List.iter
+              (fun junk ->
+                let fd = raw_connect path in
+                raw_send fd junk;
+                assert (closed_by_server fd);
+                Unix.close fd;
+                healthy_ping addr "junk-bytes")
+              [
+                (* nine 0xFF bytes: an over-long uvarint, unambiguous junk *)
+                String.make 16 '\xff';
+                (* a complete 9-byte length with bit 62 set: a negative
+                   body length unless the reader refuses it *)
+                String.make 8 '\x80' ^ "\x40" ^ "xxxx";
+              ]);
       };
       {
         name = "truncated-frame-disconnect";

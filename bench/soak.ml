@@ -119,8 +119,8 @@ let () =
 
   stage "parallel construction equals sequential, K_1200" (fun () ->
       let g = Gen.complete 1200 in
-      let a = Mspar_parallel.Par_gdelta.sparsify ~num_domains:4 ~seed:12 g ~delta:6 in
-      let b = Mspar_parallel.Par_gdelta.sequential ~seed:12 g ~delta:6 in
+      let a = Mspar_core.Par_gdelta.sparsify ~num_domains:4 ~seed:12 g ~delta:6 in
+      let b, _ = Mspar_core.Gdelta.sparsify_seeded ~seed:12 g ~delta:6 in
       Graph.equal a b);
 
   if !failures = 0 then Printf.printf "soak: all stages passed\n"

@@ -31,120 +31,67 @@ let marks_bound rule g ~delta lo hi =
    same block already pulled in. *)
 let l2_block_words = 32768
 
-(* Packed hot path: marks go straight into a flat int buffer as
-   [v lsl shift lor u] codes.  Vertices are visited in CSR-contiguous
-   cache-sized blocks ([Graph.iter_vertex_blocks]); per block, the buffer
-   is grown once ([ensure_capacity] + [push_unchecked], no growth branch
-   per mark) and the probe counter is charged once.  The per-vertex
-   decision is [Mark_kernel]'s: with a [Stream] source the shared
-   generator is consumed in vertex order exactly as before the kernel
-   factoring (bit-identical codes), with a [Split] source each vertex
-   draws from its own derived stream — the form the LCA oracle replays. *)
-let collect_packed ~rule source g ~delta ~shift =
+(* The one marking loop of G_Δ, for every builder: marks go straight
+   into a flat int buffer as [v lsl shift lor u] codes.  The vertices of
+   [lo, hi) are visited in CSR-contiguous cache-sized blocks
+   ([Graph.iter_vertex_blocks]); per block, the buffer is grown once
+   ([ensure_capacity] + [push_unchecked], no growth branch per mark) and
+   the probe counter is charged once, so concurrent chunks keep probe
+   totals exact with one atomic add per block.  The per-vertex decision
+   is [Mark_kernel]'s, and so is the generator a sampled vertex draws
+   from: with a [Stream] source the shared generator is consumed in
+   vertex order, with a [Split] source each vertex draws from its own
+   derived stream, the form the LCA oracle replays and the pooled
+   builder runs per chunk. *)
+let collect ~rule source g ~delta lo hi =
   if delta < 1 then invalid_arg "Gdelta: delta must be >= 1";
-  let nv = Graph.n g in
+  let shift = Graph.pack_shift ~n:(Graph.n g) in
   let sampler = Sampling.create ~capacity:(Graph.max_degree g) in
   let buf =
     Edgebuf.create
-      ~initial_capacity:(Int.max 16 (marks_bound rule g ~delta 0 nv))
+      ~initial_capacity:(Int.max 16 (marks_bound rule g ~delta lo hi))
       ()
   in
   let keep = Mark_kernel.threshold rule delta in
-  (* per-vertex sample landing zone: [sample_indices_into] avoids a
+  (* per-vertex sample landing zone: [sampled_indices_into] avoids a
      closure call per draw, the dominant per-mark overhead at high degree *)
   let idx = Array.make (Int.max 1 delta) 0 in
   (* hoisted out of the block closure so no ref cell is allocated per
      block — reset at block entry, charged at block exit *)
   let probes = ref 0 in
-  (* The block loop is specialized per source, once, outside the hot
-     path: the [Stream] body is instruction-for-instruction the
-     pre-kernel collector (shared generator handed straight to the
-     sampler — the gdelta-mark perf baseline), the [Split] body
-     re-derives each vertex's stream ([Mark_kernel.rng_for], the form
-     the LCA oracle replays).  [Mark_kernel.sampled_indices_into] is
-     definitionally [Sampling.sample_indices_into], so both bodies run
-     the one kernel decision; the QCheck parity suite pins the two
-     sources and the oracle to bit-identical marks. *)
-  (match source with
-  | Mark_kernel.Stream rng ->
-      Graph.iter_vertex_blocks g ~extent:l2_block_words (fun blo bhi ->
-          Edgebuf.ensure_capacity buf
-            (Edgebuf.length buf + marks_bound rule g ~delta blo bhi);
-          probes := 0;
-          for v = blo to bhi - 1 do
-            let d = Graph.degree g v in
-            let base = v lsl shift in
-            if d <= keep then begin
-              (* low degree: the whole neighborhood enters the
-                 sparsifier; the copy loop lives in Graph so no closure
-                 is allocated (or called) per vertex *)
-              probes := !probes + d;
-              Graph.append_neighbors_uncounted g v ~base buf
-            end
-            else begin
-              (* d > keep >= delta, so exactly delta reads happen below *)
-              probes := !probes + delta;
-              Sampling.sample_indices_into sampler rng ~n:d ~k:delta ~out:idx;
-              for s = 0 to delta - 1 do
-                Edgebuf.push_unchecked buf
-                  (base
-                  lor Graph.neighbor_uncounted g v (Array.unsafe_get idx s))
-              done
-            end
-          done;
-          Graph.add_probes g !probes)
-  | Mark_kernel.Split _ ->
-      Graph.iter_vertex_blocks g ~extent:l2_block_words (fun blo bhi ->
-          Edgebuf.ensure_capacity buf
-            (Edgebuf.length buf + marks_bound rule g ~delta blo bhi);
-          probes := 0;
-          for v = blo to bhi - 1 do
-            let d = Graph.degree g v in
-            let base = v lsl shift in
-            if d <= keep then begin
-              probes := !probes + d;
-              Graph.append_neighbors_uncounted g v ~base buf
-            end
-            else begin
-              probes := !probes + delta;
-              Mark_kernel.sampled_indices_into sampler
-                (Mark_kernel.rng_for source v)
-                ~delta ~degree:d ~out:idx;
-              for s = 0 to delta - 1 do
-                Edgebuf.push_unchecked buf
-                  (base
-                  lor Graph.neighbor_uncounted g v (Array.unsafe_get idx s))
-              done
-            end
-          done;
-          Graph.add_probes g !probes));
+  Graph.iter_vertex_blocks g ~lo ~hi ~extent:l2_block_words (fun blo bhi ->
+      Edgebuf.ensure_capacity buf
+        (Edgebuf.length buf + marks_bound rule g ~delta blo bhi);
+      probes := 0;
+      for v = blo to bhi - 1 do
+        let d = Graph.degree g v in
+        let base = v lsl shift in
+        if d <= keep then begin
+          (* low degree: the whole neighborhood enters the sparsifier;
+             the copy loop lives in Graph so no closure is allocated (or
+             called) per vertex *)
+          probes := !probes + d;
+          Graph.append_neighbors_uncounted g v ~base buf
+        end
+        else begin
+          (* d > keep >= delta, so exactly delta reads happen below *)
+          probes := !probes + delta;
+          Mark_kernel.sampled_indices_into sampler
+            (Mark_kernel.rng_for source v)
+            ~delta ~degree:d ~out:idx;
+          for s = 0 to delta - 1 do
+            Edgebuf.push_unchecked buf
+              (base lor Graph.neighbor_uncounted g v (Array.unsafe_get idx s))
+          done
+        end
+      done;
+      Graph.add_probes g !probes);
   buf
 [@@hot]
 
-(* Boxed fallback for vertex counts beyond the packable range. *)
-let collect_list ~rule source g ~delta =
-  if delta < 1 then invalid_arg "Gdelta: delta must be >= 1";
-  let nv = Graph.n g in
-  let sampler = Sampling.create ~capacity:(Graph.max_degree g) in
-  let pairs = ref [] in
-  let keep = Mark_kernel.threshold rule delta in
-  for v = 0 to nv - 1 do
-    let d = Graph.degree g v in
-    if d <= keep then
-      Graph.iter_neighbors g v (fun u -> pairs := (v, u) :: !pairs)
-    else
-      Sampling.sample_indices sampler
-        (Mark_kernel.rng_for source v)
-        ~n:d ~k:delta
-        ~f:(fun i -> pairs := (v, Graph.neighbor g v i) :: !pairs)
-  done;
-  !pairs
-
 let marked_codes_of ~rule source g ~delta =
-  match Graph.pack_shift ~n:(Graph.n g) with
-  | Some shift -> (collect_packed ~rule source g ~delta ~shift, shift)
-  | None ->
-      invalid_arg "Gdelta.marked_codes: vertex count exceeds packable range"
+  let nv = Graph.n g in
+  (collect ~rule source g ~delta 0 nv, Graph.pack_shift ~n:nv)
 
 let marked_codes ?(rule = Mark_all_at_most_two_delta) rng g ~delta =
   marked_codes_of ~rule (Mark_kernel.Stream rng) g ~delta
@@ -152,32 +99,20 @@ let marked_codes ?(rule = Mark_all_at_most_two_delta) rng g ~delta =
 let marked_codes_seeded ?(rule = Mark_all_at_most_two_delta) ~seed g ~delta =
   marked_codes_of ~rule (Mark_kernel.Split { seed }) g ~delta
 
-let marked_pairs ?(rule = Mark_all_at_most_two_delta) rng g ~delta =
-  let source = Mark_kernel.Stream rng in
-  match Graph.pack_shift ~n:(Graph.n g) with
-  | Some shift ->
-      let buf = collect_packed ~rule source g ~delta ~shift in
-      List.rev
-        (Edgebuf.fold_left
-           (fun acc c ->
-             (Graph.unpack_u ~shift c, Graph.unpack_v ~shift c) :: acc)
-           [] buf)
-  | None -> collect_list ~rule source g ~delta
+let marked_pairs ?rule rng g ~delta =
+  let buf, shift = marked_codes ?rule rng g ~delta in
+  List.rev
+    (Edgebuf.fold_left
+       (fun acc c -> (Graph.unpack_u ~shift c, Graph.unpack_v ~shift c) :: acc)
+       [] buf)
 
 let sparsify_of ~rule source g ~delta =
   Graph.reset_probes g;
   let t0 = Clock.now_ns () in
   let nv = Graph.n g in
-  let sparsifier, marks =
-    match Graph.pack_shift ~n:nv with
-    | Some shift ->
-        let buf = collect_packed ~rule source g ~delta ~shift in
-        let marks = Edgebuf.length buf in
-        (Graph.of_edgebuf ~n:nv buf, marks)
-    | None ->
-        let pairs = collect_list ~rule source g ~delta in
-        (Graph.of_edges ~n:nv pairs, List.length pairs)
-  in
+  let buf = collect ~rule source g ~delta 0 nv in
+  let marks = Edgebuf.length buf in
+  let sparsifier = Graph.of_edgebuf ~n:nv buf in
   let probes = Graph.probes g in
   let t1 = Clock.now_ns () in
   ( sparsifier,
@@ -198,24 +133,14 @@ let sparsify_seeded ?(rule = Mark_all_at_most_two_delta) ~seed g ~delta =
 let deterministic_first_k g ~delta =
   if delta < 1 then invalid_arg "Gdelta.deterministic_first_k: delta >= 1";
   let nv = Graph.n g in
-  match Graph.pack_shift ~n:nv with
-  | Some shift ->
-      let buf = Edgebuf.create () in
-      for v = 0 to nv - 1 do
-        let d = Int.min delta (Graph.degree g v) in
-        let base = v lsl shift in
-        Graph.add_probes g d;
-        for i = 0 to d - 1 do
-          Edgebuf.push buf (base lor Graph.neighbor_uncounted g v i)
-        done
-      done;
-      Graph.of_edgebuf ~n:nv buf
-  | None ->
-      let pairs = ref [] in
-      for v = 0 to nv - 1 do
-        let d = Int.min delta (Graph.degree g v) in
-        for i = 0 to d - 1 do
-          pairs := (v, Graph.neighbor g v i) :: !pairs
-        done
-      done;
-      Graph.of_edges ~n:nv !pairs
+  let shift = Graph.pack_shift ~n:nv in
+  let buf = Edgebuf.create () in
+  for v = 0 to nv - 1 do
+    let d = Int.min delta (Graph.degree g v) in
+    let base = v lsl shift in
+    Graph.add_probes g d;
+    for i = 0 to d - 1 do
+      Edgebuf.push buf (base lor Graph.neighbor_uncounted g v i)
+    done
+  done;
+  Graph.of_edgebuf ~n:nv buf

@@ -17,10 +17,11 @@
     Both are available via [mark_all_threshold]; the default is the §3.1
     convention.
 
-    Marks are collected as packed ints in a flat {!Mspar_prelude.Edgebuf}
-    and turned into a CSR graph by counting sort ({!Graph.of_edgebuf}) —
-    the boxed-list pipeline survives only as the overflow-guard fallback
-    for vertex counts beyond {!Graph.pack_shift}'s packable range. *)
+    Every builder here and in [Par_gdelta] runs one marking loop,
+    {!collect}: marks are collected as packed ints in a flat
+    {!Mspar_prelude.Edgebuf} and turned into a CSR graph by counting sort
+    ({!Graph.of_edgebuf}).  Only where a sampled vertex's generator comes
+    from differs ({!Mark_kernel.source}). *)
 
 open Mspar_prelude
 open Mspar_graph
@@ -37,6 +38,27 @@ type mark_rule = Mark_kernel.rule =
   | Mark_all_at_most_delta  (** §2 convention: full neighborhood iff deg ≤ Δ *)
   | Mark_all_at_most_two_delta  (** §3.1 tweak: full neighborhood iff deg ≤ 2Δ *)
 
+val collect :
+  rule:mark_rule ->
+  Mark_kernel.source ->
+  Graph.t ->
+  delta:int ->
+  int ->
+  int ->
+  Edgebuf.t
+(** [collect ~rule source g ~delta lo hi] is the one marking loop: the
+    packed marks [(v lsl shift) lor u] of the vertices [\[lo, hi)], with
+    [shift = Graph.pack_shift ~n:(Graph.n g)], in emission order
+    (vertices ascending; within a vertex, adjacency order when it keeps
+    its whole neighborhood, draw order when it samples).  A sampled
+    vertex draws from {!Mark_kernel.rng_for}[ source v].  Probes are
+    added to [g]'s counter, never reset, with one atomic add per
+    cache-sized block, so pool chunks running it on disjoint ranges with
+    a [Split] source keep the total exact.  A [Stream] generator must not
+    be shared by concurrent calls.
+    @raise Invalid_argument if [delta < 1] or the range is not inside
+    [\[0, Graph.n g\]]. *)
+
 val sparsify :
   ?rule:mark_rule -> Rng.t -> Graph.t -> delta:int -> Graph.t * stats
 (** [sparsify rng g ~delta] builds G_Δ.  Probes counted on [g] are reset
@@ -51,8 +73,8 @@ val sparsify_seeded :
 (** {!sparsify} under the split-seed discipline: vertex [v] draws from
     {!Mspar_prelude.Rng.derive}[ ~seed v], so any single vertex's marks
     can be replayed in isolation — the contract the LCA oracle
-    ([Mspar_lca.Oracle]) queries against.  With the default rule this is
-    graph-for-graph identical to [Par_gdelta.sequential ~seed]
+    ([Mspar_lca.Oracle]) queries against.  [Par_gdelta.sparsify ~seed]
+    builds the same graph on any pool and chunk count, under either rule
     (QCheck-pinned). *)
 
 val marked_pairs :
@@ -68,16 +90,14 @@ val marked_codes :
     them, plus the shift used — no CSR build.  Consumes the same RNG
     stream as {!sparsify}.  Used by the bench harness to time marking
     separately from construction.
-    @raise Invalid_argument if [delta < 1] or the vertex count exceeds
-    the packable range ({!Graph.pack_shift}). *)
+    @raise Invalid_argument if [delta < 1]. *)
 
 val marked_codes_seeded :
   ?rule:mark_rule -> seed:int -> Graph.t -> delta:int -> Edgebuf.t * int
 (** {!marked_codes} under the split-seed discipline of
     {!sparsify_seeded} — the materialized reference the oracle parity
     tests compare against, mark-for-mark.
-    @raise Invalid_argument if [delta < 1] or the vertex count exceeds
-    the packable range. *)
+    @raise Invalid_argument if [delta < 1]. *)
 
 val deterministic_first_k : Graph.t -> delta:int -> Graph.t
 (** The strawman of Lemma 2.13: every vertex deterministically marks its

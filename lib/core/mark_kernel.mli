@@ -1,7 +1,7 @@
 (** The per-vertex marking decision of G_Δ (§3.1), as a pure replayable
     kernel.
 
-    Factored out of the batch builders ({!Gdelta}, [Par_gdelta]) so that
+    Factored out of the batch marking loop ({!Gdelta.collect}) so that
     a local-access oracle ([Mspar_lca.Oracle]) can recompute, for one
     vertex in isolation, exactly the adjacency positions the batch pass
     marked: the decision depends only on the rule, Δ, the vertex's
@@ -29,7 +29,8 @@ type source = Stream of Rng.t | Split of { seed : int }
 (** Where a vertex's randomness comes from.  [Stream] is the historical
     sequential discipline (one shared generator consumed in vertex
     order); [Split] derives vertex [v]'s generator from [(seed, v)] —
-    locally replayable, identical to [Par_gdelta.vertex_rng]. *)
+    locally replayable; the pooled builder ({!Par_gdelta}) uses it for
+    every chunk. *)
 
 val rng_for : source -> int -> Rng.t
 (** The generator vertex [v] draws from.  For [Stream] this is the

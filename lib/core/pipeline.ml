@@ -3,7 +3,6 @@ open Mspar_graph
 open Mspar_matching
 
 type matcher = Exact | Approx_eps | Greedy_2approx
-type construction = Pooled | Sequential | Sequential_fallback
 
 type result = {
   matching : Matching.t;
@@ -13,29 +12,19 @@ type result = {
   input_edges : int;
   sparsify_ns : int64;
   match_ns : int64;
-  construction : construction;
 }
 
-(* Process-wide meter for the silent [?pool] fallback, so a caller that
-   hands every run a pool can notice that non-default marking rules never
-   actually used it.  Atomic: pipelines may run from several domains. *)
-let fallback_meter = Atomic.make 0
-let pool_fallbacks () = Atomic.get fallback_meter
-
-(* The pooled fast path: construct G_Δ with the multicore builder on a
-   persistent domain pool.  Only the §3.1 mark-all-at-most-2Δ rule is
-   implemented in Par_gdelta, so any other explicit rule falls back to the
-   sequential Gdelta.  One seed drawn from [rng] keys the per-vertex
-   counter RNGs, so the run is still a pure function of the caller's
-   generator state.  Under the §3.1 rule every adjacency probe emits
-   exactly one mark (deg reads for kept neighborhoods, Δ sampled reads
-   otherwise), so [marks = probes]. *)
-let sparsify_pooled pool rng g ~delta =
+(* The pooled path: construct G_Δ with the multicore builder on a
+   persistent domain pool, under either marking rule.  One seed drawn
+   from [rng] keys the per-vertex counter RNGs, so the run is still a
+   pure function of the caller's generator state.  Under both rules every
+   adjacency probe emits exactly one mark (deg reads for kept
+   neighborhoods, Δ sampled reads otherwise), so [marks = probes]. *)
+let sparsify_pooled ?rule pool rng g ~delta =
   Graph.reset_probes g;
   let seed = Int64.to_int (Rng.bits64 rng) in
   let sparsifier, build_ns =
-    Clock.time_ns (fun () ->
-        Mspar_parallel.Par_gdelta.sparsify ~pool ~seed g ~delta)
+    Clock.time_ns (fun () -> Par_gdelta.sparsify ~pool ?rule ~seed g ~delta)
   in
   let probes = Graph.probes g in
   ( sparsifier,
@@ -50,19 +39,10 @@ let sparsify_pooled pool rng g ~delta =
 let run ?(multiplier = 2.0) ?(matcher = Approx_eps) ?rule ?pool rng g ~beta ~eps
     =
   let delta = Delta_param.scaled ~multiplier ~beta ~eps in
-  let construction =
-    match (pool, rule) with
-    | Some _, (None | Some Gdelta.Mark_all_at_most_two_delta) -> Pooled
-    | Some _, Some _ ->
-        ignore (Atomic.fetch_and_add fallback_meter 1);
-        Sequential_fallback
-    | None, _ -> Sequential
-  in
   let sparsifier, stats =
-    match (pool, construction) with
-    | Some p, Pooled -> sparsify_pooled p rng g ~delta
-    | _, (Sequential | Sequential_fallback) | None, Pooled ->
-        Gdelta.sparsify ?rule rng g ~delta
+    match pool with
+    | Some pool -> sparsify_pooled ?rule pool rng g ~delta
+    | None -> Gdelta.sparsify ?rule rng g ~delta
   in
   let matching, match_ns =
     Clock.time_ns (fun () ->
@@ -79,7 +59,6 @@ let run ?(multiplier = 2.0) ?(matcher = Approx_eps) ?rule ?pool rng g ~beta ~eps
     input_edges = Graph.m g;
     sparsify_ns = stats.Gdelta.build_ns;
     match_ns;
-    construction;
   }
 
 let sublinearity_ratio r =

@@ -14,13 +14,6 @@ type matcher =
   | Approx_eps  (** depth-limited / phase-limited (1+ε) matcher. *)
   | Greedy_2approx  (** greedy maximal on the sparsifier. *)
 
-type construction =
-  | Pooled  (** multicore G_Δ builder on the caller's pool *)
-  | Sequential  (** no pool was given *)
-  | Sequential_fallback
-      (** a pool {e was} given but a non-default marking rule forced the
-          sequential path; counted in {!pool_fallbacks} *)
-
 type result = {
   matching : Matching.t;
   delta : int;
@@ -29,7 +22,6 @@ type result = {
   input_edges : int;  (** m of the original graph, for the sublinearity ratio *)
   sparsify_ns : int64;
   match_ns : int64;
-  construction : construction;  (** which sparsifier path actually ran *)
 }
 
 val run :
@@ -45,22 +37,13 @@ val run :
 (** [(1+ε)-approximate] matching of a graph with neighborhood independence
     ≤ beta.  Default matcher {!Approx_eps}, default Δ-multiplier 2.0.
 
-    When [pool] is given and the marking rule is the default §3.1
-    mark-all-at-most-2Δ rule, sparsification runs on the pool via
-    {!Mspar_parallel.Par_gdelta.sparsify} (per-vertex counter RNGs seeded
-    from one draw of [rng], so the result is still deterministic in the
-    caller's generator state — though not edge-for-edge identical to the
-    sequential {!Gdelta} path, which consumes [rng] differently).  Any
-    other explicit [rule] ignores [pool] and takes the sequential path —
-    this is {e not} silent: the result records it as
-    [construction = Sequential_fallback] and the process-wide
-    {!pool_fallbacks} meter is bumped.  Probe accounting stays exact
-    either way. *)
-
-val pool_fallbacks : unit -> int
-(** Number of {!run} calls in this process that were handed a pool but
-    fell back to the sequential sparsifier because of a non-default
-    marking rule.  Atomic, so exact across domains. *)
+    When [pool] is given, sparsification runs on the pool via
+    {!Par_gdelta.sparsify}, under [rule] like the sequential path
+    (per-vertex counter RNGs seeded from one draw of [rng], so the result
+    is still deterministic in the caller's generator state — though not
+    edge-for-edge identical to the sequential {!Gdelta} path, which
+    consumes [rng] differently).  Probe accounting stays exact either
+    way. *)
 
 val sublinearity_ratio : result -> float
 (** probes on input / 2m — below 1.0 means the pipeline read less than the

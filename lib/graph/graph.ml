@@ -32,25 +32,29 @@ let n t = t.n
 let m t = Bigvec.length t.adj / 2
 let degree t v = og t.offsets (v + 1) - og t.offsets v
 let max_degree t = t.maxdeg
-let normalize (u, v) = if u <= v then (u, v) else (v, u)
 
 (* ------------------------------------------------------------------ *)
 (* Packed-edge pipeline                                               *)
 (* ------------------------------------------------------------------ *)
 
 (* An edge is carried as a single int [u lsl shift lor v] with
-   [shift = max 1 (bits of (n-1))].  The guard rejects vertex counts whose
-   codes could overflow the native int (n beyond 2^30 on 64-bit hosts);
-   callers fall back to the boxed-list path in that case. *)
+   [shift = max 1 (bits of (n-1))].  Two endpoints must fit the 62
+   non-negative bits of a native int, so n is capped at 2^30: that range
+   is a precondition of [t], and every builder checks it here before it
+   allocates anything. *)
+let max_shift = (Sys.int_size - 2) / 2
+
 let pack_shift ~n =
-  if n < 0 then None
-  else begin
-    let s = ref 1 in
-    while 1 lsl !s < n do
-      incr s
-    done;
-    if 2 * !s <= Sys.int_size - 2 then Some !s else None
-  end
+  if n < 0 || n > 1 lsl max_shift then
+    invalid_arg
+      (Printf.sprintf
+         "Graph.pack_shift: vertex count %d outside the packable range [0, 2^%d]"
+         n max_shift);
+  let s = ref 1 in
+  while 1 lsl !s < n do
+    incr s
+  done;
+  !s
 
 let pack ~shift u v = (u lsl shift) lor v
 let unpack_u ~shift c = c lsr shift
@@ -337,87 +341,21 @@ let build_packed_par ~pool ~n ~shift chunks =
    each range owns its major slots and per-range minor cursor windows (see \
    the Races note above)"]
 
-(* ------------------------------------------------------------------ *)
-(* Reference (seed) list-based builder                                *)
-(* ------------------------------------------------------------------ *)
-
-let build_reference n edges =
-  (* [edges] arrives deduplicated and normalised (u < v).  This is the
-     seed's heap-array builder, kept verbatim; the single final
-     [Bigvec.of_array] per lane moves the result off-heap without touching
-     the construction logic it baselines. *)
-  let deg = Array.make n 0 in
-  List.iter
-    (fun (u, v) ->
-      deg.(u) <- deg.(u) + 1;
-      deg.(v) <- deg.(v) + 1)
-    edges;
-  let offsets = Array.make (n + 1) 0 in
-  let maxdeg = ref 0 in
-  for v = 0 to n - 1 do
-    if deg.(v) > !maxdeg then maxdeg := deg.(v);
-    offsets.(v + 1) <- offsets.(v) + deg.(v)
-  done;
-  let adj = Array.make offsets.(n) 0 in
-  let cursor = Array.copy offsets in
-  List.iter
-    (fun (u, v) ->
-      adj.(cursor.(u)) <- v;
-      cursor.(u) <- cursor.(u) + 1;
-      adj.(cursor.(v)) <- u;
-      cursor.(v) <- cursor.(v) + 1)
-    edges;
-  for v = 0 to n - 1 do
-    let lo = offsets.(v) and hi = offsets.(v + 1) in
-    let block = Array.sub adj lo (hi - lo) in
-    Array.sort compare block;
-    Array.blit block 0 adj lo (hi - lo)
-  done;
-  {
-    n;
-    offsets = Bigvec.of_array offsets;
-    adj = Bigvec.of_array adj;
-    maxdeg = !maxdeg;
-    probe_count = Atomic.make 0;
-  }
-(* the polymorphic compare IS the point: this is the seed builder, kept
-   verbatim as the differential-testing baseline for the packed pipeline *)
-[@@lint.allow "MSP002"]
-
 let check_endpoints ~n (u, v) =
   if u < 0 || u >= n || v < 0 || v >= n then
     invalid_arg "Graph.of_edges: endpoint out of range"
-
-let of_edges_reference ~n:nv edges =
-  if nv < 0 then invalid_arg "Graph.of_edges: negative n";
-  List.iter (check_endpoints ~n:nv) edges;
-  let cleaned =
-    List.filter_map
-      (fun (u, v) -> if u = v then None else Some (normalize (u, v)))
-      edges
-  in
-  let sorted = List.sort_uniq compare cleaned in
-  build_reference nv sorted
-[@@lint.allow "MSP002"]
 
 (* ------------------------------------------------------------------ *)
 (* Constructors                                                       *)
 (* ------------------------------------------------------------------ *)
 
 let of_edges_iter ~n iter =
-  if n < 0 then invalid_arg "Graph.of_edges: negative n";
-  match pack_shift ~n with
-  | Some shift ->
-      let buf = Edgebuf.create () in
-      iter (fun u v ->
-          check_endpoints ~n (u, v);
-          Edgebuf.push buf ((u lsl shift) lor v));
-      build_packed ~n ~shift (Edgebuf.data buf) (Edgebuf.length buf)
-  | None ->
-      (* overflow guard tripped: boxed-list fallback *)
-      let acc = ref [] in
-      iter (fun u v -> acc := (u, v) :: !acc);
-      of_edges_reference ~n !acc
+  let shift = pack_shift ~n in
+  let buf = Edgebuf.create () in
+  iter (fun u v ->
+      check_endpoints ~n (u, v);
+      Edgebuf.push buf ((u lsl shift) lor v));
+  build_packed ~n ~shift (Edgebuf.data buf) (Edgebuf.length buf)
 
 let of_edges ~n edges =
   of_edges_iter ~n (fun push -> List.iter (fun (u, v) -> push u v) edges)
@@ -426,51 +364,37 @@ let of_edge_array ~n edges =
   of_edges_iter ~n (fun push -> Array.iter (fun (u, v) -> push u v) edges)
 
 let of_packed ~n ?len codes =
-  if n < 0 then invalid_arg "Graph.of_packed: negative n";
+  let shift = pack_shift ~n in
   let len = match len with Some l -> l | None -> Array.length codes in
   if len < 0 || len > Array.length codes then
     invalid_arg "Graph.of_packed: bad length";
-  match pack_shift ~n with
-  | None ->
-      invalid_arg "Graph.of_packed: n exceeds the packable range (use of_edges)"
-  | Some shift ->
-      let mask = (1 lsl shift) - 1 in
-      for i = 0 to len - 1 do
-        let c = codes.(i) in
-        if c < 0 || c lsr shift >= n || c land mask >= n then
-          invalid_arg "Graph.of_packed: code out of range"
-      done;
-      build_packed ~n ~shift codes len
+  let mask = (1 lsl shift) - 1 in
+  for i = 0 to len - 1 do
+    let c = codes.(i) in
+    if c < 0 || c lsr shift >= n || c land mask >= n then
+      invalid_arg "Graph.of_packed: code out of range"
+  done;
+  build_packed ~n ~shift codes len
 
 let of_edgebuf ~n buf = of_packed ~n ~len:(Edgebuf.length buf) (Edgebuf.data buf)
 
 let of_packed_par ~pool ~n ?len codes =
-  if n < 0 then invalid_arg "Graph.of_packed_par: negative n";
+  let shift = pack_shift ~n in
   let len = match len with Some l -> l | None -> Array.length codes in
   if len < 0 || len > Array.length codes then
     invalid_arg "Graph.of_packed_par: bad length";
-  match pack_shift ~n with
-  | None ->
-      invalid_arg
-        "Graph.of_packed_par: n exceeds the packable range (use of_edges)"
-  | Some shift ->
-      let p = Pool.size pool in
-      let chunks =
-        Array.init p (fun k ->
-            let lo, hi = Pool.chunk_bounds ~chunks:p ~n:len k in
-            (codes, lo, hi - lo))
-      in
-      build_packed_par ~pool ~n ~shift chunks
+  let p = Pool.size pool in
+  let chunks =
+    Array.init p (fun k ->
+        let lo, hi = Pool.chunk_bounds ~chunks:p ~n:len k in
+        (codes, lo, hi - lo))
+  in
+  build_packed_par ~pool ~n ~shift chunks
 
 let of_edgebufs_par ~pool ~n bufs =
-  if n < 0 then invalid_arg "Graph.of_edgebufs_par: negative n";
-  match pack_shift ~n with
-  | None ->
-      invalid_arg
-        "Graph.of_edgebufs_par: n exceeds the packable range (use of_edges)"
-  | Some shift ->
-      build_packed_par ~pool ~n ~shift
-        (Array.map (fun b -> (Edgebuf.data b, 0, Edgebuf.length b)) bufs)
+  let shift = pack_shift ~n in
+  build_packed_par ~pool ~n ~shift
+    (Array.map (fun b -> (Edgebuf.data b, 0, Edgebuf.length b)) bufs)
 
 (* ------------------------------------------------------------------ *)
 (* Raw CSR lanes (the .msgr mmap path)                                *)
@@ -486,28 +410,28 @@ let of_edgebufs_par ~pool ~n bufs =
    with the content checksum. *)
 let of_csr ~n ~offsets ~adj ~maxdeg =
   let err fmt = Printf.ksprintf (fun s -> Error s) fmt in
-  if n < 0 then err "negative vertex count %d" n
-  else if Bigvec.length offsets <> n + 1 then
-    err "offsets lane has %d entries, expected n+1 = %d" (Bigvec.length offsets)
-      (n + 1)
-  else if og offsets 0 <> 0 then err "offsets.(0) = %d, expected 0" (og offsets 0)
-  else begin
-    let bad = ref (-1) in
-    let md = ref 0 in
-    (let v = ref 0 in
-     while !bad < 0 && !v < n do
-       let d = og offsets (!v + 1) - og offsets !v in
-       if d < 0 then bad := !v else if d > !md then md := d;
-       incr v
-     done);
-    if !bad >= 0 then err "offsets not monotone at vertex %d" !bad
-    else if og offsets n <> Bigvec.length adj then
-      err "offsets.(n) = %d, expected |adj| = %d" (og offsets n)
-        (Bigvec.length adj)
-    else if !md <> maxdeg then
-      err "declared max degree %d, offsets imply %d" maxdeg !md
-    else Ok { n; offsets; adj; maxdeg; probe_count = Atomic.make 0 }
-  end
+  match pack_shift ~n with
+  | exception Invalid_argument reason -> Error reason
+  | _ when Bigvec.length offsets <> n + 1 ->
+      err "offsets lane has %d entries, expected n+1 = %d"
+        (Bigvec.length offsets) (n + 1)
+  | _ when og offsets 0 <> 0 -> err "offsets.(0) = %d, expected 0" (og offsets 0)
+  | _ ->
+      let bad = ref (-1) in
+      let md = ref 0 in
+      (let v = ref 0 in
+       while !bad < 0 && !v < n do
+         let d = og offsets (!v + 1) - og offsets !v in
+         if d < 0 then bad := !v else if d > !md then md := d;
+         incr v
+       done);
+      if !bad >= 0 then err "offsets not monotone at vertex %d" !bad
+      else if og offsets n <> Bigvec.length adj then
+        err "offsets.(n) = %d, expected |adj| = %d" (og offsets n)
+          (Bigvec.length adj)
+      else if !md <> maxdeg then
+        err "declared max degree %d, offsets imply %d" maxdeg !md
+      else Ok { n; offsets; adj; maxdeg; probe_count = Atomic.make 0 }
 
 let csr_lanes t = (t.offsets, t.adj)
 

@@ -29,10 +29,12 @@
     Construction-heavy callers (the G_Δ sparsifier builders) carry edges as
     packed ints [u·2^shift lor v] in flat {!Mspar_prelude.Edgebuf} buffers
     and build the CSR with counting sorts — no boxed tuples and no
-    polymorphic compare on the hot path.  {!pack_shift} is the overflow
-    guard: it returns [None] when codes for [n] vertices would not fit a
-    native int (beyond 2^30 vertices on 64-bit hosts), in which case
-    callers fall back to the boxed {!of_edges} path. *)
+    polymorphic compare on the hot path.  Two endpoints must fit one
+    native int, so a graph has at most 2^30 vertices on 64-bit hosts: that
+    packable range is a precondition of {!t}.  {!pack_shift} is the one
+    check of it; every builder calls it before allocating anything and
+    raises [Invalid_argument] outside the range, and {!of_csr} (the path
+    outside input takes) returns [Error] instead. *)
 
 type t
 
@@ -41,9 +43,10 @@ type edge = int * int
 
 val of_edges : n:int -> edge list -> t
 (** [of_edges ~n edges] builds a graph on [n] vertices.  Self-loops are
-    dropped and duplicate/reversed edges are merged.  Compatibility wrapper
-    over the packed pipeline.
-    @raise Invalid_argument if an endpoint is outside [\[0, n)]. *)
+    dropped and duplicate/reversed edges are merged.  Wrapper over the
+    packed pipeline.
+    @raise Invalid_argument if [n] is outside the packable range
+    ({!pack_shift}) or an endpoint is outside [\[0, n)]. *)
 
 val of_edge_array : n:int -> edge array -> t
 (** Same as {!of_edges} on an array. *)
@@ -52,19 +55,14 @@ val of_edges_iter : n:int -> ((int -> int -> unit) -> unit) -> t
 (** [of_edges_iter ~n iter] builds a graph from a push-style edge producer:
     [iter] is called once with a [push u v] callback.  Avoids materialising
     any intermediate edge list; same cleaning semantics as {!of_edges}.
-    @raise Invalid_argument if a pushed endpoint is outside [\[0, n)]. *)
+    @raise Invalid_argument if [n] is outside the packable range (checked
+    before [iter] runs) or a pushed endpoint is outside [\[0, n)]. *)
 
-val of_edges_reference : n:int -> edge list -> t
-(** The seed list-based builder ([List.sort_uniq compare] plus a
-    per-block [Array.sort compare]), kept as the differential-testing and
-    benchmarking baseline for the packed pipeline.  Semantically identical
-    to {!of_edges}.
-    @raise Invalid_argument if an endpoint is outside [\[0, n)]. *)
-
-val pack_shift : n:int -> int option
-(** [pack_shift ~n] is [Some s] when edges on [n] vertices can be packed as
-    [(u lsl s) lor v] in a native int, [None] otherwise (the overflow
-    guard).  [s >= 1], and [2^s >= n]. *)
+val pack_shift : n:int -> int
+(** [pack_shift ~n] is the shift [s] that packs edges on [n] vertices as
+    [(u lsl s) lor v] in a native int: [s >= 1] and [2^s >= n].  This is
+    the one check of the packable range.
+    @raise Invalid_argument if [n < 0] or [n > 2^30] (on 64-bit hosts). *)
 
 val pack : shift:int -> int -> int -> int
 (** [pack ~shift u v] is [(u lsl shift) lor v].  Preconditions (unchecked):
@@ -168,7 +166,7 @@ val iter_vertex_blocks :
     a traversal that visits each run before moving on works a bounded
     window of the adjacency lane at a time (the lane is CSR-contiguous,
     so a run {e is} an address interval), which is what the cache-blocked
-    marking loops in [Gdelta]/[Par_gdelta] key off.  O(1) per candidate
+    marking loop in [Gdelta] keys off.  O(1) per candidate
     vertex via the offsets lane; the adjacency lane is not read.
     @raise Invalid_argument if the range is bad or [extent < 1]. *)
 
@@ -249,7 +247,8 @@ val of_csr :
     never be read past their extent.  Adjacency {e values} are not
     inspected (that would defeat O(1) mmap loads); damaged values surface
     through {!audit}/{!checksum}, not through wild reads.  Returns
-    [Error reason] on malformed lanes. *)
+    [Error reason] on malformed lanes or on an [n] outside the packable
+    range ({!pack_shift}), which is checked first. *)
 
 val csr_lanes : t -> Mspar_prelude.Bigvec.t * Mspar_prelude.Bigvec.t
 (** [(offsets, adj)] — the live lanes, {e shared, read-only by

@@ -80,11 +80,7 @@ let create ?(rule = Mark_kernel.Mark_all_at_most_two_delta)
     ?(mm_capacity = default_mm_capacity) adj ~seed ~delta =
   if delta < 1 then invalid_arg "Oracle.create: delta must be >= 1";
   let n = Adj.n adj in
-  let shift =
-    match Graph.pack_shift ~n:(Int.max 1 n) with
-    | Some s -> s
-    | None -> invalid_arg "Oracle.create: vertex count exceeds packable range"
-  in
+  let shift = Graph.pack_shift ~n:(Int.max 1 n) in
   let marks = Cache.create ~capacity:mark_capacity in
   {
     adj;

@@ -213,57 +213,39 @@ let deficiency_formula g ~a =
   done;
   !odd - size_a
 
-let tutte_berge_witness g matching =
+(* The Edmonds–Gallai pass both certificates share: D is the set of
+   outer vertices of the (failing) searches from every free vertex, A is
+   N(D) \ D.  [fn] names the caller in its [Invalid_argument] messages. *)
+let d_and_a ~fn g matching =
   let nv = Graph.n g in
-  if Matching.n matching <> nv then
-    invalid_arg "Blossom.tutte_berge_witness: size mismatch";
+  if Matching.n matching <> nv then invalid_arg (fn ^ ": size mismatch");
   let mates = Array.init nv (Matching.mate matching) in
   let st = make_state g mates in
-  (* D: outer vertices of the (failing) searches from every free vertex *)
   let d = Array.make nv false in
   for root = 0 to nv - 1 do
     if st.mates.(root) = -1 then begin
       let endpoint = find_path st ~max_len:nv root in
-      if endpoint <> -1 then
-        invalid_arg "Blossom.tutte_berge_witness: matching is not maximum";
+      if endpoint <> -1 then invalid_arg (fn ^ ": matching is not maximum");
       for v = 0 to nv - 1 do
         if st.used.(v) then d.(v) <- true
       done
     end
   done;
-  (* A = N(D) \ D *)
   let a = Array.make nv false in
   for v = 0 to nv - 1 do
     if d.(v) then
       Graph.iter_neighbors g v (fun u -> if not d.(u) then a.(u) <- true)
   done;
-  a
+  (d, a)
+
+let tutte_berge_witness g matching =
+  snd (d_and_a ~fn:"Blossom.tutte_berge_witness" g matching)
 
 type gallai_edmonds = { d : bool array; a : bool array; c : bool array }
 
 let gallai_edmonds g matching =
-  let nv = Graph.n g in
-  if Matching.n matching <> nv then
-    invalid_arg "Blossom.gallai_edmonds: size mismatch";
-  let mates = Array.init nv (Matching.mate matching) in
-  let st = make_state g mates in
-  let d = Array.make nv false in
-  for root = 0 to nv - 1 do
-    if st.mates.(root) = -1 then begin
-      let endpoint = find_path st ~max_len:nv root in
-      if endpoint <> -1 then
-        invalid_arg "Blossom.gallai_edmonds: matching is not maximum";
-      for v = 0 to nv - 1 do
-        if st.used.(v) then d.(v) <- true
-      done
-    end
-  done;
-  let a = Array.make nv false in
-  for v = 0 to nv - 1 do
-    if d.(v) then
-      Graph.iter_neighbors g v (fun u -> if not d.(u) then a.(u) <- true)
-  done;
-  let c = Array.init nv (fun v -> (not d.(v)) && not a.(v)) in
+  let d, a = d_and_a ~fn:"Blossom.gallai_edmonds" g matching in
+  let c = Array.init (Graph.n g) (fun v -> (not d.(v)) && not a.(v)) in
   { d; a; c }
 
 let augment_once g matching =

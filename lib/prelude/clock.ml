@@ -1,4 +1,6 @@
-let now_ns () = Int64.of_float (Unix.gettimeofday () *. 1e9)
+(* CLOCK_MONOTONIC: a wall-clock step (NTP, an operator's date -s) must
+   neither fire timeouts early nor skew a measured duration. *)
+let now_ns () = Monotonic_clock.now ()
 
 let time_ns f =
   let t0 = now_ns () in

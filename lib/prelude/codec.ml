@@ -76,7 +76,9 @@ let read_byte r =
   c
 [@@hot]
 
-let read_uvarint r =
+(* the raw word, top (sign) bit included: the inverse of
+   [add_uvarint_word], which zigzag needs for all 63 bits *)
+let read_uvarint_word r =
   let rec go shift acc =
     if shift > Sys.int_size - 2 then raise Truncated;
     let b = read_byte r in
@@ -86,8 +88,17 @@ let read_uvarint r =
   go 0 0
 [@@hot]
 
+(* A 9-byte varint whose last byte sets bit 62 decodes to a negative
+   word, which no [add_uvarint] wrote; as a length it would pass every
+   [> limit] check, so it is refused like any other malformed input. *)
+let read_uvarint r =
+  let n = read_uvarint_word r in
+  if n < 0 then raise Truncated;
+  n
+[@@hot]
+
 let read_int r =
-  let z = read_uvarint r in
+  let z = read_uvarint_word r in
   (z lsr 1) lxor (-(z land 1))
 [@@hot]
 
@@ -219,7 +230,9 @@ module Frames = struct
 
   (* A frame length is a uvarint; 9 continuation bytes already overflow
      the 62-bit value range, so a length field that is still incomplete
-     after 9 bytes can never become valid. *)
+     after 9 bytes can never become valid.  A complete 9-byte length with
+     the top bit set is refused by [read_uvarint] after those 9 bytes
+     too, so it lands in the same verdict. *)
   let max_len_bytes = 9
 
   let read_crc_le r =

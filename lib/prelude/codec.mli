@@ -8,7 +8,8 @@
     corrupt-blob verdicts rather than crashes. *)
 
 exception Truncated
-(** Raised by every [read_*] function on exhausted input. *)
+(** Raised by every [read_*] function on exhausted input, and by
+    {!read_uvarint} on a length no writer here produces. *)
 
 (** {2 Writers (append to a [Buffer.t])} *)
 
@@ -45,7 +46,10 @@ val read_byte : reader -> int
 (** @raise Truncated on exhausted input (same for all [read_*] below). *)
 
 val read_uvarint : reader -> int
-(** @raise Truncated on exhausted or over-long input. *)
+(** Inverse of {!add_uvarint}.
+    @raise Truncated on exhausted or over-long input, or on a word with
+    the top bit set, which no {!add_uvarint} writes (it would decode as a
+    negative int). *)
 
 val read_int : reader -> int
 (** Inverse of {!add_int}. @raise Truncated on exhausted input. *)

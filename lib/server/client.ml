@@ -100,7 +100,10 @@ let rec recv ?(timeout = 5.0) t =
   | `Need_more -> (
       if timeout <= 0. then Error "recv: timeout"
       else
-        let t0 = Unix.gettimeofday () in
+        let t0 = Clock.now_ns () in
+        let left () =
+          timeout -. (Int64.to_float (Int64.sub (Clock.now_ns ()) t0) /. 1e9)
+        in
         match Unix.select [ t.fd ] [] [] timeout with
         | [], _, _ -> Error "recv: timeout"
         | _ :: _, _, _ -> (
@@ -108,13 +111,13 @@ let rec recv ?(timeout = 5.0) t =
             | 0 -> Error "recv: connection closed"
             | n ->
                 Codec.Frames.feed t.frames (Bytes.sub_string t.read_buf 0 n);
-                recv ~timeout:(timeout -. (Unix.gettimeofday () -. t0)) t
+                recv ~timeout:(left ()) t
             | exception Unix.Unix_error (Unix.EINTR, _, _) ->
-                recv ~timeout:(timeout -. (Unix.gettimeofday () -. t0)) t
+                recv ~timeout:(left ()) t
             | exception Unix.Unix_error (e, _, _) ->
                 Error ("recv: " ^ Unix.error_message e))
         | exception Unix.Unix_error (Unix.EINTR, _, _) ->
-            recv ~timeout:(timeout -. (Unix.gettimeofday () -. t0)) t)
+            recv ~timeout:(left ()) t)
 
 let request ?timeout t req =
   match send t req with Error _ as e -> e | Ok () -> recv ?timeout t

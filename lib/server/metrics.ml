@@ -8,9 +8,6 @@ open Mspar_lca
 type t = {
   mutable accepted : int;
   mutable active : int;
-  mutable dropped_protocol : int;
-  mutable dropped_idle : int;
-  mutable dropped_slowloris : int;
   mutable frames_in : int;
   mutable frames_out : int;
   mutable malformed : int;
@@ -19,24 +16,15 @@ type t = {
   mutable dedup_hits : int;
   mutable queries : int;
   mutable oracle : Oracle.t option;
-  mutable bytes_in : int;
-  mutable bytes_out : int;
   mutable repl_followers : int;
   mutable repl_lag : int;
   mutable repl_fenced : int;
-  mutable repl_frames_out : int;
-  mutable repl_acks : int;
-  mutable repl_frames_in : int;
-  mutable repl_applied : int;
 }
 
 let create () =
   {
     accepted = 0;
     active = 0;
-    dropped_protocol = 0;
-    dropped_idle = 0;
-    dropped_slowloris = 0;
     frames_in = 0;
     frames_out = 0;
     malformed = 0;
@@ -45,15 +33,9 @@ let create () =
     dedup_hits = 0;
     queries = 0;
     oracle = None;
-    bytes_in = 0;
-    bytes_out = 0;
     repl_followers = 0;
     repl_lag = 0;
     repl_fenced = 0;
-    repl_frames_out = 0;
-    repl_acks = 0;
-    repl_frames_in = 0;
-    repl_applied = 0;
   }
 
 (* cumulative (hits, misses) over the oracle's three memos *)

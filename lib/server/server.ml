@@ -121,16 +121,17 @@ type loop = {
   scratch : Buffer.t;
 }
 
-let now () = Unix.gettimeofday ()
+(* seconds on the monotonic clock: idle and slowloris reaps, the drain
+   deadline and replica reconnect backoff only ever compare two readings *)
+let now () = Int64.to_float (Clock.now_ns ()) /. 1e9
 
-let drop l conn ~count =
+let drop l conn =
   (* idempotent: a conn can fail twice in one round (read EOF, then a
      flush error on the already-closed fd) *)
   if List.exists (fun c -> c.Conn.id = conn.Conn.id) l.conns then begin
     Conn.close conn;
     l.conns <- List.filter (fun c -> c.Conn.id <> conn.Conn.id) l.conns;
-    l.metrics.Metrics.active <- l.metrics.Metrics.active - 1;
-    count ()
+    l.metrics.Metrics.active <- l.metrics.Metrics.active - 1
   end
 
 let accept_ready l =
@@ -223,8 +224,7 @@ let handle_repl l conn req =
   | Wire.Repl_ack { offset } -> (
       match conn.Conn.follower with
       | Some f ->
-          f.Conn.acked <- Int.max f.Conn.acked offset;
-          m.Metrics.repl_acks <- m.Metrics.repl_acks + 1
+          f.Conn.acked <- Int.max f.Conn.acked offset
       | None ->
           queue_response l conn (Wire.Error "Repl_ack without Repl_hello");
           conn.Conn.state <- Conn.Closing)
@@ -312,9 +312,7 @@ let ship_followers l =
                      start_offset = f.Conn.sent;
                      payload = String.sub slice 0 whole;
                    });
-              f.Conn.sent <- f.Conn.sent + whole;
-              l.metrics.Metrics.repl_frames_out <-
-                l.metrics.Metrics.repl_frames_out + 1
+              f.Conn.sent <- f.Conn.sent + whole
             end
           end;
           worst_lag := Int.max !worst_lag (d_off - f.Conn.acked))
@@ -334,8 +332,6 @@ let process_frames l conn =
     | `Need_more -> continue := false
     | `Corrupt msg ->
         l.metrics.Metrics.malformed <- l.metrics.Metrics.malformed + 1;
-        l.metrics.Metrics.dropped_protocol <-
-          l.metrics.Metrics.dropped_protocol + 1;
         Conn.queue conn l.scratch (Wire.Error ("corrupt frame: " ^ msg));
         conn.Conn.state <- Conn.Closing;
         continue := false
@@ -344,8 +340,6 @@ let process_frames l conn =
         match Wire.decode_request body with
         | Stdlib.Error msg ->
             l.metrics.Metrics.malformed <- l.metrics.Metrics.malformed + 1;
-            l.metrics.Metrics.dropped_protocol <-
-              l.metrics.Metrics.dropped_protocol + 1;
             Conn.queue conn l.scratch (Wire.Error msg);
             conn.Conn.state <- Conn.Closing;
             continue := false
@@ -378,19 +372,17 @@ let read_ready l conn =
   | `Eof ->
       (* mid-request disconnect: whatever was acked is durable, the rest
          was never acknowledged — just reap the connection *)
-      drop l conn ~count:(fun () -> ())
+      drop l conn
   | `Data n ->
-      l.metrics.Metrics.bytes_in <- l.metrics.Metrics.bytes_in + n;
       Conn.feed conn ~now:(now ()) (Bytes.sub_string l.read_buf 0 n) n;
       process_frames l conn
 
 let flush_conn l conn =
   match Conn.flush conn with
   | `Done ->
-      if Conn.(conn.state) = Conn.Closing then
-        drop l conn ~count:(fun () -> ())
-  | `Partial n -> l.metrics.Metrics.bytes_out <- l.metrics.Metrics.bytes_out + n
-  | `Error -> drop l conn ~count:(fun () -> ())
+      if Conn.(conn.state) = Conn.Closing then drop l conn
+  | `Partial _ -> ()
+  | `Error -> drop l conn
 
 let reap_timeouts l =
   let t = now () in
@@ -400,19 +392,14 @@ let reap_timeouts l =
         (match conn.Conn.partial_since with
         | Some since when t -. since > l.cfg.frame_timeout ->
             (* slowloris: a frame has been dribbling in for too long *)
-            drop l conn ~count:(fun () ->
-                l.metrics.Metrics.dropped_slowloris <-
-                  l.metrics.Metrics.dropped_slowloris + 1)
+            drop l conn
         | Some _ | None -> ());
         if
           Conn.(conn.state) = Conn.Open
           && Option.is_none conn.Conn.follower
           (* a caught-up follower is legitimately silent between ops *)
           && t -. conn.Conn.last_activity > l.cfg.idle_timeout
-        then
-          drop l conn ~count:(fun () ->
-              l.metrics.Metrics.dropped_idle <-
-                l.metrics.Metrics.dropped_idle + 1)
+        then drop l conn
       end)
     l.conns
 
@@ -452,7 +439,6 @@ let handle_upstream_resp l r resp ~applied =
   let m = l.metrics in
   match resp with
   | Wire.Repl_frames { epoch; start_offset; payload } ->
-      m.Metrics.repl_frames_in <- m.Metrics.repl_frames_in + 1;
       let cursor = Option.value (Durable.replica_cursor durable) ~default:(-1) in
       if epoch <> Durable.repl_epoch durable || start_offset <> cursor then begin
         (* wrong epoch or a gap: drop the link and re-handshake from our
@@ -467,7 +453,6 @@ let handle_upstream_resp l r resp ~applied =
                 Mspar_lca.Oracle.invalidate_edge (Dispatch.oracle l.dispatch) u v)
         with
         | Ok n ->
-            m.Metrics.repl_applied <- m.Metrics.repl_applied + n;
             m.Metrics.ops_applied <- m.Metrics.ops_applied + n;
             applied := true
         | Error msg ->

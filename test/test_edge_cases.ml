@@ -69,7 +69,7 @@ let test_sparsifiers_on_empty () =
   check "dist zero messages" 0 dst.Mspar_distsim.Sparsify_dist.messages;
   let s, _, _ = Mspar_stream.Stream_sparsifier.run rng ~n:4 ~delta:2 [||] in
   check "stream of empty" 0 (Graph.m s);
-  let par = Mspar_parallel.Par_gdelta.sparsify ~num_domains:3 ~seed:1 g ~delta:2 in
+  let par = Mspar_core.Par_gdelta.sparsify ~num_domains:3 ~seed:1 g ~delta:2 in
   check "parallel of empty" 0 (Graph.m par)
 
 let test_pipelines_on_tiny () =

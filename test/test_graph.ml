@@ -520,22 +520,64 @@ let messy_edges =
            (List.map (fun (u, v) -> Printf.sprintf "(%d,%d)" u v) edges)))
     messy_edges_gen
 
+(* The seed's list-based builder, the differential reference for the
+   packed pipeline: [List.sort_uniq compare] over the normalised edges,
+   then a heap CSR with a per-block [Array.sort compare], handed to the
+   library as raw lanes through [Graph.of_csr]. *)
+let seed_reference ~n edges =
+  let sorted =
+    List.sort_uniq compare
+      (List.filter_map
+         (fun (u, v) -> if u = v then None else Some (min u v, max u v))
+         edges)
+  in
+  let deg = Array.make n 0 in
+  List.iter
+    (fun (u, v) ->
+      deg.(u) <- deg.(u) + 1;
+      deg.(v) <- deg.(v) + 1)
+    sorted;
+  let offsets = Array.make (n + 1) 0 in
+  let maxdeg = ref 0 in
+  for v = 0 to n - 1 do
+    if deg.(v) > !maxdeg then maxdeg := deg.(v);
+    offsets.(v + 1) <- offsets.(v) + deg.(v)
+  done;
+  let adj = Array.make offsets.(n) 0 in
+  let cursor = Array.copy offsets in
+  List.iter
+    (fun (u, v) ->
+      adj.(cursor.(u)) <- v;
+      cursor.(u) <- cursor.(u) + 1;
+      adj.(cursor.(v)) <- u;
+      cursor.(v) <- cursor.(v) + 1)
+    sorted;
+  for v = 0 to n - 1 do
+    let lo = offsets.(v) and hi = offsets.(v + 1) in
+    let block = Array.sub adj lo (hi - lo) in
+    Array.sort compare block;
+    Array.blit block 0 adj lo (hi - lo)
+  done;
+  match
+    Graph.of_csr ~n ~offsets:(Bigvec.of_array offsets)
+      ~adj:(Bigvec.of_array adj) ~maxdeg:!maxdeg
+  with
+  | Ok g -> g
+  | Error e -> failwith ("seed reference builder: " ^ e)
+
 let qcheck_packed_equals_list =
   QCheck.Test.make
-    ~name:"of_packed / of_edges / of_edges_reference agree on messy inputs"
+    ~name:"packed builders agree with the seed reference builder on messy inputs"
     ~count:300 messy_edges
     (fun (n, edges) ->
       let via_list = Graph.of_edges ~n edges in
-      let via_reference = Graph.of_edges_reference ~n edges in
+      let via_reference = seed_reference ~n edges in
       let via_packed =
-        match Graph.pack_shift ~n with
-        | None -> QCheck.Test.fail_report "small n must be packable"
-        | Some shift ->
-            let codes =
-              Array.of_list
-                (List.map (fun (u, v) -> Graph.pack ~shift u v) edges)
-            in
-            Graph.of_packed ~n codes
+        let shift = Graph.pack_shift ~n in
+        let codes =
+          Array.of_list (List.map (fun (u, v) -> Graph.pack ~shift u v) edges)
+        in
+        Graph.of_packed ~n codes
       in
       let via_iter =
         Graph.of_edges_iter ~n (fun push ->
@@ -549,13 +591,11 @@ let qcheck_packed_pack_roundtrip =
   QCheck.Test.make ~name:"pack/unpack roundtrip" ~count:200
     QCheck.(pair (int_range 1 1_000_000) (int_range 0 10_000))
     (fun (n, seed) ->
-      match Graph.pack_shift ~n with
-      | None -> false
-      | Some shift ->
-          let rng = Rng.create seed in
-          let u = Rng.int rng n and v = Rng.int rng n in
-          let c = Graph.pack ~shift u v in
-          Graph.unpack_u ~shift c = u && Graph.unpack_v ~shift c = v)
+      let shift = Graph.pack_shift ~n in
+      let rng = Rng.create seed in
+      let u = Rng.int rng n and v = Rng.int rng n in
+      let c = Graph.pack ~shift u v in
+      Graph.unpack_u ~shift c = u && Graph.unpack_v ~shift c = v)
 
 let qcheck_max_degree_cached =
   QCheck.Test.make ~name:"cached max_degree equals the degree scan" ~count:100
@@ -585,21 +625,19 @@ let qcheck_packed_par_equals_seq =
     ~name:"of_packed_par agrees with of_packed for every pool size"
     ~count:150 messy_edges
     (fun (n, edges) ->
-      match Graph.pack_shift ~n with
-      | None -> QCheck.Test.fail_report "small n must be packable"
-      | Some shift ->
-          let codes =
-            Array.of_list (List.map (fun (u, v) -> Graph.pack ~shift u v) edges)
-          in
-          (* both builders mutate their prefix: give each its own copy *)
-          let seq = Graph.of_packed ~n (Array.copy codes) in
-          List.for_all
-            (fun pool ->
-              let par = Graph.of_packed_par ~pool ~n (Array.copy codes) in
-              Graph.equal seq par
-              && Graph.m seq = Graph.m par
-              && Graph.max_degree seq = Graph.max_degree par)
-            (Lazy.force test_pools))
+      let shift = Graph.pack_shift ~n in
+      let codes =
+        Array.of_list (List.map (fun (u, v) -> Graph.pack ~shift u v) edges)
+      in
+      (* both builders mutate their prefix: give each its own copy *)
+      let seq = Graph.of_packed ~n (Array.copy codes) in
+      List.for_all
+        (fun pool ->
+          let par = Graph.of_packed_par ~pool ~n (Array.copy codes) in
+          Graph.equal seq par
+          && Graph.m seq = Graph.m par
+          && Graph.max_degree seq = Graph.max_degree par)
+        (Lazy.force test_pools))
 
 let qcheck_edgebufs_par_equals_concat =
   QCheck.Test.make
@@ -607,23 +645,21 @@ let qcheck_edgebufs_par_equals_concat =
     ~count:100
     QCheck.(pair messy_edges (int_range 0 10_000))
     (fun ((n, edges), seed) ->
-      match Graph.pack_shift ~n with
-      | None -> QCheck.Test.fail_report "small n must be packable"
-      | Some shift ->
-          let codes =
-            Array.of_list (List.map (fun (u, v) -> Graph.pack ~shift u v) edges)
-          in
-          let seq = Graph.of_packed ~n (Array.copy codes) in
-          (* scatter the codes over an uneven buffer array (some empty) *)
-          let rng = Rng.create seed in
-          let nbufs = 1 + Rng.int rng 5 in
-          List.for_all
-            (fun pool ->
-              let bufs = Array.init nbufs (fun _ -> Edgebuf.create ()) in
-              let r = Rng.copy rng in
-              Array.iter (fun c -> Edgebuf.push bufs.(Rng.int r nbufs) c) codes;
-              Graph.equal seq (Graph.of_edgebufs_par ~pool ~n bufs))
-            (Lazy.force test_pools))
+      let shift = Graph.pack_shift ~n in
+      let codes =
+        Array.of_list (List.map (fun (u, v) -> Graph.pack ~shift u v) edges)
+      in
+      let seq = Graph.of_packed ~n (Array.copy codes) in
+      (* scatter the codes over an uneven buffer array (some empty) *)
+      let rng = Rng.create seed in
+      let nbufs = 1 + Rng.int rng 5 in
+      List.for_all
+        (fun pool ->
+          let bufs = Array.init nbufs (fun _ -> Edgebuf.create ()) in
+          let r = Rng.copy rng in
+          Array.iter (fun c -> Edgebuf.push bufs.(Rng.int r nbufs) c) codes;
+          Graph.equal seq (Graph.of_edgebufs_par ~pool ~n bufs))
+        (Lazy.force test_pools))
 
 let test_of_packed_par_rejects () =
   let pool = Pool.create ~num_domains:2 () in
@@ -637,16 +673,14 @@ let test_of_packed_par_rejects () =
         (Invalid_argument "Graph.of_packed_par: bad length") (fun () ->
           ignore (Graph.of_packed_par ~pool ~n:4 ~len:2 [| 0 |]));
       (* ?len builds only the prefix *)
-      match Graph.pack_shift ~n:4 with
-      | None -> Alcotest.fail "n=4 must be packable"
-      | Some shift ->
-          let codes =
-            [| Graph.pack ~shift 0 1; Graph.pack ~shift 1 2; Graph.pack ~shift 2 3 |]
-          in
-          let g = Graph.of_packed_par ~pool ~n:4 ~len:2 codes in
-          check "prefix only" 2 (Graph.m g);
-          check_bool "prefix content" true
-            (Graph.equal g (Graph.of_edges ~n:4 [ (0, 1); (1, 2) ])))
+      let shift = Graph.pack_shift ~n:4 in
+      let codes =
+        [| Graph.pack ~shift 0 1; Graph.pack ~shift 1 2; Graph.pack ~shift 2 3 |]
+      in
+      let g = Graph.of_packed_par ~pool ~n:4 ~len:2 codes in
+      check "prefix only" 2 (Graph.m g);
+      check_bool "prefix content" true
+        (Graph.equal g (Graph.of_edges ~n:4 [ (0, 1); (1, 2) ])))
 
 let test_of_packed_rejects () =
   Alcotest.check_raises "bad code"
@@ -656,24 +690,65 @@ let test_of_packed_rejects () =
     (Invalid_argument "Graph.of_packed: bad length") (fun () ->
       ignore (Graph.of_packed ~n:4 ~len:2 [| 0 |]));
   (* u beyond n decodes out of range *)
-  (match Graph.pack_shift ~n:4 with
-  | None -> Alcotest.fail "n=4 must be packable"
-  | Some shift ->
-      Alcotest.check_raises "endpoint beyond n"
-        (Invalid_argument "Graph.of_packed: code out of range") (fun () ->
-          ignore (Graph.of_packed ~n:4 [| Graph.pack ~shift 5 1 |])));
+  (let shift = Graph.pack_shift ~n:4 in
+   Alcotest.check_raises "endpoint beyond n"
+     (Invalid_argument "Graph.of_packed: code out of range") (fun () ->
+       ignore (Graph.of_packed ~n:4 [| Graph.pack ~shift 5 1 |])));
   (* of_edgebuf cleans loops/duplicates like of_edges *)
-  match Graph.pack_shift ~n:5 with
-  | None -> Alcotest.fail "n=5 must be packable"
-  | Some shift ->
-      let buf = Mspar_prelude.Edgebuf.create () in
-      List.iter
-        (fun (u, v) -> Mspar_prelude.Edgebuf.push buf (Graph.pack ~shift u v))
-        [ (0, 1); (1, 0); (2, 2); (3, 4); (0, 1) ];
-      let g = Graph.of_edgebuf ~n:5 buf in
-      check "edgebuf m" 2 (Graph.m g);
-      check_bool "edgebuf equal" true
-        (Graph.equal g (Graph.of_edges ~n:5 [ (0, 1); (3, 4) ]))
+  let shift = Graph.pack_shift ~n:5 in
+  let buf = Mspar_prelude.Edgebuf.create () in
+  List.iter
+    (fun (u, v) -> Mspar_prelude.Edgebuf.push buf (Graph.pack ~shift u v))
+    [ (0, 1); (1, 0); (2, 2); (3, 4); (0, 1) ];
+  let g = Graph.of_edgebuf ~n:5 buf in
+  check "edgebuf m" 2 (Graph.m g);
+  check_bool "edgebuf equal" true
+    (Graph.equal g (Graph.of_edges ~n:5 [ (0, 1); (3, 4) ]))
+
+(* The packable range is a precondition of [Graph.t]: one vertex past
+   2^30 is refused by [pack_shift] and by every builder before it
+   allocates anything (an n-word scratch array here would be 8 GiB), and
+   by [of_csr] as an [Error]. *)
+let test_packable_range () =
+  let too_big = (1 lsl 30) + 1 in
+  let names_range msg =
+    let key = "packable range" in
+    let k = String.length key in
+    let rec go i =
+      i + k <= String.length msg && (String.sub msg i k = key || go (i + 1))
+    in
+    go 0
+  in
+  let refused what f =
+    match f () with
+    | _ -> Alcotest.failf "%s accepted n = 2^30 + 1" what
+    | exception Invalid_argument msg ->
+        check_bool (what ^ " names the range") true (names_range msg)
+  in
+  check "shift at n = 2^30" 30 (Graph.pack_shift ~n:(1 lsl 30));
+  check "shift at n = 0" 1 (Graph.pack_shift ~n:0);
+  refused "pack_shift" (fun () -> ignore (Graph.pack_shift ~n:too_big));
+  refused "pack_shift on negative n" (fun () -> ignore (Graph.pack_shift ~n:(-1)));
+  refused "of_edges" (fun () -> ignore (Graph.of_edges ~n:too_big [ (0, 1) ]));
+  refused "of_edges_iter" (fun () ->
+      ignore
+        (Graph.of_edges_iter ~n:too_big (fun _ ->
+             Alcotest.fail "of_edges_iter ran its producer")));
+  refused "of_packed" (fun () -> ignore (Graph.of_packed ~n:too_big [| 1 |]));
+  let pool = Pool.create ~num_domains:1 () in
+  Fun.protect
+    ~finally:(fun () -> Pool.shutdown pool)
+    (fun () ->
+      refused "of_packed_par" (fun () ->
+          ignore (Graph.of_packed_par ~pool ~n:too_big [| 1 |]));
+      refused "of_edgebufs_par" (fun () ->
+          ignore (Graph.of_edgebufs_par ~pool ~n:too_big [||])));
+  match
+    Graph.of_csr ~n:too_big ~offsets:(Bigvec.of_array [| 0 |])
+      ~adj:(Bigvec.of_array [| 0 |]) ~maxdeg:0
+  with
+  | Ok _ -> Alcotest.fail "of_csr accepted n = 2^30 + 1"
+  | Error msg -> check_bool "of_csr error names the range" true (names_range msg)
 
 let qcheck_csr_roundtrip =
   QCheck.Test.make ~name:"edges roundtrip through of_edges" ~count:100
@@ -774,22 +849,18 @@ let qcheck_checksum_parity =
     ~name:"bigarray CSR checksum matches the heap reference builder"
     ~count:200 messy_edges
     (fun (n, edges) ->
-      let reference = Graph.of_edges_reference ~n edges in
-      let want = Graph.checksum reference in
-      match Graph.pack_shift ~n with
-      | None -> QCheck.Test.fail_report "small n must be packable"
-      | Some shift ->
-          let codes =
-            Array.of_list (List.map (fun (u, v) -> Graph.pack ~shift u v) edges)
-          in
-          Int64.equal want (Graph.checksum (Graph.of_packed ~n (Array.copy codes)))
-          && Int64.equal want (Graph.checksum (Graph.of_edges ~n edges))
-          && List.for_all
-               (fun pool ->
-                 Int64.equal want
-                   (Graph.checksum
-                      (Graph.of_packed_par ~pool ~n (Array.copy codes))))
-               (Lazy.force test_pools))
+      let want = Graph.checksum (seed_reference ~n edges) in
+      let shift = Graph.pack_shift ~n in
+      let codes =
+        Array.of_list (List.map (fun (u, v) -> Graph.pack ~shift u v) edges)
+      in
+      Int64.equal want (Graph.checksum (Graph.of_packed ~n (Array.copy codes)))
+      && Int64.equal want (Graph.checksum (Graph.of_edges ~n edges))
+      && List.for_all
+           (fun pool ->
+             Int64.equal want
+               (Graph.checksum (Graph.of_packed_par ~pool ~n (Array.copy codes))))
+           (Lazy.force test_pools))
 
 let qcheck_msgr_roundtrip =
   QCheck.Test.make ~name:".msgr save / load_mmap preserves checksum and audit"
@@ -911,6 +982,8 @@ let () =
             test_of_packed_rejects;
           Alcotest.test_case "of_packed_par validation" `Quick
             test_of_packed_par_rejects;
+          Alcotest.test_case "packable range precondition" `Quick
+            test_packable_range;
         ] );
       ( "generators",
         [

@@ -165,26 +165,16 @@ let qcheck_cache_model =
       true)
 
 (* ------------------------------------------------------------------ *)
-(* Replay discipline: Rng.derive is the shared split-seed stream      *)
+(* Replay discipline: the seeded builders build one graph            *)
 (* ------------------------------------------------------------------ *)
-
-let test_derive_agrees_with_par_gdelta () =
-  for seed = 0 to 4 do
-    for v = 0 to 50 do
-      let a = Rng.derive ~seed v in
-      let b = Mspar_parallel.Par_gdelta.vertex_rng ~seed v in
-      check_bool "same state" true (Rng.state a = Rng.state b);
-      check_bool "same draw" true (Int64.equal (Rng.bits64 a) (Rng.bits64 b))
-    done
-  done
 
 let test_seeded_builders_agree () =
   let rng = Rng.create 11 in
   for seed = 1 to 5 do
     let g = Gen.gnp rng ~n:60 ~p:0.25 in
     let s1, _ = Gdelta.sparsify_seeded ~seed g ~delta:3 in
-    let s2 = Mspar_parallel.Par_gdelta.sequential ~seed g ~delta:3 in
-    check_bool "sparsify_seeded = Par_gdelta.sequential" true
+    let s2 = Par_gdelta.sparsify ~num_domains:3 ~seed g ~delta:3 in
+    check_bool "sparsify_seeded = Par_gdelta.sparsify" true
       (Graph.equal s1 s2)
   done
 
@@ -517,8 +507,6 @@ let () =
         ] );
       ( "replay",
         [
-          Alcotest.test_case "Rng.derive = Par_gdelta.vertex_rng" `Quick
-            test_derive_agrees_with_par_gdelta;
           Alcotest.test_case "seeded builders agree" `Quick
             test_seeded_builders_agree;
         ] );

@@ -59,7 +59,7 @@ let test_msp002 () =
   check_fires "bare min" "MSP002" (lint ~file:"lib/prelude/foo.ml" "let f a b = min a b");
   check_fires "Stdlib.max" "MSP002" (lint ~file:"lib/core/foo.ml" "let f a b = Stdlib.max a b");
   check_fires "Hashtbl.hash" "MSP002"
-    (lint ~file:"lib/parallel/foo.ml" "let f x = Hashtbl.hash x");
+    (lint ~file:"lib/core/foo.ml" "let f x = Hashtbl.hash x");
   check_fires "tuple =" "MSP002" (lint ~file:"lib/graph/foo.ml" "let f a b c = (a, b) = c");
   check_silent "int = is monomorphic enough" "MSP002"
     (lint ~file:"lib/graph/foo.ml" "let f (a : int) b = a = b");
@@ -155,7 +155,7 @@ let test_msp007 () =
 
 let test_msp008 () =
   check_fires "raw spawn in library code" "MSP008"
-    (lint ~file:"lib/parallel/foo.ml"
+    (lint ~file:"lib/core/foo.ml"
        "let f () = Domain.join (Domain.spawn (fun () -> 1))");
   check_fires "qualified spawn" "MSP008"
     (lint ~file:"lib/core/foo.ml" "let f () = Stdlib.Domain.spawn (fun () -> ())");
@@ -164,7 +164,7 @@ let test_msp008 () =
   check_silent "pool.ml is the blessed home" "MSP008"
     (lint ~file:"lib/prelude/pool.ml" "let f () = Domain.spawn (fun () -> ())");
   check_silent "pool consumers are clean" "MSP008"
-    (lint ~file:"lib/parallel/foo.ml"
+    (lint ~file:"lib/core/foo.ml"
        "let f p ~n g = Pool.parallel_for_ranges p ~n g");
   check_silent "other Domain functions are fine" "MSP008"
     (lint ~file:"lib/prelude/foo.ml" "let f () = Domain.recommended_domain_count ()");

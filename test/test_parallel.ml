@@ -1,37 +1,51 @@
-(* Tests for mspar_parallel: the multicore G_delta construction must be a
-   pure function of (seed, graph, delta) — identical output for any domain
-   count, identical to the sequential reference. *)
+(* Tests for Par_gdelta: the multicore G_delta construction must be a
+   pure function of (seed, graph, delta, rule) — identical output for any
+   domain count, identical to the seeded sequential builder. *)
 
 open Mspar_prelude
 open Mspar_graph
-open Mspar_parallel
+open Mspar_core
 
 let check_bool = Alcotest.(check bool)
 
-let test_vertex_rng_independent () =
+(* the sequential reference: the split-seed build on the caller *)
+let seeded ?rule ~seed g ~delta = fst (Gdelta.sparsify_seeded ?rule ~seed g ~delta)
+
+let test_vertex_streams_independent () =
   (* different vertices get different streams; same vertex, same stream *)
-  let a = Par_gdelta.vertex_rng ~seed:1 0 in
-  let b = Par_gdelta.vertex_rng ~seed:1 0 in
+  let a = Rng.derive ~seed:1 0 in
+  let b = Rng.derive ~seed:1 0 in
   check_bool "same vertex same stream" true (Rng.bits64 a = Rng.bits64 b);
-  let c = Par_gdelta.vertex_rng ~seed:1 1 in
-  let d = Par_gdelta.vertex_rng ~seed:2 0 in
-  let a = Par_gdelta.vertex_rng ~seed:1 0 in
+  let c = Rng.derive ~seed:1 1 in
+  let d = Rng.derive ~seed:2 0 in
+  let a = Rng.derive ~seed:1 0 in
   check_bool "different vertex differs" false (Rng.bits64 a = Rng.bits64 c);
-  let a = Par_gdelta.vertex_rng ~seed:1 0 in
+  let a = Rng.derive ~seed:1 0 in
   check_bool "different seed differs" false (Rng.bits64 a = Rng.bits64 d)
 
 let test_parallel_equals_sequential () =
   let rng = Rng.create 5 in
   List.iter
     (fun (g, delta) ->
-      let reference = Par_gdelta.sequential ~seed:99 g ~delta in
+      let reference = seeded ~seed:99 g ~delta in
       List.iter
         (fun nd ->
           let s = Par_gdelta.sparsify ~num_domains:nd ~seed:99 g ~delta in
           check_bool
             (Printf.sprintf "domains=%d equals sequential" nd)
             true (Graph.equal s reference))
-        [ 1; 2; 3; 4; 7 ])
+        [ 1; 2; 3; 4; 7 ];
+      (* a chunk's marks are the whole pass's marks of its range, mark
+         for mark, so chunks concatenate to the sequential pass *)
+      let collect lo hi =
+        Edgebuf.to_array
+          (Gdelta.collect ~rule:Gdelta.Mark_all_at_most_two_delta
+             (Mark_kernel.Split { seed = 99 })
+             g ~delta lo hi)
+      in
+      let n = Graph.n g in
+      check_bool "chunked marks concatenate to the whole pass" true
+        (Array.append (collect 0 (n / 3)) (collect (n / 3) n) = collect 0 n))
     [
       (Gen.complete 60, 4);
       (Gen.gnp rng ~n:80 ~p:0.3, 3);
@@ -74,7 +88,7 @@ let test_parallel_probe_exactness () =
     expected := !expected + (if d <= 2 * delta then d else delta)
   done;
   Graph.reset_probes g;
-  ignore (Par_gdelta.sequential ~seed:5 g ~delta);
+  ignore (Gdelta.sparsify_seeded ~seed:5 g ~delta);
   check_int "sequential probes" !expected (Graph.probes g);
   List.iter
     (fun nd ->
@@ -87,7 +101,8 @@ let test_parallel_probe_exactness () =
 
 let test_explicit_pool_equals_sequential () =
   (* sparsify on a caller-supplied pool: the pool size sets the default
-     chunking, and the result must not depend on either *)
+     chunking, and the result must not depend on either, under either
+     marking rule *)
   let rng = Rng.create 21 in
   let zoo =
     [
@@ -105,20 +120,28 @@ let test_explicit_pool_equals_sequential () =
         ~finally:(fun () -> Pool.shutdown pool)
         (fun () ->
           List.iter
-            (fun (g, delta) ->
-              let reference = Par_gdelta.sequential ~seed:42 g ~delta in
-              let s = Par_gdelta.sparsify ~pool ~seed:42 g ~delta in
-              check_bool
-                (Printf.sprintf "pool=%d n=%d equals sequential" nd (Graph.n g))
-                true
-                (Graph.equal s reference);
-              (* more chunks than vertices: some ranges are empty *)
-              let s7 = Par_gdelta.sparsify ~pool ~num_domains:7 ~seed:42 g ~delta in
-              check_bool
-                (Printf.sprintf "pool=%d chunks=7 n=%d equals sequential" nd (Graph.n g))
-                true
-                (Graph.equal s7 reference))
-            zoo))
+            (fun rule ->
+              List.iter
+                (fun (g, delta) ->
+                  let reference = seeded ~rule ~seed:42 g ~delta in
+                  let s = Par_gdelta.sparsify ~pool ~rule ~seed:42 g ~delta in
+                  check_bool
+                    (Printf.sprintf "pool=%d n=%d equals sequential" nd
+                       (Graph.n g))
+                    true
+                    (Graph.equal s reference);
+                  (* more chunks than vertices: some ranges are empty *)
+                  let s7 =
+                    Par_gdelta.sparsify ~pool ~num_domains:7 ~rule ~seed:42 g
+                      ~delta
+                  in
+                  check_bool
+                    (Printf.sprintf "pool=%d chunks=7 n=%d equals sequential"
+                       nd (Graph.n g))
+                    true
+                    (Graph.equal s7 reference))
+                zoo)
+            [ Gdelta.Mark_all_at_most_two_delta; Gdelta.Mark_all_at_most_delta ]))
     [ 1; 2; 4 ]
 
 let test_pool_probe_exactness () =
@@ -148,25 +171,6 @@ let test_pool_probe_exactness () =
           done))
     [ 2; 4 ]
 
-let test_collect_range_list_order () =
-  (* regression: the boxed collector must emit marks in vertex-ascending,
-     adjacency order — it used to return them reversed.  On a graph whose
-     degrees are all <= 2Δ the marks are exactly the adjacency lists. *)
-  let g = Graph.of_edges ~n:5 [ (0, 1); (0, 3); (1, 2); (2, 4); (3, 4) ] in
-  let delta = 3 in
-  let expected = ref [] in
-  for v = Graph.n g - 1 downto 0 do
-    let row = Graph.fold_neighbors g v ~init:[] ~f:(fun acc u -> u :: acc) in
-    expected := List.map (fun u -> (v, u)) (List.rev row) @ !expected
-  done;
-  let got = Par_gdelta.collect_range_list g ~seed:0 ~delta 0 (Graph.n g) in
-  check_bool "emission order is vertex-ascending adjacency order" true
-    (got = !expected);
-  (* a sub-range emits exactly that range's marks, in place *)
-  let mid = Par_gdelta.collect_range_list g ~seed:0 ~delta 1 3 in
-  check_bool "sub-range order" true
-    (mid = List.filter (fun (v, _) -> v = 1 || v = 2) !expected)
-
 let test_pipeline_pool_path () =
   (* the core pipeline's ~pool fast path: same probe accounting contract as
      the sequential path, valid matching, deterministic in the rng state *)
@@ -194,13 +198,22 @@ let test_pipeline_pool_path () =
       done;
       Alcotest.(check int) "pooled probe accounting" !expected
         r1.Pipeline.probes_on_input;
-      (* an explicit non-default rule must fall back, not crash *)
+      (* an explicit default rule takes the same path *)
       let r3 =
-        Pipeline.run ~pool ~rule:Mspar_core.Gdelta.Mark_all_at_most_two_delta
+        Pipeline.run ~pool ~rule:Gdelta.Mark_all_at_most_two_delta
           (Rng.create 9) g ~beta:4 ~eps:0.5
       in
       check_bool "explicit default rule stays pooled" true
-        (r3.Pipeline.probes_on_input = r1.Pipeline.probes_on_input))
+        (r3.Pipeline.probes_on_input = r1.Pipeline.probes_on_input);
+      (* the §2 rule runs on the pool too: it builds the split-seed graph
+         keyed by the one draw the pooled path takes from the rng *)
+      let rule = Gdelta.Mark_all_at_most_delta in
+      let r4 = Pipeline.run ~pool ~rule (Rng.create 9) g ~beta:4 ~eps:0.5 in
+      let seed = Int64.to_int (Rng.bits64 (Rng.create 9)) in
+      Alcotest.(check int)
+        "pooled section-2 rule builds the seeded graph"
+        (Graph.m (seeded ~rule ~seed g ~delta))
+        r4.Pipeline.sparsifier_edges)
 
 let test_pool_survives_raising_job () =
   (* robustness regression: a job that raises must not poison the pool.
@@ -222,7 +235,7 @@ let test_pool_survives_raising_job () =
   attempt ();
   (* the pool still runs real work, on every worker, with full coverage *)
   let g = Gen.gnp (Rng.create 13) ~n:120 ~p:0.3 in
-  let reference = Par_gdelta.sequential ~seed:77 g ~delta:3 in
+  let reference = seeded ~seed:77 g ~delta:3 in
   let s = Par_gdelta.sparsify ~pool ~seed:77 g ~delta:3 in
   check_bool "default pool usable after raising job" true
     (Graph.equal s reference);
@@ -233,38 +246,6 @@ let test_pool_survives_raising_job () =
       done);
   check_bool "every index covered exactly once" true
     (Array.for_all (fun c -> c = 1) hits)
-
-let test_pipeline_fallback_counted () =
-  (* the ?pool fallback is not silent: the result says which path ran and
-     the process-wide meter ticks on every fallback *)
-  let module Pipeline = Mspar_core.Pipeline in
-  let g = Gen.gnp (Rng.create 41) ~n:80 ~p:0.3 in
-  let pool = Pool.create ~num_domains:2 () in
-  Fun.protect
-    ~finally:(fun () -> Pool.shutdown pool)
-    (fun () ->
-      let before = Pipeline.pool_fallbacks () in
-      let pooled = Pipeline.run ~pool (Rng.create 4) g ~beta:4 ~eps:0.5 in
-      check_bool "default rule stays pooled" true
-        (pooled.Pipeline.construction = Pipeline.Pooled);
-      Alcotest.(check int)
-        "no fallback counted" before
-        (Pipeline.pool_fallbacks ());
-      let fell =
-        Pipeline.run ~pool ~rule:Mspar_core.Gdelta.Mark_all_at_most_delta
-          (Rng.create 4) g ~beta:4 ~eps:0.5
-      in
-      check_bool "non-default rule falls back" true
-        (fell.Pipeline.construction = Pipeline.Sequential_fallback);
-      Alcotest.(check int)
-        "fallback counted" (before + 1)
-        (Pipeline.pool_fallbacks ());
-      let plain = Pipeline.run (Rng.create 4) g ~beta:4 ~eps:0.5 in
-      check_bool "no pool = plain sequential, not a fallback" true
-        (plain.Pipeline.construction = Pipeline.Sequential);
-      Alcotest.(check int)
-        "plain sequential not counted" (before + 1)
-        (Pipeline.pool_fallbacks ()))
 
 let test_time_comparison_runs () =
   let g = Gen.complete 120 in
@@ -281,15 +262,15 @@ let qcheck_parallel_pure =
     (fun (n, delta, seed, domains) ->
       let g = Gen.gnp (Rng.create seed) ~n ~p:0.35 in
       let a = Par_gdelta.sparsify ~num_domains:domains ~seed g ~delta in
-      let b = Par_gdelta.sequential ~seed g ~delta in
+      let b = seeded ~seed g ~delta in
       Graph.equal a b)
 
 let () =
-  Alcotest.run "mspar_parallel"
+  Alcotest.run "par_gdelta"
     [
       ( "par-gdelta",
         [
-          Alcotest.test_case "vertex rng" `Quick test_vertex_rng_independent;
+          Alcotest.test_case "vertex rng" `Quick test_vertex_streams_independent;
           Alcotest.test_case "parallel = sequential" `Quick
             test_parallel_equals_sequential;
           Alcotest.test_case "structure" `Quick test_parallel_structure;
@@ -300,14 +281,10 @@ let () =
             test_explicit_pool_equals_sequential;
           Alcotest.test_case "pool probe exactness" `Quick
             test_pool_probe_exactness;
-          Alcotest.test_case "collect_range_list order" `Quick
-            test_collect_range_list_order;
           Alcotest.test_case "pipeline pool path" `Quick
             test_pipeline_pool_path;
           Alcotest.test_case "pool survives raising job" `Quick
             test_pool_survives_raising_job;
-          Alcotest.test_case "pipeline fallback counted" `Quick
-            test_pipeline_fallback_counted;
           Alcotest.test_case "timing runs" `Quick test_time_comparison_runs;
         ] );
       ("properties", [ QCheck_alcotest.to_alcotest qcheck_parallel_pure ]);

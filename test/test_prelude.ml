@@ -767,6 +767,20 @@ let test_frames_hostile_lengths () =
   (match Codec.Frames.next t with
   | `Corrupt _ -> ()
   | `Frame _ | `Need_more -> Alcotest.fail "over-long varint must be corrupt");
+  (* a complete 9-byte length with bit 62 set decodes negative: it must
+     be refused, not passed to [String.sub] as a body length *)
+  let top_bit = String.make 8 '\x80' ^ "\x40" in
+  (match Codec.read_uvarint (Codec.reader top_bit) with
+  | n -> Alcotest.failf "top-bit word decoded as %d" n
+  | exception Codec.Truncated -> ());
+  let t = Codec.Frames.create () in
+  Codec.Frames.feed t (top_bit ^ "xxxx");
+  (match Codec.Frames.next t with
+  | `Corrupt _ -> ()
+  | `Frame _ | `Need_more -> Alcotest.fail "top-bit length must be corrupt");
+  (match Codec.Frames.decode_all (top_bit ^ "xxxx") with
+  | [], Codec.Frames.Bad _ -> ()
+  | _ -> Alcotest.fail "decode_all: top-bit length must be Bad");
   (* but 8 high-bit bytes are still a legal prefix: keep waiting *)
   let t = Codec.Frames.create () in
   Codec.Frames.feed t (String.make 8 '\xff');

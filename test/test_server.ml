@@ -144,7 +144,12 @@ let test_hostile_bodies () =
   expect_error "trailing junk on Ok"
     (Wire.decode_response (encode_resp Wire.Ok ^ "zz"));
   (* a bool byte that is neither 0 nor 1 *)
-  expect_error "bad bool" (Wire.decode_response "\x01\x07")
+  expect_error "bad bool" (Wire.decode_response "\x01\x07");
+  (* a string length whose 9-byte varint sets bit 62: negative unless
+     refused, and [String.sub] would raise instead of the decoder
+     answering Error *)
+  expect_error "top-bit string length"
+    (Wire.decode_response "\012\128\128\128\128\128\128\128\128a")
 
 (* totality under arbitrary bytes: decode never raises, whatever arrives *)
 let qcheck_decoders_total =

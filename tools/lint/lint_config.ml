@@ -28,7 +28,7 @@ type t = {
 
 let default =
   {
-    hot_dirs = [ "lib/prelude"; "lib/graph"; "lib/core"; "lib/parallel" ];
+    hot_dirs = [ "lib/prelude"; "lib/graph"; "lib/core" ];
     congest_dirs = [ "lib/distsim" ];
     congest_exempt = [ "lib/distsim/network.ml" ];
     congest_forbidden =
