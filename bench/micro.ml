@@ -159,13 +159,14 @@ let interleaved_medians ~rounds fa fb =
   (sa.(rounds / 2), sb.(rounds / 2))
 
 (* The pre-blocking mark collector, kept as the perf baseline for the
-   gdelta-mark rows: the same emulated-Fisher–Yates sampler, but with one
-   live [Rng.int] call per draw (no word prefetch), one checked push per
-   mark, one probe-counter update per vertex, and no CSR-block
-   working-set reuse.  Its RNG consumption is word-for-word the batched
-   collector's (every batched draw consumes at least one prefetched
-   word, rejections fall through to the live stream), so the emitted
-   codes are bit-for-bit identical — cross-checked below. *)
+   gdelta-mark rows: the same emulated-Fisher–Yates sampler on the same
+   per-vertex streams [Rng.derive ~seed v], but with one live [Rng.int]
+   call per draw (no word prefetch), one checked push per mark, one
+   probe-counter update per vertex, and no CSR-block working-set reuse.
+   Its RNG consumption is word-for-word the batched collector's (every
+   batched draw consumes at least one prefetched word, rejections fall
+   through to the live stream), so the emitted codes are bit-for-bit
+   identical — cross-checked below. *)
 (* The pre-PR [Sampling.sample_indices], reproduced exactly: one live
    [Rng.int] per draw and the marks emitted through the [f] closure.  The
    old production collector paid that per-draw closure call too, so the
@@ -185,7 +186,7 @@ let unbatched_sample_indices pos rng ~n ~k ~f =
     Sparse_array.set pos j (value_at last)
   done
 
-let pervertex_mark_codes rng g ~delta ~shift =
+let pervertex_mark_codes ~seed g ~delta ~shift =
   let n = Graph.n g in
   let pos = Sparse_array.create (Graph.max_degree g) ~default:(-1) in
   let buf = Edgebuf.create () in
@@ -197,7 +198,8 @@ let pervertex_mark_codes rng g ~delta ~shift =
       Graph.iter_neighbors g v (fun u -> Edgebuf.push buf (base lor u))
     else begin
       Graph.add_probes g delta;
-      unbatched_sample_indices pos rng ~n:d ~k:delta ~f:(fun i ->
+      unbatched_sample_indices pos (Rng.derive ~seed v) ~n:d ~k:delta
+        ~f:(fun i ->
           Edgebuf.push buf (base lor Graph.neighbor_uncounted g v i))
     end
   done;
@@ -233,18 +235,21 @@ let construction_rows ~full =
         (Graph.equal
            (Graph.of_packed ~n (Array.copy codes))
            (Graph.of_packed_par ~pool:pool4 ~n (Array.copy codes)));
+      let pooled pool = fst (Gdelta.sparsify_seeded ~pool ~seed:7 g ~delta) in
       let seq, _ = Gdelta.sparsify_seeded ~seed:7 g ~delta in
       require "4-domain pooled sparsifier mismatches sequential"
-        (Graph.equal seq (Par_gdelta.sparsify ~pool:pool4 ~seed:7 g ~delta));
-      ignore (Par_gdelta.sparsify ~pool:pool2 ~seed:7 g ~delta);
-      ignore (Par_gdelta.sparsify ~pool:pool8 ~seed:7 g ~delta);
+        (Graph.equal seq (pooled pool4));
+      ignore (pooled pool2);
+      ignore (pooled pool8);
+      (* [marked_codes] keys its build by one draw from the generator *)
+      let mark_seed = Mark_kernel.seed_of (Rng.create 7) in
       (let blocked, bshift = Gdelta.marked_codes (Rng.create 7) g ~delta in
        require "marked_codes shift mismatches pack_shift" (bshift = shift);
        require "per-vertex mark baseline mismatches the blocked collector"
          (Graph.equal
             (Graph.of_edgebuf ~n blocked)
             (Graph.of_edgebuf ~n
-               (pervertex_mark_codes (Rng.create 7) g ~delta ~shift))));
+               (pervertex_mark_codes ~seed:mark_seed g ~delta ~shift))));
       let tag name =
         Printf.sprintf "construction/%s/n%d-m%d-d%d" name n (Graph.m g) delta
       in
@@ -258,7 +263,7 @@ let construction_rows ~full =
           ~rounds:((2 * repeats) + 3)
           (fun () ->
             Sys.opaque_identity
-              (pervertex_mark_codes (Rng.create 7) g ~delta ~shift))
+              (pervertex_mark_codes ~seed:mark_seed g ~delta ~shift))
           (fun () ->
             Sys.opaque_identity (Gdelta.marked_codes (Rng.create 7) g ~delta))
       in
@@ -287,23 +292,19 @@ let construction_rows ~full =
         row ~cores:1 "par-gdelta-seq" (fun () ->
             Sys.opaque_identity (Gdelta.sparsify_seeded ~seed:7 g ~delta));
         row ~cores:1 "par-gdelta-pool-1dom" (fun () ->
-            Sys.opaque_identity
-              (Par_gdelta.sparsify ~pool:pool1 ~seed:7 g ~delta));
+            Sys.opaque_identity (pooled pool1));
         row ~cores:2
           ("par-gdelta-pool/" ^ pooled_label 2)
           (fun () ->
-            Sys.opaque_identity
-              (Par_gdelta.sparsify ~pool:pool2 ~seed:7 g ~delta));
+            Sys.opaque_identity (pooled pool2));
         row ~cores:4
           ("par-gdelta-pool/" ^ pooled_label 4)
           (fun () ->
-            Sys.opaque_identity
-              (Par_gdelta.sparsify ~pool:pool4 ~seed:7 g ~delta));
+            Sys.opaque_identity (pooled pool4));
         row ~cores:8
           ("par-gdelta-pool/" ^ pooled_label 8)
           (fun () ->
-            Sys.opaque_identity
-              (Par_gdelta.sparsify ~pool:pool8 ~seed:7 g ~delta));
+            Sys.opaque_identity (pooled pool8));
       ])
 
 (* Pooled speedup curve (fresh warmed pool per domain count); emitted as
@@ -326,9 +327,19 @@ let scaling_table () =
     let n, m, delta = (100_000, 5_000_000, 32) in
     let rng = Rng.create 20200715 in
     let g = Graph.of_edge_array ~n (random_edge_array rng ~n ~m) in
+    (* one fresh pool per domain count, warmed outside the timer so the
+       lazy Domain.spawn cost is paid as a long-running process would *)
     let times =
-      Par_gdelta.time_comparison ~seed:7 g ~delta
-        ~domains:[ 1; 2; 4; 8 ]
+      List.map
+        (fun d ->
+          let pool = Pool.create ~num_domains:d () in
+          Fun.protect
+            ~finally:(fun () -> Pool.shutdown pool)
+            (fun () ->
+              let build () = Gdelta.sparsify_seeded ~pool ~seed:7 g ~delta in
+              ignore (build ());
+              (d, Clock.ns_to_ms (snd (Clock.time_ns build)))))
+        [ 1; 2; 4; 8 ]
     in
     let base = match times with (_, ms) :: _ -> ms | [] -> 1.0 in
     let table =

@@ -18,10 +18,6 @@ open Mspar_prelude
 open Mspar_dynamic
 open Mspar_server
 
-let sock_path name =
-  Filename.concat (Filename.get_temp_dir_name ())
-    (Printf.sprintf "mspar-%s-%d.sock" name (Unix.getpid ()))
-
 (* ---------- raw socket access (bypasses Client's framing) ---------- *)
 
 let raw_connect path =
@@ -73,11 +69,13 @@ let healthy_ping addr what =
 
 (* ------------------------------ legs ------------------------------ *)
 
-type leg = { name : string; run : unit -> unit }
+type leg = { name : string; run : Serve_util.scratch -> unit }
 
-let protocol_legs () =
-  let dir = Serve_util.fresh_dir "serve-faults-proto" in
-  let path = sock_path "faults-proto" in
+(* The protocol legs share one server, whose dir and socket live in the
+   caller's scratch scope. *)
+let protocol_legs sc =
+  let dir = Serve_util.scratch_dir sc "serve-faults-proto" in
+  let path = Serve_util.scratch_sock sc "faults-proto" in
   let addr = Wire.Unix_path path in
   let cfg = Serve_util.config ~n:64 ~seed:3 in
   (* small limits so the hostile legs trip them quickly *)
@@ -96,7 +94,7 @@ let protocol_legs () =
       {
         name = "bad-crc";
         run =
-          (fun () ->
+          (fun _ ->
             let fd = raw_connect path in
             let f = Bytes.of_string (frame_of Wire.Ping) in
             let last = Bytes.length f - 1 in
@@ -109,7 +107,7 @@ let protocol_legs () =
       {
         name = "oversized-frame";
         run =
-          (fun () ->
+          (fun _ ->
             let fd = raw_connect path in
             let out = Buffer.create 1024 in
             (* body larger than the server's max_frame of 256 *)
@@ -122,7 +120,7 @@ let protocol_legs () =
       {
         name = "junk-bytes";
         run =
-          (fun () ->
+          (fun _ ->
             List.iter
               (fun junk ->
                 let fd = raw_connect path in
@@ -141,7 +139,7 @@ let protocol_legs () =
       {
         name = "truncated-frame-disconnect";
         run =
-          (fun () ->
+          (fun _ ->
             let fd = raw_connect path in
             let f = frame_of (Wire.Hello 9) in
             raw_send fd (String.sub f 0 (String.length f - 2));
@@ -153,7 +151,7 @@ let protocol_legs () =
       {
         name = "slowloris";
         run =
-          (fun () ->
+          (fun _ ->
             let fd = raw_connect path in
             let f = frame_of (Wire.Hello 9) in
             (* one byte, then stall past frame_timeout = 0.3 s *)
@@ -173,9 +171,9 @@ let busy_leg () =
   {
     name = "busy-backpressure";
     run =
-      (fun () ->
-        let dir = Serve_util.fresh_dir "serve-faults-busy" in
-        let path = sock_path "faults-busy" in
+      (fun sc ->
+        let dir = Serve_util.scratch_dir sc "serve-faults-busy" in
+        let path = Serve_util.scratch_sock sc "faults-busy" in
         let addr = Wire.Unix_path path in
         let cfg = Serve_util.config ~n:64 ~seed:5 in
         let tune c = { c with Server.max_pending = 1 } in
@@ -228,15 +226,19 @@ let crash_leg ~sync_every ~crash_after ~seed =
   {
     name = Printf.sprintf "crash-k%d-sync%d" crash_after sync_every;
     run =
-      (fun () ->
+      (fun sc ->
         let n = 64 and count = 600 and client = 7 in
         let cfg = Serve_util.config ~n ~seed in
         let rng = Rng.create (seed * 131) in
         let ops = Serve_util.make_ops rng ~n ~count in
         let dir =
-          Serve_util.fresh_dir (Printf.sprintf "serve-crash-%d" crash_after)
+          Serve_util.scratch_dir sc
+            (Printf.sprintf "serve-crash-%d" crash_after)
         in
-        let path = sock_path (Printf.sprintf "faults-crash-%d" crash_after) in
+        let path =
+          Serve_util.scratch_sock sc
+            (Printf.sprintf "faults-crash-%d" crash_after)
+        in
         let addr = Wire.Unix_path path in
         let pid =
           ref
@@ -281,7 +283,8 @@ let crash_leg ~sync_every ~crash_after ~seed =
         | Unix.WEXITED 0 -> ()
         | _ -> failwith "crash leg: recovered server did not drain cleanly");
         let ref_dir =
-          Serve_util.fresh_dir (Printf.sprintf "serve-crash-ref-%d" crash_after)
+          Serve_util.scratch_dir sc
+            (Printf.sprintf "serve-crash-ref-%d" crash_after)
         in
         let expect = Serve_util.reference_digest ~dir:ref_dir ~client cfg ops in
         if not (Serve_util.digest_eq got expect) then
@@ -298,13 +301,13 @@ let drain_leg () =
   {
     name = "sigterm-drain";
     run =
-      (fun () ->
+      (fun sc ->
         let n = 64 and count = 400 and client = 3 and seed = 11 in
         let cfg = Serve_util.config ~n ~seed in
         let rng = Rng.create (seed * 977) in
         let ops = Serve_util.make_ops rng ~n ~count in
-        let dir = Serve_util.fresh_dir "serve-drain" in
-        let path = sock_path "faults-drain" in
+        let dir = Serve_util.scratch_dir sc "serve-drain" in
+        let path = Serve_util.scratch_sock sc "faults-drain" in
         let addr = Wire.Unix_path path in
         let pid =
           Serve_util.fork_server ~sync_every:4 ~fresh:true ~dir ~addr cfg
@@ -355,7 +358,7 @@ let drain_leg () =
                reference after ops 1..k for exactly one k in
                [acked, sent] — acked updates can never be lost, and
                nothing past the in-flight suffix can appear *)
-            let ref_dir = Serve_util.fresh_dir "serve-drain-ref" in
+            let ref_dir = Serve_util.scratch_dir sc "serve-drain-ref" in
             let rd = Durable.create ~sync_every:1 ~dir:ref_dir cfg in
             let matched = ref None in
             Array.iteri
@@ -392,7 +395,7 @@ let run_legs legs =
   List.iter
     (fun leg ->
       Printf.printf "  serve-faults: %s...%!" leg.name;
-      leg.run ();
+      Serve_util.with_scratch leg.run;
       Printf.printf " ok\n%!";
       Table.add_row t [ leg.name; "ok" ])
     legs;
@@ -401,28 +404,31 @@ let run_legs legs =
 (* Full sweep: protocol legs + busy + three seeded crash legs + drain. *)
 let run () =
   Serve_util.ignore_sigpipe ();
-  let proto, stop_proto = protocol_legs () in
-  run_legs
-    (proto
-    @ [ busy_leg () ]
-    @ [
-        crash_leg ~sync_every:1 ~crash_after:50 ~seed:21;
-        crash_leg ~sync_every:64 ~crash_after:200 ~seed:22;
-        crash_leg ~sync_every:1 ~crash_after:450 ~seed:23;
-      ]
-    @ [ drain_leg () ]);
-  stop_proto ()
+  Serve_util.with_scratch (fun sc ->
+      let proto, stop_proto = protocol_legs sc in
+      run_legs
+        (proto
+        @ [ busy_leg () ]
+        @ [
+            crash_leg ~sync_every:1 ~crash_after:50 ~seed:21;
+            crash_leg ~sync_every:64 ~crash_after:200 ~seed:22;
+            crash_leg ~sync_every:1 ~crash_after:450 ~seed:23;
+          ]
+        @ [ drain_leg () ]);
+      stop_proto ())
 
 (* serve-faults-smoke: one of each family, fast enough for runtest. *)
 let smoke () =
   Serve_util.ignore_sigpipe ();
-  let proto, stop_proto = protocol_legs () in
-  let quick =
-    List.filter (fun l -> l.name = "bad-crc" || l.name = "junk-bytes") proto
-  in
-  run_legs
-    (quick @ [ busy_leg (); crash_leg ~sync_every:4 ~crash_after:60 ~seed:29 ]);
-  stop_proto ()
+  Serve_util.with_scratch (fun sc ->
+      let proto, stop_proto = protocol_legs sc in
+      let quick =
+        List.filter (fun l -> l.name = "bad-crc" || l.name = "junk-bytes") proto
+      in
+      run_legs
+        (quick
+        @ [ busy_leg (); crash_leg ~sync_every:4 ~crash_after:60 ~seed:29 ]);
+      stop_proto ())
 
 (* serve-smoke: just the SIGTERM drain contract. *)
 let drain_smoke () =

@@ -174,9 +174,9 @@ let run ?(smoke = false) ?query_frac () =
   in
   let seed = 42 in
   let n = nclients * span in
-  let dir = Serve_util.fresh_dir "serve-load" in
-  let addr = Wire.Unix_path (Filename.concat (Filename.get_temp_dir_name ())
-                               (Printf.sprintf "mspar-load-%d.sock" (Unix.getpid ()))) in
+  Serve_util.with_scratch @@ fun sc ->
+  let dir = Serve_util.scratch_dir sc "serve-load" in
+  let addr = Wire.Unix_path (Serve_util.scratch_sock sc "load") in
   let cfg = Serve_util.config ~n ~seed in
   let pid =
     Serve_util.fork_server ~sync_every:64 ~snapshot_every:50_000 ~fresh:true

@@ -31,10 +31,8 @@ let gate name ok detail =
   if not ok then
     failwith (Printf.sprintf "serve-replication gate failed: %s (%s)" name detail)
 
-let sock_addr tag =
-  Wire.Unix_path
-    (Filename.concat (Filename.get_temp_dir_name ())
-       (Printf.sprintf "mspar-repl-%s-%d.sock" tag (Unix.getpid ())))
+let sock_addr sc tag =
+  Wire.Unix_path (Serve_util.scratch_sock sc ("repl-" ^ tag))
 
 let role c =
   match Client.request c Wire.Role with
@@ -113,14 +111,16 @@ let leg_row ~leg ~ops ~acked ~replica_off ~primary_off ~fenced ~lag ~elapsed
 (* ---- leg 1: primary kill -9, promote, client failover ---- *)
 
 let failover_leg ~full =
+  Serve_util.with_scratch @@ fun sc ->
   let count = if full then 2_000 else 300 in
   let rng = Rng.create seed in
   let ops = Serve_util.make_ops rng ~n:span ~count in
   let cfg = Serve_util.config ~n:span ~seed in
-  let dir_p = Serve_util.fresh_dir "repl-failover-p" in
-  let dir_r = Serve_util.fresh_dir "repl-failover-r" in
-  let dir_ref = Serve_util.fresh_dir "repl-failover-ref" in
-  let addr_p = sock_addr "failover-p" and addr_r = sock_addr "failover-r" in
+  let dir_p = Serve_util.scratch_dir sc "repl-failover-p" in
+  let dir_r = Serve_util.scratch_dir sc "repl-failover-r" in
+  let dir_ref = Serve_util.scratch_dir sc "repl-failover-ref" in
+  let addr_p = sock_addr sc "failover-p"
+  and addr_r = sock_addr sc "failover-r" in
   let t0 = Unix.gettimeofday () in
   (* snapshot_every small enough that Epoch records cross the wire: the
      replica must write its own snapshot blobs from the shipped stream *)
@@ -213,13 +213,14 @@ let failover_leg ~full =
 (* ---- leg 2: replica kill -9 and catch-up over the surviving dir ---- *)
 
 let catchup_leg ~full =
+  Serve_util.with_scratch @@ fun sc ->
   let count = if full then 1_500 else 300 in
   let rng = Rng.create (seed + 1) in
   let ops = Serve_util.make_ops rng ~n:span ~count in
   let cfg = Serve_util.config ~n:span ~seed:(seed + 1) in
-  let dir_p = Serve_util.fresh_dir "repl-catchup-p" in
-  let dir_r = Serve_util.fresh_dir "repl-catchup-r" in
-  let addr_p = sock_addr "catchup-p" and addr_r = sock_addr "catchup-r" in
+  let dir_p = Serve_util.scratch_dir sc "repl-catchup-p" in
+  let dir_r = Serve_util.scratch_dir sc "repl-catchup-r" in
+  let addr_p = sock_addr sc "catchup-p" and addr_r = sock_addr sc "catchup-r" in
   let t0 = Unix.gettimeofday () in
   let ppid =
     Serve_util.fork_server ~sync_every:1 ~fresh:true ~dir:dir_p ~addr:addr_p cfg
@@ -271,12 +272,13 @@ let catchup_leg ~full =
 (* ---- leg 3: fencing probes against a lone primary ---- *)
 
 let fence_leg () =
+  Serve_util.with_scratch @@ fun sc ->
   let count = 100 in
   let rng = Rng.create (seed + 2) in
   let ops = Serve_util.make_ops rng ~n:span ~count in
   let cfg = Serve_util.config ~n:span ~seed:(seed + 2) in
-  let dir_p = Serve_util.fresh_dir "repl-fence-p" in
-  let addr_p = sock_addr "fence-p" in
+  let dir_p = Serve_util.scratch_dir sc "repl-fence-p" in
+  let addr_p = sock_addr sc "fence-p" in
   let t0 = Unix.gettimeofday () in
   let ppid =
     Serve_util.fork_server ~sync_every:1 ~fresh:true ~dir:dir_p ~addr:addr_p cfg
@@ -333,12 +335,13 @@ let fence_leg () =
 (* ---- leg 4: a never-reading follower accrues lag, primary unharmed ---- *)
 
 let lag_leg ~full =
+  Serve_util.with_scratch @@ fun sc ->
   let count = if full then 3_000 else 500 in
   let rng = Rng.create (seed + 3) in
   let ops = Serve_util.make_ops rng ~n:span ~count in
   let cfg = Serve_util.config ~n:span ~seed:(seed + 3) in
-  let dir_p = Serve_util.fresh_dir "repl-lag-p" in
-  let addr_p = sock_addr "lag-p" in
+  let dir_p = Serve_util.scratch_dir sc "repl-lag-p" in
+  let addr_p = sock_addr sc "lag-p" in
   let t0 = Unix.gettimeofday () in
   let ppid =
     Serve_util.fork_server ~sync_every:1 ~fresh:true ~dir:dir_p ~addr:addr_p cfg

@@ -24,20 +24,47 @@ let make_ops rng ~n ~count =
       let v = (u + 1 + Rng.int rng (n - 1)) mod n in
       if Rng.int rng 10 < 7 then Ins (u, v) else Del (u, v))
 
-let fresh_dir name =
-  let dir =
-    Filename.concat (Filename.get_temp_dir_name ())
-      (Printf.sprintf "mspar-%s-%d" name (Unix.getpid ()))
-  in
-  let rec rm p =
-    if Sys.is_directory p then begin
-      Array.iter (fun f -> rm (Filename.concat p f)) (Sys.readdir p);
-      Unix.rmdir p
-    end
-    else Sys.remove p
-  in
-  if Sys.file_exists dir then rm dir;
-  dir
+(* Scratch paths for one leg: journal dirs and Unix socket paths under
+   the temp dir, named after the harness pid.  [with_scratch] scopes
+   them: every path claimed inside is cleared of a stale predecessor
+   first; after a passing leg all of them are removed, and a failing leg
+   keeps them for inspection and re-raises a [Failure] naming them. *)
+type scratch = { mutable paths : string list }
+
+let rec rm_rf p =
+  if Sys.is_directory p then begin
+    Array.iter (fun f -> rm_rf (Filename.concat p f)) (Sys.readdir p);
+    Unix.rmdir p
+  end
+  else Sys.remove p
+
+let claim sc path =
+  if Sys.file_exists path then rm_rf path;
+  sc.paths <- path :: sc.paths;
+  path
+
+let scratch_path name =
+  Filename.concat (Filename.get_temp_dir_name ())
+    (Printf.sprintf "mspar-%s-%d" name (Unix.getpid ()))
+
+let scratch_dir sc name = claim sc (scratch_path name)
+let scratch_sock sc name = claim sc (scratch_path name ^ ".sock")
+
+let with_scratch f =
+  let sc = { paths = [] } in
+  match f sc with
+  | r ->
+      List.iter (fun p -> if Sys.file_exists p then rm_rf p) sc.paths;
+      r
+  | exception e -> (
+      let bt = Printexc.get_raw_backtrace () in
+      match List.filter Sys.file_exists (List.rev sc.paths) with
+      | [] -> Printexc.raise_with_backtrace e bt
+      | kept ->
+          let msg = match e with Failure m -> m | e -> Printexc.to_string e in
+          failwith
+            (Printf.sprintf "%s (kept for inspection: %s)" msg
+               (String.concat " " kept)))
 
 (* Fork a server child.  [fresh] creates the journal dir; otherwise the
    child recovers it (breaking the stale lock a kill -9'd predecessor

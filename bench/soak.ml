@@ -119,7 +119,13 @@ let () =
 
   stage "parallel construction equals sequential, K_1200" (fun () ->
       let g = Gen.complete 1200 in
-      let a = Mspar_core.Par_gdelta.sparsify ~num_domains:4 ~seed:12 g ~delta:6 in
+      let pool = Pool.create ~num_domains:4 () in
+      let a, _ =
+        Fun.protect
+          ~finally:(fun () -> Pool.shutdown pool)
+          (fun () ->
+            Mspar_core.Gdelta.sparsify_seeded ~pool ~seed:12 g ~delta:6)
+      in
       let b, _ = Mspar_core.Gdelta.sparsify_seeded ~seed:12 g ~delta:6 in
       Graph.equal a b);
 

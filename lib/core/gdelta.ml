@@ -38,12 +38,10 @@ let l2_block_words = 32768
    ([ensure_capacity] + [push_unchecked], no growth branch per mark) and
    the probe counter is charged once, so concurrent chunks keep probe
    totals exact with one atomic add per block.  The per-vertex decision
-   is [Mark_kernel]'s, and so is the generator a sampled vertex draws
-   from: with a [Stream] source the shared generator is consumed in
-   vertex order, with a [Split] source each vertex draws from its own
-   derived stream, the form the LCA oracle replays and the pooled
-   builder runs per chunk. *)
-let collect ~rule source g ~delta lo hi =
+   is [Mark_kernel]'s: a sampled vertex draws from its own stream
+   derived from [(seed, v)], the form the LCA oracle replays and pool
+   chunks run independently. *)
+let collect ~rule ~seed g ~delta lo hi =
   if delta < 1 then invalid_arg "Gdelta: delta must be >= 1";
   let shift = Graph.pack_shift ~n:(Graph.n g) in
   let sampler = Sampling.create ~capacity:(Graph.max_degree g) in
@@ -76,9 +74,8 @@ let collect ~rule source g ~delta lo hi =
         else begin
           (* d > keep >= delta, so exactly delta reads happen below *)
           probes := !probes + delta;
-          Mark_kernel.sampled_indices_into sampler
-            (Mark_kernel.rng_for source v)
-            ~delta ~degree:d ~out:idx;
+          Mark_kernel.sampled_indices_into sampler ~seed v ~delta ~degree:d
+            ~out:idx;
           for s = 0 to delta - 1 do
             Edgebuf.push_unchecked buf
               (base lor Graph.neighbor_uncounted g v (Array.unsafe_get idx s))
@@ -89,15 +86,12 @@ let collect ~rule source g ~delta lo hi =
   buf
 [@@hot]
 
-let marked_codes_of ~rule source g ~delta =
-  let nv = Graph.n g in
-  (collect ~rule source g ~delta 0 nv, Graph.pack_shift ~n:nv)
-
-let marked_codes ?(rule = Mark_all_at_most_two_delta) rng g ~delta =
-  marked_codes_of ~rule (Mark_kernel.Stream rng) g ~delta
-
 let marked_codes_seeded ?(rule = Mark_all_at_most_two_delta) ~seed g ~delta =
-  marked_codes_of ~rule (Mark_kernel.Split { seed }) g ~delta
+  let nv = Graph.n g in
+  (collect ~rule ~seed g ~delta 0 nv, Graph.pack_shift ~n:nv)
+
+let marked_codes ?rule rng g ~delta =
+  marked_codes_seeded ?rule ~seed:(Mark_kernel.seed_of rng) g ~delta
 
 let marked_pairs ?rule rng g ~delta =
   let buf, shift = marked_codes ?rule rng g ~delta in
@@ -106,13 +100,38 @@ let marked_pairs ?rule rng g ~delta =
        (fun acc c -> (Graph.unpack_u ~shift c, Graph.unpack_v ~shift c) :: acc)
        [] buf)
 
-let sparsify_of ~rule source g ~delta =
+(* G_Δ of the whole vertex range and its mark count.  On a pool of
+   several domains, one chunk per domain runs [collect] into its own
+   buffer, and the buffers feed the parallel CSR builder directly — no
+   concatenation copy, no sequential counting sort.  Marks depend only
+   on (seed, v) and both CSR builders are canonical, so the graph is the
+   caller-run one for every pool size. *)
+let build ~rule ?pool ~seed g ~delta =
+  let nv = Graph.n g in
+  match pool with
+  | Some pool when Pool.size pool > 1 ->
+      if delta < 1 then invalid_arg "Gdelta: delta must be >= 1";
+      let bufs =
+        Array.init (Pool.size pool) (fun _ ->
+            Edgebuf.create ~initial_capacity:1 ())
+      in
+      Pool.parallel_for_ranges pool ~n:nv (fun ~chunk ~lo ~hi ->
+          if lo < hi then bufs.(chunk) <- collect ~rule ~seed g ~delta lo hi);
+      let marks =
+        Array.fold_left (fun acc b -> acc + Edgebuf.length b) 0 bufs
+      in
+      (Graph.of_edgebufs_par ~pool ~n:nv bufs, marks)
+  | Some _ | None ->
+      let buf = collect ~rule ~seed g ~delta 0 nv in
+      (Graph.of_edgebuf ~n:nv buf, Edgebuf.length buf)
+[@@domain_safe
+  "each chunk writes only its own bufs.(chunk) slot; the collector reads \
+   shared CSR lanes and charges probes atomically"]
+
+let sparsify_seeded ?(rule = Mark_all_at_most_two_delta) ?pool ~seed g ~delta =
   Graph.reset_probes g;
   let t0 = Clock.now_ns () in
-  let nv = Graph.n g in
-  let buf = collect ~rule source g ~delta 0 nv in
-  let marks = Edgebuf.length buf in
-  let sparsifier = Graph.of_edgebuf ~n:nv buf in
+  let sparsifier, marks = build ~rule ?pool ~seed g ~delta in
   let probes = Graph.probes g in
   let t1 = Clock.now_ns () in
   ( sparsifier,
@@ -124,11 +143,8 @@ let sparsify_of ~rule source g ~delta =
       build_ns = Int64.sub t1 t0;
     } )
 
-let sparsify ?(rule = Mark_all_at_most_two_delta) rng g ~delta =
-  sparsify_of ~rule (Mark_kernel.Stream rng) g ~delta
-
-let sparsify_seeded ?(rule = Mark_all_at_most_two_delta) ~seed g ~delta =
-  sparsify_of ~rule (Mark_kernel.Split { seed }) g ~delta
+let sparsify ?rule rng g ~delta =
+  sparsify_seeded ?rule ~seed:(Mark_kernel.seed_of rng) g ~delta
 
 let deterministic_first_k g ~delta =
   if delta < 1 then invalid_arg "Gdelta.deterministic_first_k: delta >= 1";

@@ -3,8 +3,8 @@ open Mspar_prelude
 (* The per-vertex marking decision of §3.1, factored out of the batch
    builders so the LCA oracle replays bit-for-bit what they emit.  The
    kernel is pure in the replayable sense: which adjacency positions a
-   vertex marks depends only on (rule, delta, its degree, and the
-   generator it draws from), never on any other vertex. *)
+   vertex marks depends only on (rule, delta, its degree, seed, v),
+   never on any other vertex. *)
 
 type rule = Mark_all_at_most_delta | Mark_all_at_most_two_delta
 
@@ -16,18 +16,8 @@ let threshold rule delta =
 let mark_count rule ~delta ~degree =
   if degree <= threshold rule delta then degree else delta
 
-(* How the batch builders obtain a vertex's generator.  [Stream] is the
-   historical sequential discipline (one shared stream consumed in vertex
-   order — fast, but replayable only by re-running the whole prefix);
-   [Split] derives each vertex's stream from [(seed, v)] via
-   [Rng.derive], which is what makes point queries possible. *)
-type source = Stream of Rng.t | Split of { seed : int }
+let seed_of rng = Int64.to_int (Rng.bits64 rng)
 
-let rng_for source v =
-  match source with
-  | Stream rng -> rng
-  | Split { seed } -> Rng.derive ~seed v
-[@@hot]
-
-let sampled_indices_into sampler rng ~delta ~degree ~out =
-  Sampling.sample_indices_into sampler rng ~n:degree ~k:delta ~out
+let sampled_indices_into sampler ~seed v ~delta ~degree ~out =
+  Sampling.sample_indices_into sampler (Rng.derive ~seed v) ~n:degree ~k:delta
+    ~out

@@ -1,15 +1,15 @@
 (** The per-vertex marking decision of G_Δ (§3.1), as a pure replayable
     kernel.
 
-    Factored out of the batch marking loop ({!Gdelta.collect}) so that
-    a local-access oracle ([Mspar_lca.Oracle]) can recompute, for one
-    vertex in isolation, exactly the adjacency positions the batch pass
-    marked: the decision depends only on the rule, Δ, the vertex's
-    degree and the generator it draws from.  Under the {!Split} source
-    the generator itself is a pure function of [(seed, v)]
-    ({!Mspar_prelude.Rng.derive}), so replay needs no global state at
-    all — the QCheck suite pins oracle and builders together
-    bit-for-bit. *)
+    Every G_Δ in the library marks through it: the batch loop
+    ({!Gdelta.collect}), the pooled build, the one-round distributed
+    protocol ([Mspar_distsim.Sparsify_dist]), the dynamic matcher's
+    rebuild ([Mspar_dynamic.Dyn_matching]) and the local-access oracle
+    ([Mspar_lca.Oracle]).  Which adjacency positions vertex [v] marks
+    depends only on the rule, Δ, [v]'s degree and a build seed: [v]
+    draws from {!Mspar_prelude.Rng.derive}[ ~seed v], so one vertex's
+    marks can be replayed in isolation, in any order, on any domain —
+    the QCheck suite pins oracle and builders together bit-for-bit. *)
 
 open Mspar_prelude
 
@@ -25,25 +25,23 @@ val mark_count : rule -> delta:int -> degree:int -> int
     threshold, [delta] otherwise.  This is also its deterministic probe
     budget. *)
 
-type source = Stream of Rng.t | Split of { seed : int }
-(** Where a vertex's randomness comes from.  [Stream] is the historical
-    sequential discipline (one shared generator consumed in vertex
-    order); [Split] derives vertex [v]'s generator from [(seed, v)] —
-    locally replayable; the pooled builder ({!Par_gdelta}) uses it for
-    every chunk. *)
-
-val rng_for : source -> int -> Rng.t
-(** The generator vertex [v] draws from.  For [Stream] this is the
-    shared generator itself (call sites must visit vertices in
-    ascending order for reproducibility); for [Split] a fresh derived
-    generator. *)
+val seed_of : Rng.t -> int
+(** [seed_of rng] is the build seed a generator-taking caller keys
+    G_Δ by: exactly [Int64.to_int (Rng.bits64 rng)], one draw, so the
+    build is a pure function of the caller's generator state. *)
 
 val sampled_indices_into :
-  Sampling.t -> Rng.t -> delta:int -> degree:int -> out:int array -> unit
-(** The high-degree branch: the [delta] distinct adjacency positions
+  Sampling.t ->
+  seed:int ->
+  int ->
+  delta:int ->
+  degree:int ->
+  out:int array ->
+  unit
+(** [sampled_indices_into sampler ~seed v ~delta ~degree ~out], the
+    high-degree branch: the [delta] distinct adjacency positions
     (uniform, without replacement, in draw order) vertex [v] marks,
-    written into [out].  Thin wrapper over
-    {!Mspar_prelude.Sampling.sample_indices_into} so builders and oracle
-    share one call shape.
+    drawn from {!Mspar_prelude.Rng.derive}[ ~seed v] and written into
+    [out].
     @raise Invalid_argument if [degree] exceeds the sampler capacity or
     [out] is shorter than [min delta degree]. *)

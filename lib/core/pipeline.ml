@@ -14,35 +14,11 @@ type result = {
   match_ns : int64;
 }
 
-(* The pooled path: construct G_Δ with the multicore builder on a
-   persistent domain pool, under either marking rule.  One seed drawn
-   from [rng] keys the per-vertex counter RNGs, so the run is still a
-   pure function of the caller's generator state.  Under both rules every
-   adjacency probe emits exactly one mark (deg reads for kept
-   neighborhoods, Δ sampled reads otherwise), so [marks = probes]. *)
-let sparsify_pooled ?rule pool rng g ~delta =
-  Graph.reset_probes g;
-  let seed = Int64.to_int (Rng.bits64 rng) in
-  let sparsifier, build_ns =
-    Clock.time_ns (fun () -> Par_gdelta.sparsify ~pool ?rule ~seed g ~delta)
-  in
-  let probes = Graph.probes g in
-  ( sparsifier,
-    {
-      Gdelta.delta;
-      marks = probes;
-      edges = Graph.m sparsifier;
-      probes;
-      build_ns;
-    } )
-
 let run ?(multiplier = 2.0) ?(matcher = Approx_eps) ?rule ?pool rng g ~beta ~eps
     =
   let delta = Delta_param.scaled ~multiplier ~beta ~eps in
   let sparsifier, stats =
-    match pool with
-    | Some pool -> sparsify_pooled ?rule pool rng g ~delta
-    | None -> Gdelta.sparsify ?rule rng g ~delta
+    Gdelta.sparsify_seeded ?rule ?pool ~seed:(Mark_kernel.seed_of rng) g ~delta
   in
   let matching, match_ns =
     Clock.time_ns (fun () ->

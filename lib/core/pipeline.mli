@@ -37,13 +37,10 @@ val run :
 (** [(1+ε)-approximate] matching of a graph with neighborhood independence
     ≤ beta.  Default matcher {!Approx_eps}, default Δ-multiplier 2.0.
 
-    When [pool] is given, sparsification runs on the pool via
-    {!Par_gdelta.sparsify}, under [rule] like the sequential path
-    (per-vertex counter RNGs seeded from one draw of [rng], so the result
-    is still deterministic in the caller's generator state — though not
-    edge-for-edge identical to the sequential {!Gdelta} path, which
-    consumes [rng] differently).  Probe accounting stays exact either
-    way. *)
+    G_Δ is {!Gdelta.sparsify_seeded} keyed by one
+    {!Mark_kernel.seed_of} draw from the generator, under [rule], built
+    on [pool] when one is given; the matching, sparsifier size and probe
+    count are the same with or without a pool. *)
 
 val sublinearity_ratio : result -> float
 (** probes on input / 2m — below 1.0 means the pipeline read less than the

@@ -23,26 +23,34 @@ let stats_of net =
     faults = Network.fault_report net;
   }
 
-(* the per-vertex mark choices of G_Delta; consumes the local generators in
-   exactly the order the one-round protocol does, so the reliable variant
-   targets the same sparsifier as the fault-free run for a given seed *)
-let choose_marks net local_rng ~delta =
+(* The per-vertex mark choices of G_Delta.  Processor v marks through
+   [Mark_kernel] from [(seed, v)], its own randomness, so the fault-free
+   round builds [Gdelta.sparsify]'s graph for the same generator, and the
+   reliable variant targets that graph too.  The sampler is simulation
+   scratch shared across processors; no choice depends on another's. *)
+let choose_marks net ~seed ~delta =
+  let keep =
+    Mark_kernel.threshold Mark_kernel.Mark_all_at_most_two_delta delta
+  in
+  let sampler =
+    Sampling.create ~capacity:(Graph.max_degree (Network.graph net))
+  in
+  let idx = Array.make delta 0 in
   Array.init (Network.n net) (fun v ->
       let nbrs = Network.neighbors net v in
       let d = Array.length nbrs in
-      if d <= 2 * delta then Array.copy nbrs
-      else
-        Rng.sample_distinct local_rng.(v) ~k:delta ~n:d
-        |> Array.map (fun i -> nbrs.(i)))
+      if d <= keep then Array.copy nbrs
+      else begin
+        Mark_kernel.sampled_indices_into sampler ~seed v ~delta ~degree:d
+          ~out:idx;
+        Array.map (fun i -> nbrs.(i)) idx
+      end)
 
 let gdelta ?faults rng g ~delta =
   if delta < 1 then invalid_arg "Sparsify_dist.gdelta: delta >= 1";
   let net = Network.create ?faults g in
   let nv = Network.n net in
-  (* each processor has its own generator — marking choices are mutually
-     independent *)
-  let local_rng = Array.init nv (fun _ -> Rng.split rng) in
-  let marks = choose_marks net local_rng ~delta in
+  let marks = choose_marks net ~seed:(Mark_kernel.seed_of rng) ~delta in
   for v = 0 to nv - 1 do
     if not (Network.is_crashed net v) then
       Array.iter (fun u -> Network.send net ~src:v ~dst:u ()) marks.(v)
@@ -70,8 +78,7 @@ let gdelta_reliable ?faults rng g ~delta ~retries =
   if retries < 0 then invalid_arg "Sparsify_dist.gdelta_reliable: retries >= 0";
   let net : rmsg Network.t = Network.create ?faults g in
   let nv = Network.n net in
-  let local_rng = Array.init nv (fun _ -> Rng.split rng) in
-  let marks = choose_marks net local_rng ~delta in
+  let marks = choose_marks net ~seed:(Mark_kernel.seed_of rng) ~delta in
   let live v = not (Network.is_crashed net v) in
   (* per-vertex sender state: which of my marks were acknowledged *)
   let acked = Array.map (fun ms -> Array.make (Array.length ms) false) marks in

@@ -36,12 +36,14 @@ type reliable_stats = {
 }
 
 val gdelta : ?faults:Faults.t -> Rng.t -> Graph.t -> delta:int -> Graph.t * stats
-(** Distributed G_Δ over a fresh 1-bit network on [g].  Every vertex's
-    randomness comes from an {!Rng.split} of the supplied generator, so the
-    processors are genuinely independent (the independence that the proof of
-    Theorem 2.1 relies on) while the whole execution stays reproducible.
-    Under a fault plan, crashed processors contribute no marks and lost
-    marks simply drop the corresponding edges.
+(** Distributed G_Δ over a fresh 1-bit network on [g].  Processor [v]
+    marks through [Mspar_core.Mark_kernel] from [(seed, v)], with [seed]
+    one {!Mspar_core.Mark_kernel.seed_of} draw from the supplied
+    generator, so the processors are genuinely independent (the
+    independence that the proof of Theorem 2.1 relies on) and the
+    fault-free sparsifier is {!Mspar_core.Gdelta.sparsify}'s for the same
+    generator state.  Under a fault plan, crashed processors contribute no
+    marks and lost marks simply drop the corresponding edges.
     @raise Invalid_argument if [delta < 1]. *)
 
 val gdelta_reliable :
@@ -54,9 +56,9 @@ val gdelta_reliable :
 (** Self-healing G_Δ: each attempt is a mark round followed by an ack round
     (the synchronous round boundary is the timeout); unacknowledged marks
     are re-sent on the next attempt, up to [retries] extra attempts.  With
-    the same generator and no faults, the result equals {!gdelta}'s in two
-    rounds.  Marks are idempotent, so duplicated or re-sent marks are
-    harmless.
+    the same generator and no faults, the result equals {!gdelta}'s, and
+    so {!Mspar_core.Gdelta.sparsify}'s, in two rounds.  Marks are
+    idempotent, so duplicated or re-sent marks are harmless.
     @raise Invalid_argument if [delta < 1] or [retries < 0]. *)
 
 val solomon : ?faults:Faults.t -> Graph.t -> delta_alpha:int -> Graph.t * stats

@@ -153,10 +153,10 @@ let marker_of_meta s =
       | exception _ -> None)
 
 let fresh_matching config =
-  (* The matcher draws from the second split of the base seed.  Layout 1
-     snapshots (below) also kept a sequential-stream sparsifier on the
-     first split; leaving the matcher's stream where it was lets a
-     journal written then replay to the same matching. *)
+  (* The matcher draws from the second split of the base seed.  The
+     first fed the sparsifier that layout-1 snapshots (below) kept; it
+     stays skipped so a config's seed keeps naming the same matcher
+     stream. *)
   let base = Rng.create config.seed in
   ignore (Rng.split base);
   Dyn_matching.create ~multiplier:config.multiplier (Rng.split base)
@@ -213,15 +213,18 @@ let decode_dedup r =
 
 (* Snapshot payloads open with a layout tag, checked before any field is
    decoded.  Layout 1 had no tag and held a sparsifier section (graph,
-   RNG, marks) ahead of the matcher; layout 2 holds the op count, the
-   matcher and the dedup table. *)
-let snapshot_layout = "mspar-snap/2"
+   RNG, marks) ahead of the matcher; layouts 2 and 3 hold the op count,
+   the matcher and the dedup table.  Layout 3's matcher rebuilds from a
+   per-window seed, layout 2's from one shared stream, so a layout-2
+   matcher would replay under a different rebuild. *)
+let snapshot_layout = "mspar-snap/3"
 
 let layout_mismatch =
   Printf.sprintf
-    "snapshot layout mismatch: this build reads layout 2 (tag %S: op count, \
-     matcher, dedup), the payload lacks that tag (layout 1 blobs are \
-     untagged and also carry the sparsifier)"
+    "snapshot layout mismatch: this build reads layout 3 (tag %S: op count, \
+     window-seeded matcher, dedup), the payload lacks that tag (layout 2 \
+     blobs hold a stream-seeded matcher, layout 1 blobs are untagged and \
+     also carry the sparsifier)"
     snapshot_layout
 
 let encode_state t =

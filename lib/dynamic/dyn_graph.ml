@@ -100,9 +100,6 @@ let reset_probes t = t.probe_count <- 0
 let non_isolated_count t = Hashtbl.length t.active
 let iter_non_isolated t f = Hashtbl.iter (fun v () -> f v) t.active
 
-let non_isolated_sorted t =
-  List.sort Int.compare (Hashtbl.fold (fun v () acc -> v :: acc) t.active [])
-
 let edges t =
   let acc = ref [] in
   for v = 0 to t.nv - 1 do

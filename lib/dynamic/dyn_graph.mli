@@ -53,14 +53,9 @@ val iter_non_isolated : t -> (int -> unit) -> unit
 (** Iterate the vertices of positive degree in O(#non-isolated) — this is
     what lets a rebuild cost O(|MCM|·β·Δ) instead of O(n·Δ)
     (Lemma 2.2 + Obs 2.10).  Order is the hashtable's, i.e. unspecified
-    and {e not} reproducible across restores; randomised consumers that
-    must replay deterministically use {!non_isolated_sorted}. *)
-
-val non_isolated_sorted : t -> int list
-(** The vertices of positive degree in ascending order —
-    O(#non-isolated · log) but with a canonical order, so code that draws
-    randomness per vertex (the matching rebuild) consumes the RNG stream
-    identically before and after a snapshot/restore. *)
+    and {e not} reproducible across restores, so consumers must not
+    depend on it; the matching rebuild draws each vertex's marks from
+    its own seeded stream. *)
 
 val snapshot : t -> Mspar_graph.Graph.t
 (** Immutable copy as a static graph; costs O(n + m) through the packed
@@ -78,8 +73,8 @@ val invariant_failures : t -> string list
 
 val encode : t -> Buffer.t -> unit
 (** Serialise for a snapshot blob.  The {e exact} adjacency order is
-    preserved (sampling reads positions), so a decoded copy replays the
-    RNG stream bit-for-bit like the original. *)
+    preserved (sampling reads positions), so a decoded copy marks and
+    samples exactly the positions the original would. *)
 
 val decode : Codec.reader -> t
 (** Inverse of {!encode}, with structural validation (range, symmetry,

@@ -14,6 +14,7 @@ type stats = {
 type t = {
   dg : Dyn_graph.t;
   rng : Rng.t;
+  sampler : Sampling.t; (* rebuild marking scratch, capacity n *)
   beta : int;
   eps : float;
   multiplier : float;
@@ -32,6 +33,7 @@ let create ?(multiplier = 2.0) rng ~n ~beta ~eps =
   {
     dg = Dyn_graph.create n;
     rng;
+    sampler = Sampling.create ~capacity:n;
     beta;
     eps;
     multiplier;
@@ -63,8 +65,8 @@ let stats t =
   }
 
 (* Static (1+eps/2)-approximate recomputation over the dynamic adjacency
-   structure: sample-based sparsification touching only non-isolated
-   vertices, then the depth-limited matcher on the sparsifier. *)
+   structure: G_Delta marked through [Mark_kernel] at the non-isolated
+   vertices only, then the depth-limited matcher on the sparsifier. *)
 let rebuild t =
   (* Budget split: the sparsifier and the matcher each take eps/2, composing
      to (1+eps/2)^2 <= 1+2eps... the window of eps/4*|M| updates adds the
@@ -77,21 +79,34 @@ let rebuild t =
   in
   Dyn_graph.reset_probes t.dg;
   let t0 = Clock.now_ns () in
-  let pairs = ref [] in
-  (* Sorted (not hashtable-order) iteration: each sampled vertex draws
-     from the RNG, so the visit order must be canonical for a restored
-     snapshot to consume the stream exactly like the original run. *)
-  List.iter
-    (fun v ->
+  (* One fresh window seed per rebuild from the private stream: the
+     adversary has not seen it when it commits to this window's updates
+     (Thm 3.5).  A vertex's marks depend only on (seed, v) and its
+     adjacency order, so the visit order is free. *)
+  let seed = Mark_kernel.seed_of t.rng in
+  let n = Dyn_graph.n t.dg in
+  let shift = Graph.pack_shift ~n in
+  let keep =
+    Mark_kernel.threshold Mark_kernel.Mark_all_at_most_two_delta delta
+  in
+  let idx = Array.make delta 0 in
+  let bound =
+    Int.min (2 * Dyn_graph.m t.dg) (keep * Dyn_graph.non_isolated_count t.dg)
+  in
+  let buf = Edgebuf.create ~initial_capacity:(Int.max 16 bound) () in
+  Dyn_graph.iter_non_isolated t.dg (fun v ->
       let d = Dyn_graph.degree t.dg v in
-      if d <= 2 * delta then
-        Dyn_graph.iter_neighbors t.dg v (fun u -> pairs := (v, u) :: !pairs)
-      else
-        List.iter
-          (fun u -> pairs := (v, u) :: !pairs)
-          (Dyn_graph.sample_neighbors t.dg t.rng v ~k:delta))
-    (Dyn_graph.non_isolated_sorted t.dg);
-  let sparsifier = Graph.of_edges ~n:(Dyn_graph.n t.dg) !pairs in
+      let base = v lsl shift in
+      if d <= keep then
+        Dyn_graph.iter_neighbors t.dg v (fun u -> Edgebuf.push buf (base lor u))
+      else begin
+        Mark_kernel.sampled_indices_into t.sampler ~seed v ~delta ~degree:d
+          ~out:idx;
+        Array.iter
+          (fun i -> Edgebuf.push buf (base lor Dyn_graph.neighbor t.dg v i))
+          idx
+      end);
+  let sparsifier = Graph.of_edgebuf ~n buf in
   let matching = Approx.solve_general ~eps:eps_stage sparsifier in
   let t1 = Clock.now_ns () in
   (* install *)
@@ -219,6 +234,7 @@ let decode r =
     {
       dg;
       rng;
+      sampler = Sampling.create ~capacity:n;
       beta;
       eps;
       multiplier;

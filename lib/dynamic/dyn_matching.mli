@@ -11,7 +11,10 @@
     The scheme is safe against an {e adaptive} adversary: the matching the
     adversary observes during a window was fixed at the window start, and
     each rebuild uses fresh randomness that the adversary has not yet seen
-    when it commits to the updates inside the window.
+    when it commits to the updates inside the window: one window seed
+    drawn from the matcher's private generator, from which every
+    non-isolated vertex marks through [Mspar_core.Mark_kernel] exactly as
+    the static G_Δ builders do.
 
     The implementation performs each rebuild at the window boundary and
     reports the per-update cost both ways: [amortized] (total work /
@@ -71,9 +74,9 @@ val inject_corruption : t -> unit
 val encode : t -> Buffer.t -> unit
 (** Serialise the full state — dynamic graph (exact adjacency order), RNG
     position, parameters, mate array, stability window, work counters —
-    for a snapshot blob.  A decoded copy replays bit-for-bit: the rebuild
-    visits vertices in sorted order precisely so that its RNG consumption
-    is reproducible. *)
+    for a snapshot blob.  A decoded copy replays bit-for-bit: a rebuild is
+    a pure function of the graph and the window seed it draws from the
+    RNG. *)
 
 val decode : Mspar_prelude.Codec.reader -> t
 (** Inverse of {!encode}; validates with {!invariant_failures} before

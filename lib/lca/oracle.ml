@@ -7,7 +7,7 @@ open Mspar_core
 
    The whole construction rests on one discipline: the batch builder's
    per-vertex coin flips are a pure function of [(seed, v)]
-   ([Rng.derive], shared through [Mark_kernel.Split]), so any single
+   ([Rng.derive], shared through [Mark_kernel]), so any single
    vertex's marks can be replayed on demand against probe-metered
    adjacency access ([Adj]) without touching the rest of the graph.  A
    cold [out_marks] costs at most [keep <= 2*delta] probes (low degree:
@@ -55,7 +55,6 @@ type t = {
   rule : Mark_kernel.rule;
   keep : int; (* Mark_kernel.threshold rule delta *)
   shift : int; (* packing shift for edge-memo codes *)
-  source : Mark_kernel.source; (* always Split; replay discipline *)
   sampler : Sampling.t;
   idx : int array; (* delta-sized landing zone for sampled positions *)
   marks : Cache.t; (* v -> slot of its sorted out-marks in [mark_sets] *)
@@ -90,7 +89,6 @@ let create ?(rule = Mark_kernel.Mark_all_at_most_two_delta)
     rule;
     keep = Mark_kernel.threshold rule delta;
     shift;
-    source = Mark_kernel.Split { seed };
     sampler = Sampling.create ~capacity:(Int.max 1 (Adj.max_sample_degree adj));
     idx = Array.make delta 0;
     marks;
@@ -146,8 +144,7 @@ let out_marks t v =
         if d' = 0 then [||] else out
       end
       else begin
-        Mark_kernel.sampled_indices_into t.sampler
-          (Mark_kernel.rng_for t.source v)
+        Mark_kernel.sampled_indices_into t.sampler ~seed:t.seed v
           ~delta:t.delta ~degree:d ~out:t.idx;
         let out = Array.make t.delta 0 in
         Adj.read_positions t.adj v ~idx:t.idx ~k:t.delta ~out;

@@ -4,7 +4,7 @@
 
     The batch builder's per-vertex coin flips are a pure function of
     [(seed, v)] ({!Mspar_prelude.Rng.derive} via
-    {!Mspar_core.Mark_kernel.Split}), so one vertex's marks can be
+    {!Mspar_core.Mark_kernel}), so one vertex's marks can be
     replayed on demand against probe-metered adjacency access
     ({!Adj}).  Answers are bit-for-bit those of the materialized
     [Gdelta.marked_codes_seeded] / greedy matching on the same

@@ -35,31 +35,10 @@ type t = {
    beyond that during validation rather than failing inside Domain.spawn. *)
 let max_domains = 128
 
-let default_size () =
-  let recommended () = Int.max 1 (Domain.recommended_domain_count ()) in
-  match Sys.getenv_opt "MSPAR_DOMAINS" with
-  | None -> recommended ()
-  | Some s -> (
-      match int_of_string_opt (String.trim s) with
-      | Some d when d >= 1 && d <= max_domains -> d
-      | Some _ | None ->
-          Printf.eprintf
-            "mspar: ignoring invalid MSPAR_DOMAINS=%S (want an integer in \
-             [1, %d]); using %d\n\
-             %!"
-            s max_domains (recommended ());
-          recommended ())
-
-let create ?num_domains () =
-  let nd =
-    match num_domains with
-    | None -> default_size ()
-    | Some d ->
-        if d < 1 || d > max_domains then
-          invalid_arg "Pool.create: num_domains must be in [1, 128]";
-        d
-  in
-  { size = nd; pool_lock = Mutex.create (); workers = [||] }
+let create ~num_domains () =
+  if num_domains < 1 || num_domains > max_domains then
+    invalid_arg "Pool.create: num_domains must be in [1, 128]";
+  { size = num_domains; pool_lock = Mutex.create (); workers = [||] }
 
 let size t = t.size
 
@@ -204,25 +183,3 @@ let parallel_for_ranges t ?chunks ~n f =
       match !first with Some e -> raise e | None -> ()
     end
   end
-
-(* ------------------------------------------------------------------ *)
-(* the process-wide shared pool                                       *)
-(* ------------------------------------------------------------------ *)
-
-let default_pool : t option ref = ref None
-let default_pool_lock = Mutex.create ()
-
-let get_default () =
-  Mutex.lock default_pool_lock;
-  let p =
-    match !default_pool with
-    | Some p -> p
-    | None ->
-        let p = create () in
-        default_pool := Some p;
-        (* park-and-join at exit so worker domains never outlive main *)
-        at_exit (fun () -> shutdown p);
-        p
-  in
-  Mutex.unlock default_pool_lock;
-  p

@@ -20,25 +20,14 @@
 
 type t
 
-val create : ?num_domains:int -> unit -> t
-(** [create ()] makes a pool of {!default_size} workers (including the
-    caller); [~num_domains] overrides the size.  No domain is spawned
-    until the first parallel call.
+val create : num_domains:int -> unit -> t
+(** [create ~num_domains ()] makes a pool of [num_domains] workers
+    (including the caller).  No domain is spawned until the first
+    parallel call.
     @raise Invalid_argument if [num_domains] is outside [\[1, 128\]]. *)
 
 val size : t -> int
 (** Total worker count including the caller; fixed at creation. *)
-
-val default_size : unit -> int
-(** The [MSPAR_DOMAINS] environment override when set to an integer in
-    [\[1, 128\]], otherwise [Domain.recommended_domain_count ()].  An
-    invalid value is ignored with a warning on stderr. *)
-
-val get_default : unit -> t
-(** The process-wide shared pool (created on first use, size
-    {!default_size}); its workers are joined automatically at exit.
-    {!Mspar_graph}-level builders and the core pipeline reuse this pool so
-    one process pays one spawn cost total. *)
 
 val parallel_for_ranges :
   t -> ?chunks:int -> n:int -> (chunk:int -> lo:int -> hi:int -> unit) -> unit

@@ -20,8 +20,8 @@ val derive : seed:int -> int -> t
     [(seed, i)] — deriving entity [i]'s stream never consumes anyone
     else's randomness — so a local-access oracle can replay exactly the
     stream a batch pass consumed for entity [i], in any order, at any
-    time.  The seeded G_Δ builders and the replay oracle share this
-    derivation through [Mark_kernel.rng_for] (bit-for-bit). *)
+    time.  Every G_Δ builder and the replay oracle mark through this
+    derivation ([Mark_kernel.sampled_indices_into], bit-for-bit). *)
 
 val copy : t -> t
 (** [copy t] is an independent generator with the same current state;

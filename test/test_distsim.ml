@@ -85,6 +85,31 @@ let test_dist_gdelta_matches_quality () =
     true
     (float_of_int opt <= 1.5 *. float_of_int opt_s)
 
+(* one kernel: processor v marks from (seed_of rng, v), so the one-round
+   G_delta and the reliable variant's fault-free target are the
+   sequential builder's graph for the same generator state *)
+let test_dist_gdelta_equals_sequential () =
+  let gen = Rng.create 30 in
+  let graphs =
+    Gen.complete 40 :: List.init 20 (fun _ -> Gen.gnp gen ~n:60 ~p:0.3)
+  in
+  List.iteri
+    (fun i g ->
+      let seq, _ =
+        Mspar_core.Gdelta.sparsify (Rng.create (100 + i)) g ~delta:4
+      in
+      let dist, _ = Sparsify_dist.gdelta (Rng.create (100 + i)) g ~delta:4 in
+      let rel, _ =
+        Sparsify_dist.gdelta_reliable (Rng.create (100 + i)) g ~delta:4
+          ~retries:2
+      in
+      check_bool (Printf.sprintf "graph %d: gdelta = Gdelta.sparsify" i) true
+        (Graph.equal dist seq);
+      check_bool
+        (Printf.sprintf "graph %d: gdelta_reliable = Gdelta.sparsify" i)
+        true (Graph.equal rel seq))
+    graphs
+
 let test_dist_solomon () =
   let rng = Rng.create 3 in
   let g = Gen.gnp rng ~n:50 ~p:0.3 in
@@ -624,6 +649,8 @@ let () =
             test_dist_gdelta_single_round;
           Alcotest.test_case "gdelta quality" `Quick
             test_dist_gdelta_matches_quality;
+          Alcotest.test_case "gdelta = sequential G_delta" `Quick
+            test_dist_gdelta_equals_sequential;
           Alcotest.test_case "solomon" `Quick test_dist_solomon;
           Alcotest.test_case "composed" `Quick test_dist_composed;
         ] );

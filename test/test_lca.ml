@@ -170,13 +170,17 @@ let qcheck_cache_model =
 
 let test_seeded_builders_agree () =
   let rng = Rng.create 11 in
-  for seed = 1 to 5 do
-    let g = Gen.gnp rng ~n:60 ~p:0.25 in
-    let s1, _ = Gdelta.sparsify_seeded ~seed g ~delta:3 in
-    let s2 = Par_gdelta.sparsify ~num_domains:3 ~seed g ~delta:3 in
-    check_bool "sparsify_seeded = Par_gdelta.sparsify" true
-      (Graph.equal s1 s2)
-  done
+  let pool = Pool.create ~num_domains:3 () in
+  Fun.protect
+    ~finally:(fun () -> Pool.shutdown pool)
+    (fun () ->
+      for seed = 1 to 5 do
+        let g = Gen.gnp rng ~n:60 ~p:0.25 in
+        let s1, _ = Gdelta.sparsify_seeded ~seed g ~delta:3 in
+        let s2, _ = Gdelta.sparsify_seeded ~pool ~seed g ~delta:3 in
+        check_bool "sparsify_seeded on a pool = on the caller" true
+          (Graph.equal s1 s2)
+      done)
 
 (* ------------------------------------------------------------------ *)
 (* Parity references                                                  *)

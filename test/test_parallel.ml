@@ -1,6 +1,6 @@
-(* Tests for Par_gdelta: the multicore G_delta construction must be a
-   pure function of (seed, graph, delta, rule) — identical output for any
-   domain count, identical to the seeded sequential builder. *)
+(* Tests for the pooled G_delta build: [Gdelta.sparsify_seeded ~pool]
+   must be a pure function of (seed, graph, delta, rule) — identical
+   output for any pool size, identical to the build on the caller. *)
 
 open Mspar_prelude
 open Mspar_graph
@@ -10,6 +10,13 @@ let check_bool = Alcotest.(check bool)
 
 (* the sequential reference: the split-seed build on the caller *)
 let seeded ?rule ~seed g ~delta = fst (Gdelta.sparsify_seeded ?rule ~seed g ~delta)
+
+let with_pool nd f =
+  let pool = Pool.create ~num_domains:nd () in
+  Fun.protect ~finally:(fun () -> Pool.shutdown pool) (fun () -> f pool)
+
+let pooled ?rule pool ~seed g ~delta =
+  fst (Gdelta.sparsify_seeded ?rule ~pool ~seed g ~delta)
 
 let test_vertex_streams_independent () =
   (* different vertices get different streams; same vertex, same stream *)
@@ -30,18 +37,18 @@ let test_parallel_equals_sequential () =
       let reference = seeded ~seed:99 g ~delta in
       List.iter
         (fun nd ->
-          let s = Par_gdelta.sparsify ~num_domains:nd ~seed:99 g ~delta in
-          check_bool
-            (Printf.sprintf "domains=%d equals sequential" nd)
-            true (Graph.equal s reference))
+          with_pool nd (fun pool ->
+              check_bool
+                (Printf.sprintf "domains=%d equals sequential" nd)
+                true
+                (Graph.equal (pooled pool ~seed:99 g ~delta) reference)))
         [ 1; 2; 3; 4; 7 ];
       (* a chunk's marks are the whole pass's marks of its range, mark
          for mark, so chunks concatenate to the sequential pass *)
       let collect lo hi =
         Edgebuf.to_array
-          (Gdelta.collect ~rule:Gdelta.Mark_all_at_most_two_delta
-             (Mark_kernel.Split { seed = 99 })
-             g ~delta lo hi)
+          (Gdelta.collect ~rule:Gdelta.Mark_all_at_most_two_delta ~seed:99 g
+             ~delta lo hi)
       in
       let n = Graph.n g in
       check_bool "chunked marks concatenate to the whole pass" true
@@ -57,7 +64,7 @@ let test_parallel_equals_sequential () =
 let test_parallel_structure () =
   let g = Gen.complete 70 in
   let delta = 5 in
-  let s = Par_gdelta.sparsify ~num_domains:4 ~seed:3 g ~delta in
+  let s = with_pool 4 (fun pool -> pooled pool ~seed:3 g ~delta) in
   check_bool "subgraph" true (Graph.is_subgraph ~sub:s ~super:g);
   for v = 0 to Graph.n g - 1 do
     check_bool "degree floor" true
@@ -67,7 +74,7 @@ let test_parallel_structure () =
 
 let test_parallel_quality () =
   let g = Gen.complete 80 in
-  let s = Par_gdelta.sparsify ~num_domains:4 ~seed:7 g ~delta:8 in
+  let s = with_pool 4 (fun pool -> pooled pool ~seed:7 g ~delta:8) in
   let os = Mspar_matching.Matching.size (Mspar_matching.Blossom.solve s) in
   check_bool
     (Printf.sprintf "quality %d vs 40" os)
@@ -92,17 +99,20 @@ let test_parallel_probe_exactness () =
   check_int "sequential probes" !expected (Graph.probes g);
   List.iter
     (fun nd ->
-      Graph.reset_probes g;
-      ignore (Par_gdelta.sparsify ~num_domains:nd ~seed:5 g ~delta);
-      check_int
-        (Printf.sprintf "domains=%d probes exact" nd)
-        !expected (Graph.probes g))
+      with_pool nd (fun pool ->
+          let _, st = Gdelta.sparsify_seeded ~pool ~seed:5 g ~delta in
+          check_int
+            (Printf.sprintf "domains=%d probes exact" nd)
+            !expected st.Gdelta.probes;
+          check_int
+            (Printf.sprintf "domains=%d marks = probes" nd)
+            !expected st.Gdelta.marks))
     [ 2; 3; 4; 8 ]
 
 let test_explicit_pool_equals_sequential () =
-  (* sparsify on a caller-supplied pool: the pool size sets the default
-     chunking, and the result must not depend on either, under either
-     marking rule *)
+  (* the pool size sets the chunking, and the result must not depend on
+     it, under either marking rule; a pool of 7 on the small graphs has
+     more chunks than vertices, so some ranges are empty *)
   let rng = Rng.create 21 in
   let zoo =
     [
@@ -115,34 +125,21 @@ let test_explicit_pool_equals_sequential () =
   in
   List.iter
     (fun nd ->
-      let pool = Pool.create ~num_domains:nd () in
-      Fun.protect
-        ~finally:(fun () -> Pool.shutdown pool)
-        (fun () ->
+      with_pool nd (fun pool ->
           List.iter
             (fun rule ->
               List.iter
                 (fun (g, delta) ->
-                  let reference = seeded ~rule ~seed:42 g ~delta in
-                  let s = Par_gdelta.sparsify ~pool ~rule ~seed:42 g ~delta in
                   check_bool
                     (Printf.sprintf "pool=%d n=%d equals sequential" nd
                        (Graph.n g))
                     true
-                    (Graph.equal s reference);
-                  (* more chunks than vertices: some ranges are empty *)
-                  let s7 =
-                    Par_gdelta.sparsify ~pool ~num_domains:7 ~rule ~seed:42 g
-                      ~delta
-                  in
-                  check_bool
-                    (Printf.sprintf "pool=%d chunks=7 n=%d equals sequential"
-                       nd (Graph.n g))
-                    true
-                    (Graph.equal s7 reference))
+                    (Graph.equal
+                       (pooled ~rule pool ~seed:42 g ~delta)
+                       (seeded ~rule ~seed:42 g ~delta)))
                 zoo)
             [ Gdelta.Mark_all_at_most_two_delta; Gdelta.Mark_all_at_most_delta ]))
-    [ 1; 2; 4 ]
+    [ 1; 2; 4; 7 ]
 
 let test_pool_probe_exactness () =
   (* probe exactness must survive real worker domains, not just the
@@ -158,13 +155,9 @@ let test_pool_probe_exactness () =
   done;
   List.iter
     (fun nd ->
-      let pool = Pool.create ~num_domains:nd () in
-      Fun.protect
-        ~finally:(fun () -> Pool.shutdown pool)
-        (fun () ->
+      with_pool nd (fun pool ->
           for trial = 1 to 3 do
-            Graph.reset_probes g;
-            ignore (Par_gdelta.sparsify ~pool ~seed:5 g ~delta);
+            ignore (Gdelta.sparsify_seeded ~pool ~seed:5 g ~delta);
             check_int
               (Printf.sprintf "pool=%d trial=%d probes exact" nd trial)
               !expected (Graph.probes g)
@@ -172,86 +165,76 @@ let test_pool_probe_exactness () =
     [ 2; 4 ]
 
 let test_pipeline_pool_path () =
-  (* the core pipeline's ~pool fast path: same probe accounting contract as
-     the sequential path, valid matching, deterministic in the rng state *)
+  (* [Pipeline.run ~pool] builds the G_delta of [Pipeline.run]: same
+     matching, sparsifier size and probe count, under either rule.  At
+     beta 1 the Delta is 16 and degrees are near 60, so vertices sample. *)
   let module Pipeline = Mspar_core.Pipeline in
+  let module Matching = Mspar_matching.Matching in
   let rng = Rng.create 31 in
   let g = Gen.gnp rng ~n:200 ~p:0.3 in
-  let pool = Pool.create ~num_domains:2 () in
-  Fun.protect
-    ~finally:(fun () -> Pool.shutdown pool)
-    (fun () ->
-      let r1 = Pipeline.run ~pool (Rng.create 9) g ~beta:4 ~eps:0.5 in
-      let r2 = Pipeline.run ~pool (Rng.create 9) g ~beta:4 ~eps:0.5 in
-      check_bool "deterministic in rng state" true
-        (Mspar_matching.Matching.size r1.Pipeline.matching
-        = Mspar_matching.Matching.size r2.Pipeline.matching
-        && r1.Pipeline.probes_on_input = r2.Pipeline.probes_on_input);
-      check_bool "matching is over the input graph" true
-        (Mspar_matching.Matching.is_valid g r1.Pipeline.matching);
-      (* probes match the closed form for the §3.1 rule at the chosen Δ *)
-      let delta = r1.Pipeline.delta in
-      let expected = ref 0 in
-      for v = 0 to Graph.n g - 1 do
-        let d = Graph.degree g v in
-        expected := !expected + (if d <= 2 * delta then d else delta)
-      done;
-      Alcotest.(check int) "pooled probe accounting" !expected
-        r1.Pipeline.probes_on_input;
-      (* an explicit default rule takes the same path *)
-      let r3 =
-        Pipeline.run ~pool ~rule:Gdelta.Mark_all_at_most_two_delta
-          (Rng.create 9) g ~beta:4 ~eps:0.5
-      in
-      check_bool "explicit default rule stays pooled" true
-        (r3.Pipeline.probes_on_input = r1.Pipeline.probes_on_input);
-      (* the §2 rule runs on the pool too: it builds the split-seed graph
-         keyed by the one draw the pooled path takes from the rng *)
-      let rule = Gdelta.Mark_all_at_most_delta in
-      let r4 = Pipeline.run ~pool ~rule (Rng.create 9) g ~beta:4 ~eps:0.5 in
-      let seed = Int64.to_int (Rng.bits64 (Rng.create 9)) in
-      Alcotest.(check int)
-        "pooled section-2 rule builds the seeded graph"
-        (Graph.m (seeded ~rule ~seed g ~delta))
-        r4.Pipeline.sparsifier_edges)
+  with_pool 2 (fun pool ->
+      List.iter
+        (fun rule ->
+          let r = Pipeline.run ~rule (Rng.create 9) g ~beta:1 ~eps:0.5 in
+          let rp = Pipeline.run ~rule ~pool (Rng.create 9) g ~beta:1 ~eps:0.5 in
+          check_bool "same matching edges" true
+            (Matching.edges rp.Pipeline.matching
+            = Matching.edges r.Pipeline.matching);
+          Alcotest.(check int)
+            "same sparsifier size" r.Pipeline.sparsifier_edges
+            rp.Pipeline.sparsifier_edges;
+          Alcotest.(check int)
+            "same probes" r.Pipeline.probes_on_input
+            rp.Pipeline.probes_on_input;
+          check_bool "matching is over the input graph" true
+            (Matching.is_valid g rp.Pipeline.matching);
+          (* the build is the seeded one keyed by one draw of the rng *)
+          let seed = Mark_kernel.seed_of (Rng.create 9) in
+          Alcotest.(check int)
+            "seeded graph"
+            (Graph.m (seeded ~rule ~seed g ~delta:r.Pipeline.delta))
+            rp.Pipeline.sparsifier_edges;
+          (* probes match the closed form for the rule at the chosen delta *)
+          let expected = ref 0 in
+          for v = 0 to Graph.n g - 1 do
+            expected :=
+              !expected
+              + Mark_kernel.mark_count rule ~delta:r.Pipeline.delta
+                  ~degree:(Graph.degree g v)
+          done;
+          Alcotest.(check int)
+            "pooled probe accounting" !expected rp.Pipeline.probes_on_input)
+        [ Gdelta.Mark_all_at_most_two_delta; Gdelta.Mark_all_at_most_delta ])
 
 let test_pool_survives_raising_job () =
-  (* robustness regression: a job that raises must not poison the pool.
-     This runs on the process-wide default pool on purpose — the same one
-     the core pipeline uses and the one joined by at_exit, so this test
-     binary also proves the at_exit join cannot deadlock after a failed
-     job (a hang here fails the suite with a timeout, not silently). *)
+  (* robustness regression: a job that raises must not poison the pool,
+     and shutting it down afterwards must not deadlock (a hang here fails
+     the suite with a timeout, not silently) *)
   let exception Boom in
-  let pool = Pool.get_default () in
-  let attempt () =
-    match
-      Pool.parallel_for_ranges pool ~chunks:8 ~n:64 (fun ~chunk ~lo:_ ~hi:_ ->
-          if chunk = 3 then raise Boom)
-    with
-    | () -> Alcotest.fail "raising job did not propagate"
-    | exception Boom -> ()
-  in
-  attempt ();
-  attempt ();
-  (* the pool still runs real work, on every worker, with full coverage *)
-  let g = Gen.gnp (Rng.create 13) ~n:120 ~p:0.3 in
-  let reference = seeded ~seed:77 g ~delta:3 in
-  let s = Par_gdelta.sparsify ~pool ~seed:77 g ~delta:3 in
-  check_bool "default pool usable after raising job" true
-    (Graph.equal s reference);
-  let hits = Array.make 40 0 in
-  Pool.parallel_for_ranges pool ~chunks:5 ~n:40 (fun ~chunk:_ ~lo ~hi ->
-      for i = lo to hi - 1 do
-        hits.(i) <- hits.(i) + 1
-      done);
-  check_bool "every index covered exactly once" true
-    (Array.for_all (fun c -> c = 1) hits)
-
-let test_time_comparison_runs () =
-  let g = Gen.complete 120 in
-  let times = Par_gdelta.time_comparison ~seed:1 g ~delta:4 ~domains:[ 1; 2 ] in
-  check_bool "two measurements" true (List.length times = 2);
-  List.iter (fun (_, ms) -> check_bool "non-negative" true (ms >= 0.0)) times
+  with_pool 4 (fun pool ->
+      let attempt () =
+        match
+          Pool.parallel_for_ranges pool ~chunks:8 ~n:64
+            (fun ~chunk ~lo:_ ~hi:_ -> if chunk = 3 then raise Boom)
+        with
+        | () -> Alcotest.fail "raising job did not propagate"
+        | exception Boom -> ()
+      in
+      attempt ();
+      attempt ();
+      (* the pool still runs real work, on every worker, with full coverage *)
+      let g = Gen.gnp (Rng.create 13) ~n:120 ~p:0.3 in
+      check_bool "pool usable after raising job" true
+        (Graph.equal
+           (pooled pool ~seed:77 g ~delta:3)
+           (seeded ~seed:77 g ~delta:3));
+      let hits = Array.make 40 0 in
+      Pool.parallel_for_ranges pool ~chunks:5 ~n:40 (fun ~chunk:_ ~lo ~hi ->
+          for i = lo to hi - 1 do
+            hits.(i) <- hits.(i) + 1
+          done);
+      check_bool "every index covered exactly once" true
+        (Array.for_all (fun c -> c = 1) hits))
 
 let qcheck_parallel_pure =
   QCheck.Test.make
@@ -261,7 +244,7 @@ let qcheck_parallel_pure =
       quad (int_range 2 40) (int_range 1 6) (int_range 0 1000) (int_range 1 5))
     (fun (n, delta, seed, domains) ->
       let g = Gen.gnp (Rng.create seed) ~n ~p:0.35 in
-      let a = Par_gdelta.sparsify ~num_domains:domains ~seed g ~delta in
+      let a = with_pool domains (fun pool -> pooled pool ~seed g ~delta) in
       let b = seeded ~seed g ~delta in
       Graph.equal a b)
 
@@ -285,7 +268,6 @@ let () =
             test_pipeline_pool_path;
           Alcotest.test_case "pool survives raising job" `Quick
             test_pool_survives_raising_job;
-          Alcotest.test_case "timing runs" `Quick test_time_comparison_runs;
         ] );
       ("properties", [ QCheck_alcotest.to_alcotest qcheck_parallel_pure ]);
     ]

@@ -668,26 +668,6 @@ let test_pool_create_validation () =
     (Invalid_argument "Pool.create: num_domains must be in [1, 128]") (fun () ->
       ignore (Pool.create ~num_domains:129 ()))
 
-let test_pool_default_size_env () =
-  (* Unix.putenv is process-global; restore afterwards.  Sys.getenv_opt sees
-     putenv updates in OCaml's runtime. *)
-  let old = Sys.getenv_opt "MSPAR_DOMAINS" in
-  let restore () =
-    match old with Some v -> Unix.putenv "MSPAR_DOMAINS" v | None -> Unix.putenv "MSPAR_DOMAINS" ""
-  in
-  Fun.protect ~finally:restore (fun () ->
-      Unix.putenv "MSPAR_DOMAINS" "3";
-      check "env override" 3 (Pool.default_size ());
-      Unix.putenv "MSPAR_DOMAINS" "999";
-      check_bool "out-of-range ignored" true (Pool.default_size () >= 1);
-      Unix.putenv "MSPAR_DOMAINS" "zebra";
-      check_bool "garbage ignored" true (Pool.default_size () >= 1))
-
-let test_pool_get_default () =
-  let a = Pool.get_default () and b = Pool.get_default () in
-  check_bool "process-wide singleton" true (a == b);
-  check_bool "sized by default_size" true (Pool.size a >= 1)
-
 (* ------------------------------------------------------------------ *)
 (* Codec.Frames — the incremental frame reader under the serve wire    *)
 (* ------------------------------------------------------------------ *)
@@ -937,9 +917,6 @@ let () =
             test_pool_shutdown_and_restart;
           Alcotest.test_case "create validation" `Quick
             test_pool_create_validation;
-          Alcotest.test_case "default_size env" `Quick
-            test_pool_default_size_env;
-          Alcotest.test_case "get_default" `Quick test_pool_get_default;
         ] );
       ("properties", qsuite);
     ]

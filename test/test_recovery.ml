@@ -233,32 +233,63 @@ let ops_of_seed seed ~n ~count =
       let u, v = if u = v then (u, (v + 1) mod n) else (u, v) in
       (Rng.int rng 10 < 7, u, v))
 
-let test_matching_snapshot_roundtrip () =
-  let n = 20 in
-  let dm = Dyn_matching.create (Rng.create 6) ~n ~beta:4 ~eps:0.4 in
-  Array.iter
-    (fun (ins, u, v) ->
-      ignore (if ins then Dyn_matching.insert dm u v else Dyn_matching.delete dm u v))
-    (ops_of_seed 21 ~n ~count:80);
+let apply_op dm (ins, u, v) =
+  ignore
+    (if ins then Dyn_matching.insert dm u v else Dyn_matching.delete dm u v)
+
+(* Snapshot [dm] after [before], then apply [after] to it and to its
+   decoded copy: the two must stay identical, matched edges included. *)
+let check_matching_roundtrip dm ~before ~after =
+  Array.iter (apply_op dm) before;
   let buf = Buffer.create 256 in
   Dyn_matching.encode dm buf;
   let dm' = Dyn_matching.decode (Codec.reader (Buffer.contents buf)) in
   check_int "size equal" (Dyn_matching.size dm) (Dyn_matching.size dm');
   Array.iter
-    (fun (ins, u, v) ->
-      let app dm =
-        ignore
-          (if ins then Dyn_matching.insert dm u v else Dyn_matching.delete dm u v)
-      in
-      app dm;
-      app dm')
-    (ops_of_seed 22 ~n ~count:60);
+    (fun op ->
+      apply_op dm op;
+      apply_op dm' op)
+    after;
   check_int "size equal after more ops" (Dyn_matching.size dm)
     (Dyn_matching.size dm');
+  check_bool "matched edges equal" true
+    (Mspar_matching.Matching.edges (Dyn_matching.matching dm)
+    = Mspar_matching.Matching.edges (Dyn_matching.matching dm'));
   check_bool "graphs equal" true
     (Dyn_graph.edges (Dyn_matching.graph dm)
     = Dyn_graph.edges (Dyn_matching.graph dm'));
   check_bool "audit clean" true (Audit.matching dm' = [])
+
+let test_matching_snapshot_roundtrip () =
+  (* sparse random stream: every rebuild keeps whole neighborhoods *)
+  let n = 20 in
+  check_matching_roundtrip
+    (Dyn_matching.create (Rng.create 6) ~n ~beta:4 ~eps:0.4)
+    ~before:(ops_of_seed 21 ~n ~count:80)
+    ~after:(ops_of_seed 22 ~n ~count:60);
+  (* a K_90 stream at beta 1, eps 0.5: the rebuild's Delta is 37, and
+     degrees pass 2*Delta = 74 before the snapshot, so the rebuilds on
+     both sides of it sample through the window seed *)
+  let n = 90 in
+  let k90 =
+    Array.of_list
+      (List.concat
+         (List.init n (fun u ->
+              List.init (n - 1 - u) (fun i -> (true, u, u + 1 + i)))))
+  in
+  let cut = 2000 in
+  let dm = Dyn_matching.create (Rng.create 9) ~n ~beta:1 ~eps:0.5 in
+  let delta =
+    Mspar_core.Delta_param.scaled ~multiplier:2.0 ~beta:1 ~eps:0.25
+  in
+  check_int "rebuild delta" 37 delta;
+  check_matching_roundtrip dm ~before:(Array.sub k90 0 cut)
+    ~after:
+      (Array.append
+         (Array.sub k90 cut (Array.length k90 - cut))
+         (ops_of_seed 23 ~n ~count:200));
+  check_bool "rebuilds sample" true
+    (Dyn_graph.degree (Dyn_matching.graph dm) 0 > 2 * delta)
 
 let test_decode_rejects_corruption () =
   let n = 10 in
@@ -379,13 +410,13 @@ let test_durable_out_of_range_not_journaled () =
 (* Snapshot payloads open with a layout tag.  A blob of another layout
    is skipped at recovery like a damaged one, so a primary reaches the
    same state by full replay; bootstrap refuses one outright. *)
-let layout_tag = "mspar-snap/2"
+let layout_tag = "mspar-snap/3"
 
 let foreign_layout payload =
   check_bool "payload opens with the layout tag" true
     (String.starts_with ~prefix:layout_tag payload);
   let tl = String.length layout_tag in
-  "mspar-snap/1" ^ String.sub payload tl (String.length payload - tl)
+  "mspar-snap/2" ^ String.sub payload tl (String.length payload - tl)
 
 let test_durable_foreign_layout () =
   with_dir (fun dir ->
@@ -406,7 +437,7 @@ let test_durable_foreign_layout () =
           | Ok () -> Alcotest.fail "bootstrap must refuse a foreign layout"
           | Error msg ->
               check_bool "refusal names both layouts" true
-                (is_substring msg "layout 2" && is_substring msg "layout 1"));
+                (is_substring msg "layout 3" && is_substring msg "layout 2"));
           List.iter
             (fun e ->
               let path = Filename.concat dir (Printf.sprintf "snap-%d.bin" e) in
