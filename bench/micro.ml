@@ -7,11 +7,10 @@
    measure raw constants on this machine.
 
    The construction rows time the packed-int Edgebuf/counting-sort
-   pipeline, sequential and multi-domain, and the cache-blocked marking
-   loop against its per-vertex predecessor.  They are best-of-N wall
-   times, not OLS estimates: the
-   interesting configuration (100k vertices, ~5M edges) is too large to
-   iterate under bechamel's sampling loop. *)
+   pipeline and the cache-blocked marking loop against its per-vertex
+   predecessor, all on one domain.  They are best-of-N wall times, not
+   OLS estimates: the interesting configuration (100k vertices, ~5M
+   edges) is too large to iterate under bechamel's sampling loop. *)
 
 open Bechamel
 open Toolkit
@@ -104,22 +103,8 @@ let make_tests () =
   ]
 
 (* ------------------------------------------------------------------ *)
-(* Construction path: list vs packed, sequential vs domains           *)
+(* Construction path: list vs packed, per-vertex vs blocked marking   *)
 (* ------------------------------------------------------------------ *)
-
-(* Host parallelism, recorded as a column in every construction CSV row:
-   a published wall-time is only interpretable next to the cores that
-   produced it. *)
-let host_cores = Domain.recommended_domain_count ()
-
-(* Pooled rows may only advertise themselves as parallel when the host
-   can actually run domains side by side.  On a single-core machine the
-   same code path is still timed — the pool dispatch overhead is a real
-   number — but the row is labelled honestly so a published CSV cannot
-   claim a speedup the hardware could not have delivered. *)
-let pooled_label domains =
-  if host_cores >= 2 then Printf.sprintf "par-%ddom" domains
-  else Printf.sprintf "pooled-serial-%ddom" domains
 
 let random_edge_array rng ~n ~m =
   Array.init m (fun _ ->
@@ -205,14 +190,10 @@ let pervertex_mark_codes ~seed g ~delta ~shift =
   done;
   buf
 
-(* One (kernel, ns) row per configuration; also cross-checks that every
-   builder variant produces the identical graph, so the smoke run doubles
-   as a correctness guard for the perf harness.
-
-   The pooled rows reuse persistent pools created (and warmed by the
-   cross-checks) outside the timed region, so they measure the amortised
-   steady state a long-running process sees — the spawn cost the pool
-   exists to eliminate is deliberately excluded. *)
+(* One (kernel, ns, cores) row per configuration; every row runs on one
+   domain.  Also cross-checks that the per-vertex mark baseline emits the
+   blocked collector's graph, so the smoke run doubles as a correctness
+   guard for the perf harness. *)
 let construction_rows ~full =
   let n, m, delta, repeats =
     if full then (100_000, 5_000_000, 32, 2) else (2_000, 40_000, 8, 3)
@@ -223,144 +204,46 @@ let construction_rows ~full =
   let require name cond = if not cond then failwith ("micro-bench: " ^ name) in
   let shift = Graph.pack_shift ~n in
   let codes = Array.map (fun (u, v) -> Graph.pack ~shift u v) pairs in
-  let pool1 = Pool.create ~num_domains:1 () in
-  let pool2 = Pool.create ~num_domains:2 () in
-  let pool4 = Pool.create ~num_domains:4 () in
-  let pool8 = Pool.create ~num_domains:8 () in
-  Fun.protect
-    ~finally:(fun () -> List.iter Pool.shutdown [ pool1; pool2; pool4; pool8 ])
-    (fun () ->
-      (* correctness guards double as pool warm-up *)
-      require "parallel CSR builder mismatches of_packed"
-        (Graph.equal
-           (Graph.of_packed ~n (Array.copy codes))
-           (Graph.of_packed_par ~pool:pool4 ~n (Array.copy codes)));
-      let pooled pool = fst (Gdelta.sparsify_seeded ~pool ~seed:7 g ~delta) in
-      let seq, _ = Gdelta.sparsify_seeded ~seed:7 g ~delta in
-      require "4-domain pooled sparsifier mismatches sequential"
-        (Graph.equal seq (pooled pool4));
-      ignore (pooled pool2);
-      ignore (pooled pool8);
-      (* [marked_codes] keys its build by one draw from the generator *)
-      let mark_seed = Mark_kernel.seed_of (Rng.create 7) in
-      (let blocked, bshift = Gdelta.marked_codes (Rng.create 7) g ~delta in
-       require "marked_codes shift mismatches pack_shift" (bshift = shift);
-       require "per-vertex mark baseline mismatches the blocked collector"
-         (Graph.equal
-            (Graph.of_edgebuf ~n blocked)
-            (Graph.of_edgebuf ~n
-               (pervertex_mark_codes ~seed:mark_seed g ~delta ~shift))));
-      let tag name =
-        Printf.sprintf "construction/%s/n%d-m%d-d%d" name n (Graph.m g) delta
-      in
-      (* ~cores is the domain count a row engages; the recorded column is
-         capped by what the host can actually run side by side *)
-      let row ~cores name f =
-        (tag name, Int.min cores host_cores, best_of ~repeats f)
-      in
-      let mark_pair_ns =
-        interleaved_medians
-          ~rounds:((2 * repeats) + 3)
-          (fun () ->
-            Sys.opaque_identity
-              (pervertex_mark_codes ~seed:mark_seed g ~delta ~shift))
-          (fun () ->
-            Sys.opaque_identity (Gdelta.marked_codes (Rng.create 7) g ~delta))
-      in
-      [
-        row ~cores:1 "of-edges-packed" (fun () ->
-            Sys.opaque_identity (Graph.of_edge_array ~n pairs));
-        (* both CSR builders mutate their input prefix, so each timed run
-           pays one identical Array.copy of the packed codes *)
-        row ~cores:1 "csr-build/seq" (fun () ->
-            Sys.opaque_identity (Graph.of_packed ~n (Array.copy codes)));
-        row ~cores:4
-          ("csr-build/" ^ pooled_label 4)
-          (fun () ->
-            Sys.opaque_identity
-              (Graph.of_packed_par ~pool:pool4 ~n (Array.copy codes)));
-        row ~cores:1 "gdelta-packed" (fun () ->
-            Sys.opaque_identity (Gdelta.sparsify (Rng.create 7) g ~delta));
-        (* the marking hot path in isolation (no CSR build): per-vertex
-           checked pushes + one live RNG call per draw through the ~f
-           closure (the pre-PR shape), vs the cache-blocked collector
-           with batched word prefetch and closure-free index landing
-           (identical output codes, cross-checked above).  Timed as an
-           interleaved pair — see [interleaved_medians]. *)
-        (tag "gdelta-mark/pervertex-unbatched", 1, fst mark_pair_ns);
-        (tag "gdelta-mark/blocked-batched", 1, snd mark_pair_ns);
-        row ~cores:1 "par-gdelta-seq" (fun () ->
-            Sys.opaque_identity (Gdelta.sparsify_seeded ~seed:7 g ~delta));
-        row ~cores:1 "par-gdelta-pool-1dom" (fun () ->
-            Sys.opaque_identity (pooled pool1));
-        row ~cores:2
-          ("par-gdelta-pool/" ^ pooled_label 2)
-          (fun () ->
-            Sys.opaque_identity (pooled pool2));
-        row ~cores:4
-          ("par-gdelta-pool/" ^ pooled_label 4)
-          (fun () ->
-            Sys.opaque_identity (pooled pool4));
-        row ~cores:8
-          ("par-gdelta-pool/" ^ pooled_label 8)
-          (fun () ->
-            Sys.opaque_identity (pooled pool8));
-      ])
-
-(* Pooled speedup curve (fresh warmed pool per domain count); emitted as
-   its own CSV so scaling runs are diffable across machines.  The title's
-   first token is the CSV slug: bench_csv/par-scaling.csv.
-
-   Returns [None] on a single-core host: a "parallel speedup" table whose
-   domains all time-slice one core is a fabrication, so the harness
-   refuses to produce it rather than publishing rows a reader would take
-   as genuine scaling. *)
-let scaling_table () =
-  if host_cores < 2 then begin
-    prerr_endline
-      "par-scaling: refusing to emit a parallel-speedup table on a \
-       single-core host (Domain.recommended_domain_count () = 1); rerun on \
-       a multicore machine";
-    None
-  end
-  else begin
-    let n, m, delta = (100_000, 5_000_000, 32) in
-    let rng = Rng.create 20200715 in
-    let g = Graph.of_edge_array ~n (random_edge_array rng ~n ~m) in
-    (* one fresh pool per domain count, warmed outside the timer so the
-       lazy Domain.spawn cost is paid as a long-running process would *)
-    let times =
-      List.map
-        (fun d ->
-          let pool = Pool.create ~num_domains:d () in
-          Fun.protect
-            ~finally:(fun () -> Pool.shutdown pool)
-            (fun () ->
-              let build () = Gdelta.sparsify_seeded ~pool ~seed:7 g ~delta in
-              ignore (build ());
-              (d, Clock.ns_to_ms (snd (Clock.time_ns build)))))
-        [ 1; 2; 4; 8 ]
-    in
-    let base = match times with (_, ms) :: _ -> ms | [] -> 1.0 in
-    let table =
-      Table.create
-        ~title:
-          (Printf.sprintf "par-scaling (pooled G_delta, n=%d m=%d d=%d)" n
-             (Graph.m g) delta)
-        ~columns:[ "domains"; "ms"; "speedup-vs-1dom"; "host-cores" ]
-    in
-    List.iter
-      (fun (d, ms) ->
-        Table.add_row table
-          [
-            string_of_int d;
-            Printf.sprintf "%.1f" ms;
-            Printf.sprintf "%.2f" (base /. ms);
-            string_of_int host_cores;
-          ])
-      times;
-    Some table
-  end
+  (* [marked_codes] keys its build by one draw from the generator *)
+  let mark_seed = Mark_kernel.seed_of (Rng.create 7) in
+  (let blocked, bshift = Gdelta.marked_codes (Rng.create 7) g ~delta in
+   require "marked_codes shift mismatches pack_shift" (bshift = shift);
+   require "per-vertex mark baseline mismatches the blocked collector"
+     (Graph.equal
+        (Graph.of_edgebuf ~n blocked)
+        (Graph.of_edgebuf ~n
+           (pervertex_mark_codes ~seed:mark_seed g ~delta ~shift))));
+  let tag name =
+    Printf.sprintf "construction/%s/n%d-m%d-d%d" name n (Graph.m g) delta
+  in
+  let row name f = (tag name, 1, best_of ~repeats f) in
+  let mark_pair_ns =
+    interleaved_medians
+      ~rounds:((2 * repeats) + 3)
+      (fun () ->
+        Sys.opaque_identity
+          (pervertex_mark_codes ~seed:mark_seed g ~delta ~shift))
+      (fun () ->
+        Sys.opaque_identity (Gdelta.marked_codes (Rng.create 7) g ~delta))
+  in
+  [
+    row "of-edges-packed" (fun () ->
+        Sys.opaque_identity (Graph.of_edge_array ~n pairs));
+    (* the CSR builder mutates its input prefix, so each timed run pays
+       one Array.copy of the packed codes *)
+    row "csr-build/seq" (fun () ->
+        Sys.opaque_identity (Graph.of_packed ~n (Array.copy codes)));
+    row "gdelta-packed" (fun () ->
+        Sys.opaque_identity (Gdelta.sparsify (Rng.create 7) g ~delta));
+    (* the marking hot path in isolation (no CSR build): per-vertex
+       checked pushes + one live RNG call per draw through the ~f closure
+       (the shape before blocking), vs the cache-blocked collector with
+       batched word prefetch and closure-free index landing (identical
+       output codes, cross-checked above).  Timed as an interleaved pair —
+       see [interleaved_medians]. *)
+    (tag "gdelta-mark/pervertex-unbatched", 1, fst mark_pair_ns);
+    (tag "gdelta-mark/blocked-batched", 1, snd mark_pair_ns);
+  ]
 
 let contains_substring ~needle hay =
   let nl = String.length needle and hl = String.length hay in
@@ -383,7 +266,7 @@ let rows_table ~title ?(filter = fun _ -> true) rows =
 let emit_focus_tables ~label rows =
   Experiments.emit
     (rows_table
-       ~title:(Printf.sprintf "csr-build (%s; seq heap-free build vs pooled)" label)
+       ~title:(Printf.sprintf "csr-build (%s; heap-free counting-sort build)" label)
        ~filter:(contains_substring ~needle:"/csr-build/")
        rows);
   Experiments.emit
@@ -396,32 +279,11 @@ let emit_focus_tables ~label rows =
        ~filter:(contains_substring ~needle:"/gdelta-mark/")
        rows)
 
-let find_row rows key =
-  match List.find_opt (fun (name, _, _) -> String.length name >= String.length key
-      && String.sub name 0 (String.length key) = key) rows with
-  | Some (_, _, ns) -> ns
-  | None -> failwith ("micro-bench: missing row " ^ key)
-
 let smoke () =
   let rows = construction_rows ~full:false in
   Experiments.emit
     (rows_table ~title:"micro-smoke (construction path, tiny sizes)" rows);
-  emit_focus_tables ~label:"smoke sizes" rows;
-  (* wiring guard: a 1-domain pool takes the sequential path inside
-     sparsify, so the pooled entry point must not cost more than the
-     sequential one beyond noise (lenient: 1.5x plus 50ms absolute slack,
-     as CI boxes jitter) *)
-  let seq = find_row rows "construction/par-gdelta-seq/" in
-  let pooled = find_row rows "construction/par-gdelta-pool-1dom/" in
-  if
-    Int64.to_float pooled
-    > (1.5 *. Int64.to_float seq) +. 50_000_000.0
-  then
-    failwith
-      (Printf.sprintf
-         "micro-bench: pooled 1-domain path is slower than sequential beyond \
-          tolerance (%Ld ns vs %Ld ns)"
-         pooled seq)
+  emit_focus_tables ~label:"smoke sizes" rows
 
 let run ?(construction = `Smoke) () =
   let tests = Test.make_grouped ~name:"mspar" ~fmt:"%s %s" (make_tests ()) in
@@ -455,8 +317,4 @@ let run ?(construction = `Smoke) () =
     crows;
   Experiments.emit table;
   let label = if construction = `Full then "full sizes" else "smoke sizes" in
-  emit_focus_tables ~label crows;
-  if construction = `Full then
-    match scaling_table () with
-    | Some t -> Experiments.emit t
-    | None -> ()
+  emit_focus_tables ~label crows

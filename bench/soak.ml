@@ -117,18 +117,6 @@ let () =
       && r.Mspar_mpc.Mpc_matching.rounds = 2
       && Matching.size r.Mspar_mpc.Mpc_matching.matching = 500);
 
-  stage "parallel construction equals sequential, K_1200" (fun () ->
-      let g = Gen.complete 1200 in
-      let pool = Pool.create ~num_domains:4 () in
-      let a, _ =
-        Fun.protect
-          ~finally:(fun () -> Pool.shutdown pool)
-          (fun () ->
-            Mspar_core.Gdelta.sparsify_seeded ~pool ~seed:12 g ~delta:6)
-      in
-      let b, _ = Mspar_core.Gdelta.sparsify_seeded ~seed:12 g ~delta:6 in
-      Graph.equal a b);
-
   if !failures = 0 then Printf.printf "soak: all stages passed\n"
   else begin
     Printf.printf "soak: %d stage(s) FAILED\n" !failures;

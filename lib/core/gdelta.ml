@@ -31,23 +31,22 @@ let marks_bound rule g ~delta lo hi =
    same block already pulled in. *)
 let l2_block_words = 32768
 
-(* The one marking loop of G_Δ, for every builder: marks go straight
-   into a flat int buffer as [v lsl shift lor u] codes.  The vertices of
-   [lo, hi) are visited in CSR-contiguous cache-sized blocks
+(* The marking loop of G_Δ behind every builder here: marks go straight
+   into a flat int buffer as [v lsl shift lor u] codes.  The vertices are
+   visited in CSR-contiguous cache-sized blocks
    ([Graph.iter_vertex_blocks]); per block, the buffer is grown once
    ([ensure_capacity] + [push_unchecked], no growth branch per mark) and
-   the probe counter is charged once, so concurrent chunks keep probe
-   totals exact with one atomic add per block.  The per-vertex decision
-   is [Mark_kernel]'s: a sampled vertex draws from its own stream
-   derived from [(seed, v)], the form the LCA oracle replays and pool
-   chunks run independently. *)
-let collect ~rule ~seed g ~delta lo hi =
+   the probe counter is charged once.  The per-vertex decision is
+   [Mark_kernel]'s: a sampled vertex draws from its own stream derived
+   from [(seed, v)], the form the LCA oracle replays. *)
+let collect ~rule ~seed g ~delta =
   if delta < 1 then invalid_arg "Gdelta: delta must be >= 1";
-  let shift = Graph.pack_shift ~n:(Graph.n g) in
+  let nv = Graph.n g in
+  let shift = Graph.pack_shift ~n:nv in
   let sampler = Sampling.create ~capacity:(Graph.max_degree g) in
   let buf =
     Edgebuf.create
-      ~initial_capacity:(Int.max 16 (marks_bound rule g ~delta lo hi))
+      ~initial_capacity:(Int.max 16 (marks_bound rule g ~delta 0 nv))
       ()
   in
   let keep = Mark_kernel.threshold rule delta in
@@ -57,7 +56,7 @@ let collect ~rule ~seed g ~delta lo hi =
   (* hoisted out of the block closure so no ref cell is allocated per
      block — reset at block entry, charged at block exit *)
   let probes = ref 0 in
-  Graph.iter_vertex_blocks g ~lo ~hi ~extent:l2_block_words (fun blo bhi ->
+  Graph.iter_vertex_blocks g ~extent:l2_block_words (fun blo bhi ->
       Edgebuf.ensure_capacity buf
         (Edgebuf.length buf + marks_bound rule g ~delta blo bhi);
       probes := 0;
@@ -87,8 +86,7 @@ let collect ~rule ~seed g ~delta lo hi =
 [@@hot]
 
 let marked_codes_seeded ?(rule = Mark_all_at_most_two_delta) ~seed g ~delta =
-  let nv = Graph.n g in
-  (collect ~rule ~seed g ~delta 0 nv, Graph.pack_shift ~n:nv)
+  (collect ~rule ~seed g ~delta, Graph.pack_shift ~n:(Graph.n g))
 
 let marked_codes ?rule rng g ~delta =
   marked_codes_seeded ?rule ~seed:(Mark_kernel.seed_of rng) g ~delta
@@ -100,38 +98,12 @@ let marked_pairs ?rule rng g ~delta =
        (fun acc c -> (Graph.unpack_u ~shift c, Graph.unpack_v ~shift c) :: acc)
        [] buf)
 
-(* G_Δ of the whole vertex range and its mark count.  On a pool of
-   several domains, one chunk per domain runs [collect] into its own
-   buffer, and the buffers feed the parallel CSR builder directly — no
-   concatenation copy, no sequential counting sort.  Marks depend only
-   on (seed, v) and both CSR builders are canonical, so the graph is the
-   caller-run one for every pool size. *)
-let build ~rule ?pool ~seed g ~delta =
-  let nv = Graph.n g in
-  match pool with
-  | Some pool when Pool.size pool > 1 ->
-      if delta < 1 then invalid_arg "Gdelta: delta must be >= 1";
-      let bufs =
-        Array.init (Pool.size pool) (fun _ ->
-            Edgebuf.create ~initial_capacity:1 ())
-      in
-      Pool.parallel_for_ranges pool ~n:nv (fun ~chunk ~lo ~hi ->
-          if lo < hi then bufs.(chunk) <- collect ~rule ~seed g ~delta lo hi);
-      let marks =
-        Array.fold_left (fun acc b -> acc + Edgebuf.length b) 0 bufs
-      in
-      (Graph.of_edgebufs_par ~pool ~n:nv bufs, marks)
-  | Some _ | None ->
-      let buf = collect ~rule ~seed g ~delta 0 nv in
-      (Graph.of_edgebuf ~n:nv buf, Edgebuf.length buf)
-[@@domain_safe
-  "each chunk writes only its own bufs.(chunk) slot; the collector reads \
-   shared CSR lanes and charges probes atomically"]
-
-let sparsify_seeded ?(rule = Mark_all_at_most_two_delta) ?pool ~seed g ~delta =
+let sparsify_seeded ?(rule = Mark_all_at_most_two_delta) ~seed g ~delta =
   Graph.reset_probes g;
   let t0 = Clock.now_ns () in
-  let sparsifier, marks = build ~rule ?pool ~seed g ~delta in
+  let buf = collect ~rule ~seed g ~delta in
+  let marks = Edgebuf.length buf in
+  let sparsifier = Graph.of_edgebuf ~n:(Graph.n g) buf in
   let probes = Graph.probes g in
   let t1 = Clock.now_ns () in
   ( sparsifier,

@@ -17,14 +17,14 @@
     Both are available via [?rule]; the default is the §3.1
     convention.
 
-    Every builder runs one marking loop, {!collect}: marks are collected
-    as packed ints in a flat {!Mspar_prelude.Edgebuf} and turned into a
-    CSR graph by counting sort ({!Graph.of_edgebuf}).  Every vertex [v]
-    draws from its own generator {!Mspar_prelude.Rng.derive}[ ~seed v]
+    The random builders run one marking loop on the calling domain:
+    marks are collected as packed ints in a flat {!Mspar_prelude.Edgebuf}
+    and turned into a CSR graph by counting sort ({!Graph.of_edgebuf}),
+    in the O(n·Δ) of Thm 3.1's sequential build.  Every vertex [v] draws
+    from its own generator {!Mspar_prelude.Rng.derive}[ ~seed v]
     ({!Mark_kernel}), so G_Δ is a pure function of
-    [(seed, g, delta, rule)]: the same on the caller and on any pool,
-    and replayable one vertex at a time by the LCA oracle.  The
-    generator-taking builders key that build by one
+    [(seed, g, delta, rule)], replayable one vertex at a time by the LCA
+    oracle.  The generator-taking builders key that build by one
     {!Mark_kernel.seed_of} draw. *)
 
 open Mspar_prelude
@@ -42,36 +42,13 @@ type mark_rule = Mark_kernel.rule =
   | Mark_all_at_most_delta  (** §2 convention: full neighborhood iff deg ≤ Δ *)
   | Mark_all_at_most_two_delta  (** §3.1 tweak: full neighborhood iff deg ≤ 2Δ *)
 
-val collect :
-  rule:mark_rule -> seed:int -> Graph.t -> delta:int -> int -> int -> Edgebuf.t
-(** [collect ~rule ~seed g ~delta lo hi] is the one marking loop: the
-    packed marks [(v lsl shift) lor u] of the vertices [\[lo, hi)], with
-    [shift = Graph.pack_shift ~n:(Graph.n g)], in emission order
-    (vertices ascending; within a vertex, adjacency order when it keeps
-    its whole neighborhood, draw order when it samples).  A sampled
-    vertex draws through {!Mark_kernel.sampled_indices_into}[ ~seed v].
-    Probes are added to [g]'s counter, never reset, with one atomic add
-    per cache-sized block, so chunks running it concurrently on
-    disjoint ranges keep the total exact.
-    @raise Invalid_argument if [delta < 1] or the range is not inside
-    [\[0, Graph.n g\]]. *)
-
 val sparsify_seeded :
-  ?rule:mark_rule ->
-  ?pool:Pool.t ->
-  seed:int ->
-  Graph.t ->
-  delta:int ->
-  Graph.t * stats
+  ?rule:mark_rule -> seed:int -> Graph.t -> delta:int -> Graph.t * stats
 (** [sparsify_seeded ~seed g ~delta] builds G_Δ, vertex [v] drawing from
     {!Mspar_prelude.Rng.derive}[ ~seed v] — the contract the LCA oracle
     ([Mspar_lca.Oracle]) queries against.  Default rule:
     {!Mark_all_at_most_two_delta}.  Probes counted on [g] are reset and
-    measured across the call.  On a [pool] of several domains, one chunk
-    per domain runs {!collect} and the parallel CSR builder joins them;
-    without a pool, or on a 1-domain one, the collector runs on the
-    caller.  The graph and stats other than [build_ns] are the same
-    either way (QCheck-pinned).
+    measured across the call: one per mark, so [probes = marks].
     @raise Invalid_argument if [delta < 1]. *)
 
 val sparsify :

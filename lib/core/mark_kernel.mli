@@ -1,8 +1,8 @@
 (** The per-vertex marking decision of G_Δ (§3.1), as a pure replayable
     kernel.
 
-    Every G_Δ in the library marks through it: the batch loop
-    ({!Gdelta.collect}), the pooled build, the one-round distributed
+    Every G_Δ in the library marks through it: the batch loop behind
+    {!Gdelta.sparsify_seeded}, the one-round distributed
     protocol ([Mspar_distsim.Sparsify_dist]), the dynamic matcher's
     rebuild ([Mspar_dynamic.Dyn_matching]) and the local-access oracle
     ([Mspar_lca.Oracle]).  Which adjacency positions vertex [v] marks

@@ -14,11 +14,10 @@ type result = {
   match_ns : int64;
 }
 
-let run ?(multiplier = 2.0) ?(matcher = Approx_eps) ?rule ?pool rng g ~beta ~eps
-    =
+let run ?(multiplier = 2.0) ?(matcher = Approx_eps) ?rule rng g ~beta ~eps =
   let delta = Delta_param.scaled ~multiplier ~beta ~eps in
   let sparsifier, stats =
-    Gdelta.sparsify_seeded ?rule ?pool ~seed:(Mark_kernel.seed_of rng) g ~delta
+    Gdelta.sparsify_seeded ?rule ~seed:(Mark_kernel.seed_of rng) g ~delta
   in
   let matching, match_ns =
     Clock.time_ns (fun () ->

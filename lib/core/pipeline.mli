@@ -28,7 +28,6 @@ val run :
   ?multiplier:float ->
   ?matcher:matcher ->
   ?rule:Gdelta.mark_rule ->
-  ?pool:Pool.t ->
   Rng.t ->
   Graph.t ->
   beta:int ->
@@ -39,8 +38,7 @@ val run :
 
     G_Δ is {!Gdelta.sparsify_seeded} keyed by one
     {!Mark_kernel.seed_of} draw from the generator, under [rule], built
-    on [pool] when one is given; the matching, sparsifier size and probe
-    count are the same with or without a pool. *)
+    on the calling domain. *)
 
 val sublinearity_ratio : result -> float
 (** probes on input / 2m — below 1.0 means the pipeline read less than the

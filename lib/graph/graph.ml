@@ -1,6 +1,5 @@
 module Edgebuf = Mspar_prelude.Edgebuf
 module Isort = Mspar_prelude.Isort
-module Pool = Mspar_prelude.Pool
 module Bigvec = Mspar_prelude.Bigvec
 
 type edge = int * int
@@ -167,180 +166,6 @@ let build_packed ~n ~shift codes len =
   done;
   { n; offsets; adj; maxdeg = !maxdeg; probe_count = Atomic.make 0 }
 
-(* ------------------------------------------------------------------ *)
-(* Parallel CSR builder                                               *)
-(* ------------------------------------------------------------------ *)
-
-(* Multi-domain counterpart of [build_packed].  Input is an array of code
-   chunks [(storage, off, len)] — typically one per collecting domain — and
-   the output is the canonical CSR, so it is bit-for-bit identical to
-   [build_packed] over the chunks' concatenation (both emit the sorted,
-   deduplicated edge set; the CSR of a fixed edge set is unique).
-
-   The phases, with their parallelism (C = #chunks, P = pool size,
-   L = total code count):
-
-     1. normalise + per-chunk major-key histogram   parallel over chunks
-     2. histogram merge -> block starts + cursors   sequential, O(n·C)
-     3. scatter codes into per-vertex blocks        parallel over chunks
-     4. per-block sort + dedup + minor histogram    parallel over u-ranges
-     5. degrees, offsets, pass-A cursors            sequential, O(n·P)
-     6. two-sided adjacency fill                    parallel over u-ranges
-
-   Phase 3 replaces both the sequential concat copy (each domain scatters
-   straight from its own buffer) and the global counting sort (codes land
-   grouped by their smaller endpoint; phase 4 only sorts within blocks).
-   Phases 4 and 6 split [0, n) with the pool's deterministic
-   [chunk_bounds], so the per-range minor histograms of phase 4 are valid
-   cursor bases for the same ranges in phase 6.
-
-   Races: chunks/ranges write disjoint index sets everywhere.  In phase 6,
-   range r writes (a) slots [offsets.(u) + minor_total.(u) ..] for its own
-   majors u — owned exclusively — and (b) smaller-endpoint slots of
-   arbitrary blocks v at per-range cursor windows carved out of
-   [offsets.(v) .. offsets.(v) + minor_total.(v)) in phase 5 — disjoint by
-   construction, and ordered so every block is born sorted exactly as in
-   the sequential two-pass fill.  The fill scatters straight into the
-   final off-heap adjacency lane: Bigarray storage has no GC write
-   barriers, so disjoint-window parallel writes are exactly as safe as
-   they were on a heap int array, and there is no post-build copy. *)
-let build_packed_par ~pool ~n ~shift chunks =
-  let nchunks = Array.length chunks in
-  let mask = (1 lsl shift) - 1 in
-  let scratch = Int.max n 1 in
-  (* 1. per chunk: drop self-loops, orient u < v, compact in place, and
-     histogram the (normalised) major keys *)
-  let hist = Array.init (Int.max nchunks 1) (fun _ -> Array.make scratch 0) in
-  let lens = Array.make (Int.max nchunks 1) 0 in
-  Pool.parallel_for_ranges pool ~chunks:(Int.max nchunks 1) ~n:nchunks
-    (fun ~chunk:_ ~lo ~hi ->
-      for k = lo to hi - 1 do
-        let storage, off, len = chunks.(k) in
-        let h = hist.(k) in
-        let w = ref off in
-        for i = off to off + len - 1 do
-          let c = Array.unsafe_get storage i in
-          if c < 0 || c lsr shift >= n || c land mask >= n then
-            invalid_arg "Graph.of_packed_par: code out of range";
-          let u = c lsr shift and v = c land mask in
-          if u <> v then begin
-            let c = if u < v then c else (v lsl shift) lor u in
-            Array.unsafe_set storage !w c;
-            let u = c lsr shift in
-            Array.unsafe_set h u (Array.unsafe_get h u + 1);
-            incr w
-          end
-        done;
-        lens.(k) <- !w - off
-      done);
-  (* 2. merge histograms: global block starts per major key, plus each
-     chunk's private scatter cursor (hist is rewritten in place) *)
-  let block_start = Array.make (n + 1) 0 in
-  let run = ref 0 in
-  for u = 0 to n - 1 do
-    block_start.(u) <- !run;
-    for k = 0 to nchunks - 1 do
-      let h = hist.(k) in
-      let c = h.(u) in
-      h.(u) <- !run;
-      run := !run + c
-    done
-  done;
-  block_start.(n) <- !run;
-  let total = !run in
-  (* 3. scatter: each chunk writes its own codes at its precomputed
-     cursors; [aux] ends up grouped by major key, majors ascending *)
-  let aux = Array.make (Int.max total 1) 0 in
-  Pool.parallel_for_ranges pool ~chunks:(Int.max nchunks 1) ~n:nchunks
-    (fun ~chunk:_ ~lo ~hi ->
-      for k = lo to hi - 1 do
-        let storage, off, _ = chunks.(k) in
-        let cur = hist.(k) in
-        for i = off to off + lens.(k) - 1 do
-          let c = Array.unsafe_get storage i in
-          let u = c lsr shift in
-          Array.unsafe_set aux (Array.unsafe_get cur u) c;
-          Array.unsafe_set cur u (Array.unsafe_get cur u + 1)
-        done
-      done);
-  (* 4. per major block: sort (blocks share the major key, so full-code
-     order is minor-key order), dedup in place, histogram the minors of
-     the unique codes per u-range *)
-  let nranges = Pool.size pool in
-  let mhist = Array.init nranges (fun _ -> Array.make scratch 0) in
-  let uniq = Array.make scratch 0 in
-  Pool.parallel_for_ranges pool ~chunks:nranges ~n (fun ~chunk ~lo ~hi ->
-      let mh = mhist.(chunk) in
-      for u = lo to hi - 1 do
-        let s = block_start.(u) and e = block_start.(u + 1) in
-        Isort.sort_range aux ~pos:s ~len:(e - s);
-        let w = ref s in
-        for i = s to e - 1 do
-          let c = Array.unsafe_get aux i in
-          if i = s || c <> Array.unsafe_get aux (!w - 1) then begin
-            Array.unsafe_set aux !w c;
-            incr w;
-            let v = c land mask in
-            Array.unsafe_set mh v (Array.unsafe_get mh v + 1)
-          end
-        done;
-        uniq.(u) <- !w - s
-      done);
-  (* 5. degrees = minor-side + major-side counts; prefix-sum into offsets;
-     rewrite mhist in place into pass-A cursors: range r's first write
-     slot for smaller-endpoint entries of block v *)
-  let minor_total = Array.make scratch 0 in
-  for v = 0 to n - 1 do
-    let s = ref 0 in
-    for r = 0 to nranges - 1 do
-      s := !s + mhist.(r).(v)
-    done;
-    minor_total.(v) <- !s
-  done;
-  let offsets : Bigvec.t = Bigvec.create_uninit (n + 1) in
-  Bigarray.Array1.unsafe_set offsets 0 0;
-  let maxdeg = ref 0 in
-  let orun = ref 0 in
-  for v = 0 to n - 1 do
-    let d = minor_total.(v) + uniq.(v) in
-    if d > !maxdeg then maxdeg := d;
-    orun := !orun + d;
-    Bigarray.Array1.unsafe_set offsets (v + 1) !orun
-  done;
-  for v = 0 to n - 1 do
-    let run = ref (Bigarray.Array1.unsafe_get offsets v) in
-    for r = 0 to nranges - 1 do
-      let c = mhist.(r).(v) in
-      mhist.(r).(v) <- !run;
-      run := !run + c
-    done
-  done;
-  (* 6. fill: for each unique code (u, v) in global sorted order within a
-     range, write u into v's block (pass A, at the per-range cursor) and v
-     into u's block (pass B, after u's smaller neighbors).  Same visit
-     order as the sequential two-pass fill, so every block is born
-     sorted. *)
-  let adj : Bigvec.t = Bigvec.create_uninit !orun in
-  Pool.parallel_for_ranges pool ~chunks:nranges ~n (fun ~chunk ~lo ~hi ->
-      let acur = mhist.(chunk) in
-      for u = lo to hi - 1 do
-        let s = block_start.(u) in
-        let b = ref (Bigarray.Array1.unsafe_get offsets u + minor_total.(u)) in
-        for i = s to s + uniq.(u) - 1 do
-          let c = Array.unsafe_get aux i in
-          let v = c land mask in
-          Bigarray.Array1.unsafe_set adj (Array.unsafe_get acur v) u;
-          Array.unsafe_set acur v (Array.unsafe_get acur v + 1);
-          Bigarray.Array1.unsafe_set adj !b v;
-          incr b
-        done
-      done);
-  { n; offsets; adj; maxdeg = !maxdeg; probe_count = Atomic.make 0 }
-[@@domain_safe
-  "phases write disjoint index windows: each chunk owns hist.(k)/lens.(k), \
-   each range owns its major slots and per-range minor cursor windows (see \
-   the Races note above)"]
-
 let check_endpoints ~n (u, v) =
   if u < 0 || u >= n || v < 0 || v >= n then
     invalid_arg "Graph.of_edges: endpoint out of range"
@@ -377,24 +202,6 @@ let of_packed ~n ?len codes =
   build_packed ~n ~shift codes len
 
 let of_edgebuf ~n buf = of_packed ~n ~len:(Edgebuf.length buf) (Edgebuf.data buf)
-
-let of_packed_par ~pool ~n ?len codes =
-  let shift = pack_shift ~n in
-  let len = match len with Some l -> l | None -> Array.length codes in
-  if len < 0 || len > Array.length codes then
-    invalid_arg "Graph.of_packed_par: bad length";
-  let p = Pool.size pool in
-  let chunks =
-    Array.init p (fun k ->
-        let lo, hi = Pool.chunk_bounds ~chunks:p ~n:len k in
-        (codes, lo, hi - lo))
-  in
-  build_packed_par ~pool ~n ~shift chunks
-
-let of_edgebufs_par ~pool ~n bufs =
-  let shift = pack_shift ~n in
-  build_packed_par ~pool ~n ~shift
-    (Array.map (fun b -> (Edgebuf.data b, 0, Edgebuf.length b)) bufs)
 
 (* ------------------------------------------------------------------ *)
 (* Raw CSR lanes (the .msgr mmap path)                                *)
@@ -459,21 +266,18 @@ let neighbor_uncounted t v i =
   if i < 0 || i >= degree t v then invalid_arg "Graph.neighbor: index out of range";
   au t.adj (og t.offsets v + i)
 
-(* Partition (a slice of) the vertex range into maximal contiguous runs
-   whose adjacency occupies at most [extent] CSR words.  Offsets make each
-   candidate extent an O(1) subtraction, so the scan is O(blocks + range).
+(* Partition the vertex range into maximal contiguous runs whose
+   adjacency occupies at most [extent] CSR words.  Offsets make each
+   candidate extent an O(1) subtraction, so the scan is O(blocks + n).
    A vertex whose own list exceeds [extent] forms a singleton block —
    progress is unconditional. *)
-let iter_vertex_blocks t ?(lo = 0) ?hi ~extent f =
-  let hi = match hi with Some h -> h | None -> t.n in
-  if lo < 0 || hi > t.n || lo > hi then
-    invalid_arg "Graph.iter_vertex_blocks: bad range";
+let iter_vertex_blocks t ~extent f =
   if extent < 1 then invalid_arg "Graph.iter_vertex_blocks: extent must be >= 1";
-  let b = ref lo in
-  while !b < hi do
+  let b = ref 0 in
+  while !b < t.n do
     let base = og t.offsets !b in
     let e = ref (!b + 1) in
-    while !e < hi && og t.offsets (!e + 1) - base <= extent do
+    while !e < t.n && og t.offsets (!e + 1) - base <= extent do
       incr e
     done;
     f !b !e;

@@ -19,10 +19,14 @@
     {!Graph_io.load_mmap}, mmap'd — storage that the GC never scans and
     that domains share without write barriers.  A marking pass over a
     100M-edge graph no longer drags ~1.6 GB of adjacency through every
-    major collection, and the parallel builders scatter directly into
-    disjoint windows of the final lanes with no post-build copy.  All
-    observable behaviour (checksums, audits, equality, probe accounting)
-    is bit-for-bit identical to the former heap-array representation.
+    major collection, and the builder writes the final lanes in place
+    with no post-build copy.  All observable behaviour (checksums,
+    audits, equality, probe accounting) is bit-for-bit identical to the
+    former heap-array representation.
+
+    Every builder runs on the calling domain, as the paper's sequential
+    algorithm does (§3.1); DESIGN.md §5 records why there is no
+    shared-memory parallel builder.
 
     {2 Packed edges}
 
@@ -85,31 +89,6 @@ val of_edgebuf : n:int -> Mspar_prelude.Edgebuf.t -> t
 (** {!of_packed} over an {!Mspar_prelude.Edgebuf}'s contents (which are
     mutated, like the array above). *)
 
-val of_packed_par :
-  pool:Mspar_prelude.Pool.t -> n:int -> ?len:int -> int array -> t
-(** Multi-domain {!of_packed}: the prefix is split into one contiguous
-    chunk per pool worker, and the CSR is assembled by per-chunk degree
-    histograms merged with a prefix sum, a parallel scatter of each
-    chunk's codes into the final per-vertex blocks, and a parallel
-    per-block sort/dedup — no sequential concat copy and no global
-    sequential counting sort.  The output is bit-for-bit identical to
-    {!of_packed} on the same prefix (both emit the canonical CSR of the
-    deduplicated edge set); with a size-1 pool everything runs on the
-    caller.  Like {!of_packed}, the prefix of [codes] is mutated, and it
-    is left in an unspecified partially-normalised state if validation
-    fails.
-    @raise Invalid_argument if [n] is outside the packable range or a code
-    does not decode to endpoints in [\[0, n)]. *)
-
-val of_edgebufs_par :
-  pool:Mspar_prelude.Pool.t -> n:int -> Mspar_prelude.Edgebuf.t array -> t
-(** {!of_packed_par} over per-domain mark buffers, one chunk per buffer
-    (buffers may be empty and their count need not match the pool size).
-    Equivalent to {!of_packed} over the buffers' concatenation, without
-    ever materialising the concatenation; buffer contents are mutated.
-    @raise Invalid_argument if [n] is outside the packable range or a code
-    does not decode to endpoints in [\[0, n)]. *)
-
 val n : t -> int
 (** Number of vertices. *)
 
@@ -157,18 +136,17 @@ val neighbors_into_uncounted : t -> int -> out:int array -> int
     extends its dominated-by-charge proof to this accessor.
     @raise Invalid_argument if [out] is shorter than the degree. *)
 
-val iter_vertex_blocks :
-  t -> ?lo:int -> ?hi:int -> extent:int -> (int -> int -> unit) -> unit
-(** [iter_vertex_blocks g ~extent f] partitions [\[lo, hi)] (default: all
-    vertices) into maximal contiguous runs [f b e] whose adjacency spans
-    at most [extent] CSR words — a vertex whose list alone exceeds
-    [extent] forms a singleton run.  With [extent] sized to a cache level,
-    a traversal that visits each run before moving on works a bounded
-    window of the adjacency lane at a time (the lane is CSR-contiguous,
-    so a run {e is} an address interval), which is what the cache-blocked
-    marking loop in [Gdelta] keys off.  O(1) per candidate
-    vertex via the offsets lane; the adjacency lane is not read.
-    @raise Invalid_argument if the range is bad or [extent < 1]. *)
+val iter_vertex_blocks : t -> extent:int -> (int -> int -> unit) -> unit
+(** [iter_vertex_blocks g ~extent f] partitions the vertices [\[0, n)]
+    into maximal contiguous runs [f b e] whose adjacency spans at most
+    [extent] CSR words — a vertex whose list alone exceeds [extent] forms
+    a singleton run.  With [extent] sized to a cache level, a traversal
+    that visits each run before moving on works a bounded window of the
+    adjacency lane at a time (the lane is CSR-contiguous, so a run {e is}
+    an address interval), which is what the cache-blocked marking loop in
+    [Gdelta] keys off.  O(1) per candidate vertex via the offsets lane;
+    the adjacency lane is not read.
+    @raise Invalid_argument if [extent < 1]. *)
 
 val add_probes : t -> int -> unit
 (** Charge [k] probes explicitly (pairs with {!neighbor_uncounted}). *)

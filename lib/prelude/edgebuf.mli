@@ -48,7 +48,7 @@ val to_array : t -> int array
 
 val blit_into : t -> int array -> int -> unit
 (** [blit_into t dst pos] copies the contents into [dst] starting at
-    [pos]; used to concatenate per-domain buffers into one flat array.
+    [pos], e.g. to concatenate several buffers into one flat array.
     @raise Invalid_argument if the destination range is out of bounds. *)
 
 val append : into:t -> t -> unit

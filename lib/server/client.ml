@@ -123,9 +123,9 @@ let request ?timeout t req =
   match send t req with Error _ as e -> e | Ok () -> recv ?timeout t
 
 (* Failover discovery: probe each address with Role until one answers as
-   the primary, following one Redirect hop per probe (a replica knows
-   its primary's address).  Sweeps are separated by the same full-jitter
-   backoff as [connect_retry]. *)
+   the primary.  The server answers every Role with Role_reply, so the
+   list must name the primary itself.  Sweeps are separated by the same
+   full-jitter backoff as [connect_retry]. *)
 let connect_primary ?(attempts = 8) ?(base_delay = 0.02) ?(cap = 1.0)
     ?(seed = default_retry_seed) addrs =
   if List.is_empty addrs then Error "connect_primary: empty address list"
@@ -137,20 +137,6 @@ let connect_primary ?(attempts = 8) ?(base_delay = 0.02) ?(cap = 1.0)
       | Ok t -> (
           match request t Wire.Role with
           | Ok (Wire.Role_reply { primary = true; _ }) -> Some (t, addr)
-          | Ok (Wire.Redirect hint) when hint <> "" -> (
-              close t;
-              match Wire.addr_of_string hint with
-              | Error _ -> None
-              | Ok hinted -> (
-                  match connect hinted with
-                  | Error _ -> None
-                  | Ok t2 -> (
-                      match request t2 Wire.Role with
-                      | Ok (Wire.Role_reply { primary = true; _ }) ->
-                          Some (t2, hinted)
-                      | _ ->
-                          close t2;
-                          None)))
           | _ ->
               close t;
               None)

@@ -33,8 +33,9 @@ val connect_primary :
   Wire.addr list ->
   (t * Wire.addr, string) result
 (** Failover discovery: probe the addresses in order with [Role] until
-    one answers as the primary (following one [Redirect] hint hop per
-    probe), sleeping a {!backoff_delay} between sweeps.  Returns the
+    one answers as the primary, sleeping a {!backoff_delay} between
+    sweeps.  A replica answers [Role] with its role, not a redirect, so
+    the list must include the primary's own address.  Returns the
     connected client and the address that worked.  After a failover the
     caller must re-send its [Hello] and replay unacked rids — at-most-once
     dedup makes the replay exactly-once. *)

@@ -102,6 +102,29 @@ let test_gdelta_rejects_bad_delta () =
   Alcotest.check_raises "delta 0" (Invalid_argument "Gdelta: delta must be >= 1")
     (fun () -> ignore (Gdelta.sparsify (Rng.create 0) g ~delta:0))
 
+let test_gdelta_probe_exactness () =
+  (* the probe counter accounts every read: the total equals the
+     closed-form per-vertex cost of the rule, and every probe is a mark *)
+  let rng = Rng.create 77 in
+  let g = Gen.gnp rng ~n:300 ~p:0.2 in
+  let delta = 4 in
+  List.iter
+    (fun (rule, keep) ->
+      let expected = ref 0 in
+      for v = 0 to Graph.n g - 1 do
+        let d = Graph.degree g v in
+        expected := !expected + (if d <= keep then d else delta)
+      done;
+      Graph.reset_probes g;
+      let _, st = Gdelta.sparsify_seeded ~rule ~seed:5 g ~delta in
+      check "sequential probes" !expected (Graph.probes g);
+      check "probes exact" !expected st.Gdelta.probes;
+      check "marks = probes" !expected st.Gdelta.marks)
+    [
+      (Gdelta.Mark_all_at_most_two_delta, 2 * delta);
+      (Gdelta.Mark_all_at_most_delta, delta);
+    ]
+
 (* ------------------------------------------------------------------ *)
 (* Theorem 2.1: approximation quality                                 *)
 (* ------------------------------------------------------------------ *)
@@ -437,6 +460,34 @@ let test_pipeline_matcher_modes () =
       check_bool "nonempty" true (Matching.size r.Pipeline.matching > 0))
     [ Pipeline.Exact; Pipeline.Approx_eps; Pipeline.Greedy_2approx ]
 
+let test_pipeline_seeded_gdelta () =
+  (* [Pipeline.run]'s G_delta is [Gdelta.sparsify_seeded] keyed by one
+     draw of the rng, under either rule.  At beta 1 the Delta is 16 and
+     degrees are near 60, so vertices sample. *)
+  let rng = Rng.create 31 in
+  let g = Gen.gnp rng ~n:200 ~p:0.3 in
+  List.iter
+    (fun rule ->
+      let r = Pipeline.run ~rule (Rng.create 9) g ~beta:1 ~eps:0.5 in
+      check_bool "matching is over the input graph" true
+        (Matching.is_valid g r.Pipeline.matching);
+      (* the build is the seeded one keyed by one draw of the rng *)
+      let seed = Mark_kernel.seed_of (Rng.create 9) in
+      check "seeded graph"
+        (Graph.m
+           (fst (Gdelta.sparsify_seeded ~rule ~seed g ~delta:r.Pipeline.delta)))
+        r.Pipeline.sparsifier_edges;
+      (* probes match the closed form for the rule at the chosen delta *)
+      let expected = ref 0 in
+      for v = 0 to Graph.n g - 1 do
+        expected :=
+          !expected
+          + Mark_kernel.mark_count rule ~delta:r.Pipeline.delta
+              ~degree:(Graph.degree g v)
+      done;
+      check "probe accounting" !expected r.Pipeline.probes_on_input)
+    [ Gdelta.Mark_all_at_most_two_delta; Gdelta.Mark_all_at_most_delta ]
+
 (* ------------------------------------------------------------------ *)
 (* Property tests                                                     *)
 (* ------------------------------------------------------------------ *)
@@ -547,6 +598,8 @@ let () =
           Alcotest.test_case "determinism" `Quick test_gdelta_determinism;
           Alcotest.test_case "rejects bad delta" `Quick
             test_gdelta_rejects_bad_delta;
+          Alcotest.test_case "probe exactness" `Quick
+            test_gdelta_probe_exactness;
         ] );
       ( "theorem-2.1",
         [
@@ -596,6 +649,7 @@ let () =
           Alcotest.test_case "sublinear probes" `Quick
             test_pipeline_sublinear_probes;
           Alcotest.test_case "matcher modes" `Quick test_pipeline_matcher_modes;
+          Alcotest.test_case "seeded gdelta" `Quick test_pipeline_seeded_gdelta;
         ] );
       ("properties", qsuite);
     ]

@@ -69,13 +69,8 @@ let test_sparsifiers_on_empty () =
   check "dist zero messages" 0 dst.Mspar_distsim.Sparsify_dist.messages;
   let s, _, _ = Mspar_stream.Stream_sparsifier.run rng ~n:4 ~delta:2 [||] in
   check "stream of empty" 0 (Graph.m s);
-  let pool = Pool.create ~num_domains:3 () in
-  let par, _ =
-    Fun.protect
-      ~finally:(fun () -> Pool.shutdown pool)
-      (fun () -> Mspar_core.Gdelta.sparsify_seeded ~pool ~seed:1 g ~delta:2)
-  in
-  check "parallel of empty" 0 (Graph.m par)
+  let s, _ = Mspar_core.Gdelta.sparsify_seeded ~seed:1 g ~delta:2 in
+  check "seeded of empty" 0 (Graph.m s)
 
 let test_pipelines_on_tiny () =
   let rng = Rng.create 2 in

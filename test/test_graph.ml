@@ -608,80 +608,6 @@ let qcheck_max_degree_cached =
       done;
       Graph.max_degree g = !scan)
 
-(* Shared pools for the parallel-builder properties: lazily started (no
-   domain spawns unless a property runs) and joined at exit.  1 is the
-   caller-only fallback; 7 does not divide most vertex counts, so some
-   chunks are empty or uneven. *)
-let test_pools =
-  lazy (List.map (fun d -> Pool.create ~num_domains:d ()) [ 1; 2; 4; 7 ])
-
-let () =
-  at_exit (fun () ->
-      if Lazy.is_val test_pools then
-        List.iter Pool.shutdown (Lazy.force test_pools))
-
-let qcheck_packed_par_equals_seq =
-  QCheck.Test.make
-    ~name:"of_packed_par agrees with of_packed for every pool size"
-    ~count:150 messy_edges
-    (fun (n, edges) ->
-      let shift = Graph.pack_shift ~n in
-      let codes =
-        Array.of_list (List.map (fun (u, v) -> Graph.pack ~shift u v) edges)
-      in
-      (* both builders mutate their prefix: give each its own copy *)
-      let seq = Graph.of_packed ~n (Array.copy codes) in
-      List.for_all
-        (fun pool ->
-          let par = Graph.of_packed_par ~pool ~n (Array.copy codes) in
-          Graph.equal seq par
-          && Graph.m seq = Graph.m par
-          && Graph.max_degree seq = Graph.max_degree par)
-        (Lazy.force test_pools))
-
-let qcheck_edgebufs_par_equals_concat =
-  QCheck.Test.make
-    ~name:"of_edgebufs_par equals of_packed over the concatenation"
-    ~count:100
-    QCheck.(pair messy_edges (int_range 0 10_000))
-    (fun ((n, edges), seed) ->
-      let shift = Graph.pack_shift ~n in
-      let codes =
-        Array.of_list (List.map (fun (u, v) -> Graph.pack ~shift u v) edges)
-      in
-      let seq = Graph.of_packed ~n (Array.copy codes) in
-      (* scatter the codes over an uneven buffer array (some empty) *)
-      let rng = Rng.create seed in
-      let nbufs = 1 + Rng.int rng 5 in
-      List.for_all
-        (fun pool ->
-          let bufs = Array.init nbufs (fun _ -> Edgebuf.create ()) in
-          let r = Rng.copy rng in
-          Array.iter (fun c -> Edgebuf.push bufs.(Rng.int r nbufs) c) codes;
-          Graph.equal seq (Graph.of_edgebufs_par ~pool ~n bufs))
-        (Lazy.force test_pools))
-
-let test_of_packed_par_rejects () =
-  let pool = Pool.create ~num_domains:2 () in
-  Fun.protect
-    ~finally:(fun () -> Pool.shutdown pool)
-    (fun () ->
-      Alcotest.check_raises "bad code"
-        (Invalid_argument "Graph.of_packed_par: code out of range") (fun () ->
-          ignore (Graph.of_packed_par ~pool ~n:4 [| -1 |]));
-      Alcotest.check_raises "bad length"
-        (Invalid_argument "Graph.of_packed_par: bad length") (fun () ->
-          ignore (Graph.of_packed_par ~pool ~n:4 ~len:2 [| 0 |]));
-      (* ?len builds only the prefix *)
-      let shift = Graph.pack_shift ~n:4 in
-      let codes =
-        [| Graph.pack ~shift 0 1; Graph.pack ~shift 1 2; Graph.pack ~shift 2 3 |]
-      in
-      let g = Graph.of_packed_par ~pool ~n:4 ~len:2 codes in
-      check "prefix only" 2 (Graph.m g);
-      check_bool "prefix content" true
-        (Graph.equal g (Graph.of_edges ~n:4 [ (0, 1); (1, 2) ])))
-
 let test_of_packed_rejects () =
   Alcotest.check_raises "bad code"
     (Invalid_argument "Graph.of_packed: code out of range") (fun () ->
@@ -735,14 +661,6 @@ let test_packable_range () =
         (Graph.of_edges_iter ~n:too_big (fun _ ->
              Alcotest.fail "of_edges_iter ran its producer")));
   refused "of_packed" (fun () -> ignore (Graph.of_packed ~n:too_big [| 1 |]));
-  let pool = Pool.create ~num_domains:1 () in
-  Fun.protect
-    ~finally:(fun () -> Pool.shutdown pool)
-    (fun () ->
-      refused "of_packed_par" (fun () ->
-          ignore (Graph.of_packed_par ~pool ~n:too_big [| 1 |]));
-      refused "of_edgebufs_par" (fun () ->
-          ignore (Graph.of_edgebufs_par ~pool ~n:too_big [||])));
   match
     Graph.of_csr ~n:too_big ~offsets:(Bigvec.of_array [| 0 |])
       ~adj:(Bigvec.of_array [| 0 |]) ~maxdeg:0
@@ -855,12 +773,7 @@ let qcheck_checksum_parity =
         Array.of_list (List.map (fun (u, v) -> Graph.pack ~shift u v) edges)
       in
       Int64.equal want (Graph.checksum (Graph.of_packed ~n (Array.copy codes)))
-      && Int64.equal want (Graph.checksum (Graph.of_edges ~n edges))
-      && List.for_all
-           (fun pool ->
-             Int64.equal want
-               (Graph.checksum (Graph.of_packed_par ~pool ~n (Array.copy codes))))
-           (Lazy.force test_pools))
+      && Int64.equal want (Graph.checksum (Graph.of_edges ~n edges)))
 
 let qcheck_msgr_roundtrip =
   QCheck.Test.make ~name:".msgr save / load_mmap preserves checksum and audit"
@@ -950,8 +863,6 @@ let () =
         qcheck_csr_roundtrip;
         qcheck_packed_equals_list;
         qcheck_packed_pack_roundtrip;
-        qcheck_packed_par_equals_seq;
-        qcheck_edgebufs_par_equals_concat;
         qcheck_max_degree_cached;
         qcheck_degree_sum;
         qcheck_beta_vs_greedy;
@@ -980,8 +891,6 @@ let () =
             test_graph_union_subgraph_equal;
           Alcotest.test_case "of_packed validation" `Quick
             test_of_packed_rejects;
-          Alcotest.test_case "of_packed_par validation" `Quick
-            test_of_packed_par_rejects;
           Alcotest.test_case "packable range precondition" `Quick
             test_packable_range;
         ] );

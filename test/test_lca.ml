@@ -165,24 +165,6 @@ let qcheck_cache_model =
       true)
 
 (* ------------------------------------------------------------------ *)
-(* Replay discipline: the seeded builders build one graph            *)
-(* ------------------------------------------------------------------ *)
-
-let test_seeded_builders_agree () =
-  let rng = Rng.create 11 in
-  let pool = Pool.create ~num_domains:3 () in
-  Fun.protect
-    ~finally:(fun () -> Pool.shutdown pool)
-    (fun () ->
-      for seed = 1 to 5 do
-        let g = Gen.gnp rng ~n:60 ~p:0.25 in
-        let s1, _ = Gdelta.sparsify_seeded ~seed g ~delta:3 in
-        let s2, _ = Gdelta.sparsify_seeded ~pool ~seed g ~delta:3 in
-        check_bool "sparsify_seeded on a pool = on the caller" true
-          (Graph.equal s1 s2)
-      done)
-
-(* ------------------------------------------------------------------ *)
 (* Parity references                                                  *)
 (* ------------------------------------------------------------------ *)
 
@@ -508,11 +490,6 @@ let () =
           Alcotest.test_case "stale stamps" `Quick test_cache_stale_stamps;
           Alcotest.test_case "overwrite + bad capacity" `Quick
             test_cache_overwrite;
-        ] );
-      ( "replay",
-        [
-          Alcotest.test_case "seeded builders agree" `Quick
-            test_seeded_builders_agree;
         ] );
       ( "parity",
         [

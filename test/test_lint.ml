@@ -165,7 +165,10 @@ let test_msp008 () =
     (lint ~file:"lib/prelude/pool.ml" "let f () = Domain.spawn (fun () -> ())");
   check_silent "pool consumers are clean" "MSP008"
     (lint ~file:"lib/core/foo.ml"
-       "let f p ~n g = Pool.parallel_for_ranges p ~n g");
+       "module Pool = struct\n\
+       \  let parallel_for_ranges _t ~n:_ f = f ~chunk:0 ~lo:0 ~hi:0\n\
+        end\n\
+        let f p ~n g = Pool.parallel_for_ranges p ~n g");
   check_silent "other Domain functions are fine" "MSP008"
     (lint ~file:"lib/prelude/foo.ml" "let f () = Domain.recommended_domain_count ()");
   check_silent "lint.allow escape" "MSP008"
@@ -331,9 +334,8 @@ let typed_lint ~file source =
   | Error e -> Alcotest.failf "fixture %s does not type-check: %s" file e
   | Ok u -> Lint_engine.suppress [ u ] (Lint_typed_rules.run cfg [ u ])
 
-(* Minimal Pool signature: [norm_path] reduces both the real
-   [Mspar_prelude__Pool] and this local stub to ["Pool.parallel_for_ranges"],
-   so the fixture exercises the same entry-point match as production code. *)
+(* Minimal Pool signature: [norm_path] reduces this local stub to
+   ["Pool.parallel_for_ranges"], the entry point MSP012 matches. *)
 let pool_stub =
   "module Pool = struct\n\
   \  let parallel_for_ranges _t ~chunks:_ ~n:_ f = f ~chunk:0 ~lo:0 ~hi:0\n\

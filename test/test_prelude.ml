@@ -35,6 +35,18 @@ let test_rng_copy_and_split () =
   done;
   check "split independent" 0 !same
 
+let test_vertex_streams_independent () =
+  (* different vertices get different streams; same vertex, same stream *)
+  let a = Rng.derive ~seed:1 0 in
+  let b = Rng.derive ~seed:1 0 in
+  check_bool "same vertex same stream" true (Rng.bits64 a = Rng.bits64 b);
+  let c = Rng.derive ~seed:1 1 in
+  let d = Rng.derive ~seed:2 0 in
+  let a = Rng.derive ~seed:1 0 in
+  check_bool "different vertex differs" false (Rng.bits64 a = Rng.bits64 c);
+  let a = Rng.derive ~seed:1 0 in
+  check_bool "different seed differs" false (Rng.bits64 a = Rng.bits64 d)
+
 let test_rng_int_bounds () =
   let rng = Rng.create 1 in
   for _ = 1 to 10_000 do
@@ -571,104 +583,6 @@ let qcheck_isort_matches_stdlib =
       mine = theirs)
 
 (* ------------------------------------------------------------------ *)
-(* Pool                                                               *)
-(* ------------------------------------------------------------------ *)
-
-let test_pool_chunk_bounds () =
-  (* the ranges partition [0, n) in order, with sizes differing by <= 1 *)
-  List.iter
-    (fun (chunks, n) ->
-      let expected_lo = ref 0 in
-      let sizes = ref [] in
-      for k = 0 to chunks - 1 do
-        let lo, hi = Pool.chunk_bounds ~chunks ~n k in
-        check (Printf.sprintf "lo contiguous (c=%d n=%d k=%d)" chunks n k) !expected_lo lo;
-        check_bool "ordered" true (lo <= hi);
-        expected_lo := hi;
-        sizes := (hi - lo) :: !sizes
-      done;
-      check (Printf.sprintf "covers [0,%d)" n) n !expected_lo;
-      let mn, mx =
-        List.fold_left (fun (a, b) s -> (min a s, max b s)) (max_int, 0) !sizes
-      in
-      check_bool "balanced" true (chunks = 0 || mx - mn <= 1))
-    [ (1, 0); (1, 10); (3, 10); (4, 4); (7, 3); (8, 100); (5, 0) ]
-
-let test_pool_parallel_for_covers () =
-  let pool = Pool.create ~num_domains:3 () in
-  Fun.protect
-    ~finally:(fun () -> Pool.shutdown pool)
-    (fun () ->
-      check "size" 3 (Pool.size pool);
-      List.iter
-        (fun (chunks, n) ->
-          let hits = Array.make (max n 1) 0 in
-          (* Alcotest checks must run on the calling domain: record the
-             condition in the workers, assert it after the join *)
-          let chunks_in_range = Atomic.make true in
-          Pool.parallel_for_ranges pool ?chunks ~n (fun ~chunk ~lo ~hi ->
-              if chunk < 0 then Atomic.set chunks_in_range false;
-              for i = lo to hi - 1 do
-                hits.(i) <- hits.(i) + 1
-              done);
-          check_bool "chunk id in range" true (Atomic.get chunks_in_range);
-          for i = 0 to n - 1 do
-            check (Printf.sprintf "index %d visited once (n=%d)" i n) 1 hits.(i)
-          done)
-        [ (None, 0); (None, 1); (None, 2); (None, 100); (Some 1, 50);
-          (Some 7, 10); (Some 7, 3); (Some 16, 1000) ])
-
-let test_pool_single_domain_never_spawns () =
-  (* a size-1 pool runs everything on the caller; observable via Domain.self *)
-  let pool = Pool.create ~num_domains:1 () in
-  let me = (Domain.self () :> int) in
-  let seen = ref [] in
-  Pool.parallel_for_ranges pool ~chunks:4 ~n:8 (fun ~chunk:_ ~lo:_ ~hi:_ ->
-      seen := (Domain.self () :> int) :: !seen);
-  check "all four chunks ran" 4 (List.length !seen);
-  List.iter (fun d -> check "on the caller's domain" me d) !seen;
-  Pool.shutdown pool
-
-let test_pool_exception_propagates () =
-  let pool = Pool.create ~num_domains:2 () in
-  Fun.protect
-    ~finally:(fun () -> Pool.shutdown pool)
-    (fun () ->
-      (match
-         Pool.parallel_for_ranges pool ~chunks:4 ~n:4 (fun ~chunk ~lo:_ ~hi:_ ->
-             if chunk = 1 then failwith "boom")
-       with
-      | () -> Alcotest.fail "expected the chunk's exception to propagate"
-      | exception Failure m -> Alcotest.(check string) "message" "boom" m);
-      (* the pool is still usable after a failed job *)
-      let total = Atomic.make 0 in
-      Pool.parallel_for_ranges pool ~n:10 (fun ~chunk:_ ~lo ~hi ->
-          ignore (Atomic.fetch_and_add total (hi - lo)));
-      check "usable after failure" 10 (Atomic.get total))
-
-let test_pool_shutdown_and_restart () =
-  let pool = Pool.create ~num_domains:2 () in
-  let count () =
-    let total = Atomic.make 0 in
-    Pool.parallel_for_ranges pool ~n:7 (fun ~chunk:_ ~lo ~hi ->
-        ignore (Atomic.fetch_and_add total (hi - lo)));
-    Atomic.get total
-  in
-  check "first use" 7 (count ());
-  Pool.shutdown pool;
-  Pool.shutdown pool (* idempotent *);
-  check "restarts lazily after shutdown" 7 (count ());
-  Pool.shutdown pool
-
-let test_pool_create_validation () =
-  Alcotest.check_raises "zero domains"
-    (Invalid_argument "Pool.create: num_domains must be in [1, 128]") (fun () ->
-      ignore (Pool.create ~num_domains:0 ()));
-  Alcotest.check_raises "too many domains"
-    (Invalid_argument "Pool.create: num_domains must be in [1, 128]") (fun () ->
-      ignore (Pool.create ~num_domains:129 ()))
-
-(* ------------------------------------------------------------------ *)
 (* Codec.Frames — the incremental frame reader under the serve wire    *)
 (* ------------------------------------------------------------------ *)
 
@@ -849,6 +763,7 @@ let () =
         [
           Alcotest.test_case "determinism" `Quick test_rng_determinism;
           Alcotest.test_case "copy and split" `Quick test_rng_copy_and_split;
+          Alcotest.test_case "vertex rng" `Quick test_vertex_streams_independent;
           Alcotest.test_case "int bounds" `Quick test_rng_int_bounds;
           Alcotest.test_case "uniformity" `Quick test_rng_uniformity;
           Alcotest.test_case "float and bernoulli" `Quick
@@ -903,20 +818,6 @@ let () =
             test_frames_hostile_lengths;
           Alcotest.test_case "decode_all tail verdicts" `Quick
             test_frames_decode_all_tails;
-        ] );
-      ( "pool",
-        [
-          Alcotest.test_case "chunk bounds" `Quick test_pool_chunk_bounds;
-          Alcotest.test_case "parallel_for coverage" `Quick
-            test_pool_parallel_for_covers;
-          Alcotest.test_case "single domain runs inline" `Quick
-            test_pool_single_domain_never_spawns;
-          Alcotest.test_case "exception propagation" `Quick
-            test_pool_exception_propagates;
-          Alcotest.test_case "shutdown and restart" `Quick
-            test_pool_shutdown_and_restart;
-          Alcotest.test_case "create validation" `Quick
-            test_pool_create_validation;
         ] );
       ("properties", qsuite);
     ]
