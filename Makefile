@@ -1,10 +1,10 @@
 # Developer entry points.  `make check` is the CI gate: build, formatting
 # (when ocamlformat is installed — skipped with a notice otherwise, so the
 # gate still runs on minimal toolchains), and the test suite, which
-# includes the construction-path micro-bench smoke run (see bench/dune).
+# includes the bench smoke runs (see bench/dune).
 
 .PHONY: all build fmt lint lint-fixtures test check ci bench \
-  bench-construction bench-smoke bench-serve bench-lca bench-replication
+  bench-smoke bench-serve bench-lca bench-replication
 
 all: build
 
@@ -39,7 +39,7 @@ test:
 check: build fmt lint test
 
 # the one-command CI gate: build, full test suite (includes the
-# construction, fault-injection and .msgr-container smoke runs wired
+# fault-injection, serve and .msgr-container smoke runs wired
 # into dune runtest — the msgr legs at a small size; `make bench-smoke`
 # is the same gate at ~1M edges), then the gated formatting check
 ci:
@@ -51,10 +51,6 @@ ci:
 bench:
 	dune exec bench/main.exe -- --csv bench_csv
 
-# full-size construction-path rows (100k vertices, ~5M edges)
-bench-construction:
-	dune exec bench/main.exe -- --csv bench_csv construction
-
 # .msgr container smoke at ~1M edges: save, mmap-reopen with checksum and
 # audit cross-checks, and the O(1)-ish open assertion (same legs run at a
 # small size on every `dune runtest` / `make ci`)
@@ -62,12 +58,12 @@ bench-smoke:
 	dune exec bench/main.exe -- --csv bench_csv msgr-smoke
 
 # full serve suite: the complete socket fault-injection sweep (hostile
-# frames, backpressure, seeded kill -9 crash points with bit-for-bit
-# recovery, SIGTERM drain) plus the >=100k-op load run against a forked
-# `mspar serve` (smoke-size legs run on every `dune runtest` / `make ci`)
+# frames, pipelined windows, seeded kill -9 crash points with bit-for-bit
+# recovery, SIGTERM drain) against a forked `mspar serve` (smoke-size
+# legs run on every `dune runtest` / `make ci`); serve throughput and
+# latency are measured by perfbench's serve-write and serve-mixed
 bench-serve:
 	dune exec bench/main.exe -- --csv bench_csv serve-faults
-	dune exec bench/main.exe -- --csv bench_csv serve-load
 
 # full replication suite: all four hot-standby legs at full op counts —
 # kill -9 failover with Promote + client rediscovery, replica crash

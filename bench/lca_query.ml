@@ -43,6 +43,16 @@ let zipf_rank rng pool =
   let x = Float.exp (Rng.float rng (Float.log (float_of_int pool))) in
   Int.max 0 (Int.min (pool - 1) (int_of_float x - 1))
 
+(* m uniform random non-loop pairs over [0, n) (duplicates possible) *)
+let random_edge_array rng ~n ~m =
+  Array.init m (fun _ ->
+      let u = Rng.int rng n in
+      let v = ref (Rng.int rng n) in
+      while !v = u do
+        v := Rng.int rng n
+      done;
+      (u, !v))
+
 (* pre-sample an actual edge: both endpoint replays run on query *)
 let random_edge rng g =
   let n = Graph.n g in
@@ -97,7 +107,7 @@ let greedy_matched sg ~oseed =
 let mm_row ~full ~n ~delta =
   let rng = Rng.create (seed + n) in
   let m' = 3 * n in
-  let g = Graph.of_edge_array ~n (Micro.random_edge_array rng ~n ~m:m') in
+  let g = Graph.of_edge_array ~n (random_edge_array rng ~n ~m:m') in
   let sg, _ = Gdelta.sparsify_seeded ~seed g ~delta in
   let matched = greedy_matched sg ~oseed:seed in
   let o = Oracle.create (Adj.of_static g) ~seed ~delta in
@@ -123,11 +133,11 @@ let mm_row ~full ~n ~delta =
 
 let row ~full ~n ~m ~delta =
   let rng = Rng.create (seed + n) in
-  let g = Graph.of_edge_array ~n (Micro.random_edge_array rng ~n ~m) in
+  let g = Graph.of_edge_array ~n (random_edge_array rng ~n ~m) in
   (* the materialized reference: parity target and crossover baseline *)
   let sg, _ = Gdelta.sparsify_seeded ~seed g ~delta in
   let build_ns =
-    Micro.best_of ~repeats:3 (fun () ->
+    Msgr_smoke.best_of ~repeats:3 (fun () ->
         ignore (Gdelta.sparsify_seeded ~seed g ~delta))
   in
   (* ---- cold pass: distinct random edges, one oracle ---- *)

@@ -1,15 +1,8 @@
 (* Benchmark harness entry point.
 
    Usage:
-     dune exec bench/main.exe               - all experiments + micro-benches
+     dune exec bench/main.exe               - all experiments
      dune exec bench/main.exe -- e6 e9      - only the named experiments
-     dune exec bench/main.exe -- micro      - micro-benches (smoke-size
-                                              construction rows)
-     dune exec bench/main.exe -- construction - micro-benches with the full
-                                              100k-vertex / ~5M-edge
-                                              construction-path rows
-     dune exec bench/main.exe -- smoke      - construction rows only, tiny
-                                              sizes (the dune runtest hook)
      dune exec bench/main.exe -- fault_sweep - fault-injection degradation
                                               sweep (drop rate x retries)
      dune exec bench/main.exe -- fault-smoke - one asserted fault cell
@@ -25,14 +18,10 @@
      dune exec bench/main.exe -- msgr-smoke-small - the same legs at
                                               runtest size (the dune
                                               runtest hook)
-     dune exec bench/main.exe -- serve-load  - load generator against a
-                                              forked mspar serve (8 conns,
-                                              >=100k ops, p50/p99 +
-                                              updates/sec, zero acked loss)
-     dune exec bench/main.exe -- serve-load-smoke - the same at runtest size
      dune exec bench/main.exe -- serve-faults - socket fault injection:
-                                              hostile frames, backpressure,
-                                              seeded kill -9 crash points
+                                              hostile frames, pipelined
+                                              windows, seeded kill -9
+                                              crash points
                                               (recovery must match the
                                               uncrashed run bit-for-bit),
                                               SIGTERM drain
@@ -59,10 +48,6 @@
                                               warm gate) at tiny sizes
                                               (the dune runtest hook)
 
-   serve-load / serve-load-smoke also accept --query-frac F (0..0.95):
-   reshape the same total action count into an F-fraction point-query
-   workload, reporting update and query latencies separately.
-
    Experiment ids correspond to DESIGN.md's experiment index; every table
    regenerates the quantitative content of one claim of the paper. *)
 
@@ -77,19 +62,6 @@ let () =
         rest
     | args -> args
   in
-  (* --query-frac F: mixed-workload knob for the serve-load benches *)
-  let query_frac = ref None in
-  let args =
-    let rec strip = function
-      | "--query-frac" :: f :: rest ->
-          query_frac := Some (float_of_string f);
-          strip rest
-      | a :: rest -> a :: strip rest
-      | [] -> []
-    in
-    strip args
-  in
-  let query_frac = !query_frac in
   let wants name =
     (* exact id, or a prefix ending at the id's underscore: "e6" selects
        e6_sequential but not e11_ablations *)
@@ -109,10 +81,6 @@ let () =
         f ()
       end)
     Experiments.all;
-  if wants "micro" then begin
-    incr ran;
-    Micro.run ()
-  end;
   if wants "fault_sweep" then begin
     incr ran;
     Fault_sweep.run ()
@@ -121,17 +89,9 @@ let () =
     incr ran;
     Crash_soak.run ()
   end;
-  (* the heavy full-size construction rows and the tiny smoke run must be
-     asked for by name — they are not part of the default sweep *)
+  (* the smoke runs and the size-heavy legs must be asked for by name —
+     they are not part of the default sweep *)
   let explicit name = List.mem name args in
-  if explicit "construction" then begin
-    incr ran;
-    Micro.run ~construction:`Full ()
-  end;
-  if explicit "smoke" then begin
-    incr ran;
-    Micro.smoke ()
-  end;
   if explicit "fault-smoke" then begin
     incr ran;
     Fault_sweep.smoke ()
@@ -150,14 +110,6 @@ let () =
   end;
   (* the serve benches fork real server processes, so they also must be
      asked for by name and never join the default sweep *)
-  if explicit "serve-load" then begin
-    incr ran;
-    Serve_load.run ?query_frac ()
-  end;
-  if explicit "serve-load-smoke" then begin
-    incr ran;
-    Serve_load.smoke ?query_frac ()
-  end;
   if explicit "serve-faults" then begin
     incr ran;
     Serve_faults.run ()
@@ -189,17 +141,12 @@ let () =
   if !ran = 0 then begin
     prerr_endline "no experiment matched; available:";
     List.iter (fun (name, _) -> Printf.eprintf "  %s\n" name) Experiments.all;
-    prerr_endline "  micro";
     prerr_endline "  fault_sweep";
     prerr_endline "  crash_soak";
-    prerr_endline "  construction";
-    prerr_endline "  smoke";
     prerr_endline "  fault-smoke";
     prerr_endline "  crash-smoke";
     prerr_endline "  msgr-smoke";
     prerr_endline "  msgr-smoke-small";
-    prerr_endline "  serve-load";
-    prerr_endline "  serve-load-smoke";
     prerr_endline "  serve-faults";
     prerr_endline "  serve-faults-smoke";
     prerr_endline "  serve-smoke";

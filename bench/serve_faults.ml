@@ -167,55 +167,120 @@ let protocol_legs sc =
     | Unix.WEXITED 0 -> ()
     | _ -> failwith "protocol server did not drain cleanly")
 
-let busy_leg () =
+(* Read [count] reply frames off a raw connection, in order. *)
+let read_replies fd count =
+  let frames = Codec.Frames.create () in
+  let chunk = Bytes.create 4096 in
+  let rec go acc got =
+    if got = count then List.rev acc
+    else
+      match Codec.Frames.next frames with
+      | `Frame body -> (
+          match Wire.decode_response body with
+          | Ok r -> go (r :: acc) (got + 1)
+          | Error msg -> failwith ("undecodable reply: " ^ msg))
+      | `Corrupt msg -> failwith ("corrupt reply stream: " ^ msg)
+      | `Need_more -> (
+          match Unix.select [ fd ] [] [] 5.0 with
+          | [], _, _ ->
+              failwith (Printf.sprintf "timeout after %d of %d replies" got count)
+          | _ -> (
+              match Unix.read fd chunk 0 (Bytes.length chunk) with
+              | 0 -> failwith "server hung up"
+              | n ->
+                  Codec.Frames.feed frames (Bytes.sub_string chunk 0 n);
+                  go acc got))
+  in
+  go [] 0
+
+(* Pipelined windows, on the default server config: a client that writes
+   many updates before reading any reply must get every one acked and
+   applied.  A refused update in the middle of a window would let a
+   later rid raise the at-most-once high-water mark past it, and its
+   resend would then be acked as a duplicate without ever being applied. *)
+let pipeline_leg () =
   {
-    name = "busy-backpressure";
+    name = "pipelined-window";
     run =
       (fun sc ->
-        let dir = Serve_util.scratch_dir sc "serve-faults-busy" in
-        let path = Serve_util.scratch_sock sc "faults-busy" in
+        let dir = Serve_util.scratch_dir sc "serve-faults-pipeline" in
+        let path = Serve_util.scratch_sock sc "faults-pipeline" in
         let addr = Wire.Unix_path path in
-        let cfg = Serve_util.config ~n:64 ~seed:5 in
-        let tune c = { c with Server.max_pending = 1 } in
-        let pid = Serve_util.fork_server ~tune ~fresh:true ~dir ~addr cfg in
+        let cfg = Serve_util.config ~n:256 ~seed:5 in
+        let pid = Serve_util.fork_server ~fresh:true ~dir ~addr cfg in
         (Serve_util.await addr |> fun c -> Client.close c);
-        (* all 8 pings in ONE write syscall so they land in a single
-           server read — with max_pending = 1 that round must serve one
-           and answer Busy for the rest; frame-by-frame sends could race
-           the 50 ms rounds and never trip the budget *)
-        let burst = 8 in
-        let one = frame_of Wire.Ping in
-        let fd = raw_connect path in
-        raw_send fd (String.concat "" (List.init burst (fun _ -> one)));
-        let frames = Codec.Frames.create () in
-        let chunk = Bytes.create 4096 in
-        let oks = ref 0 and busy = ref 0 in
-        let got = ref 0 in
-        while !got < burst do
-          (match Codec.Frames.next frames with
-          | `Frame body -> (
-              incr got;
-              match Wire.decode_response body with
-              | Ok Wire.Ok -> incr oks
-              | Ok (Wire.Busy ms) ->
-                  assert (ms > 0);
-                  incr busy
-              | Ok _ | Error _ -> failwith "busy: unexpected response")
-          | `Corrupt msg -> failwith ("busy: corrupt stream: " ^ msg)
-          | `Need_more -> (
-              match Unix.select [ fd ] [] [] 5.0 with
-              | [], _, _ -> failwith "busy: timeout"
-              | _ -> (
-                  match Unix.read fd chunk 0 (Bytes.length chunk) with
-                  | 0 -> failwith "busy: server hung up"
-                  | n ->
-                      Codec.Frames.feed frames (Bytes.sub_string chunk 0 n))))
+        (* edge [k] of the leg: distinct for every k < 64 * 192 *)
+        let edge k = (k mod 64, 64 + (k / 64)) in
+        let hello client = frame_of (Wire.Hello client) in
+        (* [count] inserts, rids from [rid], on the edges from [first] *)
+        let inserts ~rid ~first count =
+          String.concat ""
+            (List.init count (fun i ->
+                 let u, v = edge (first + i) in
+                 frame_of (Wire.Insert { rid = rid + i; u; v })))
+        in
+        (* the writes go out 100 ms apart, so each lands in its own server
+           read, and no reply is read before the last one is out *)
+        let case what ~updates writes =
+          let fd = raw_connect path in
+          List.iteri
+            (fun i w ->
+              if i > 0 then Unix.sleepf 0.1;
+              raw_send fd w)
+            writes;
+          let replies = read_replies fd (1 + updates) in
+          Unix.close fd;
+          let acked =
+            List.length
+              (List.filter (function Wire.Ack true -> true | _ -> false) replies)
+          in
+          match replies with
+          | Wire.Ok :: _ when acked = updates -> ()
+          | _ ->
+              failwith
+                (Printf.sprintf "pipelined-window %s: %d of %d updates acked" what
+                   acked updates)
+        in
+        case "two windows" ~updates:400
+          [
+            hello 1 ^ inserts ~rid:1 ~first:0 200;
+            inserts ~rid:201 ~first:200 200;
+          ];
+        let burst = hello 2 ^ inserts ~rid:1 ~first:400 500 in
+        (* longer than the server's 4 KiB read, so it spans two rounds *)
+        assert (String.length burst > 4096);
+        case "burst" ~updates:500 [ burst ];
+        case "two writes" ~updates:2
+          [ hello 3 ^ inserts ~rid:1 ~first:900 1; inserts ~rid:2 ~first:901 1 ];
+        let total = 902 in
+        let c = Serve_util.await addr in
+        let missing = ref 0 in
+        for k = 0 to total - 1 do
+          let u, v = edge k in
+          match Client.request c (Wire.Query_edge (u, v)) with
+          | Ok (Wire.Bool true) -> ()
+          | Ok (Wire.Bool false) -> incr missing
+          | Ok _ | Error _ -> failwith "pipelined-window: Query_edge failed"
         done;
-        assert (!oks >= 1 && !busy >= 1 && !oks + !busy = burst);
-        Unix.close fd;
+        let stats =
+          match Client.request c Wire.Stats with
+          | Ok (Wire.Stats_reply s) -> s
+          | Ok _ | Error _ -> failwith "pipelined-window: Stats failed"
+        in
+        Client.close c;
+        if !missing > 0 then
+          failwith
+            (Printf.sprintf "pipelined-window: %d of %d acked edges absent"
+               !missing total);
+        if stats.Wire.busy_rejections <> 0 || stats.Wire.ops_applied <> total
+        then
+          failwith
+            (Printf.sprintf
+               "pipelined-window: busy_rejections %d, ops_applied %d of %d"
+               stats.Wire.busy_rejections stats.Wire.ops_applied total);
         match Serve_util.stop_server pid with
         | Unix.WEXITED 0 -> ()
-        | _ -> failwith "busy server did not drain cleanly");
+        | _ -> failwith "pipelined-window server did not drain cleanly");
   }
 
 (* One crash leg: run [ops] through a server that kill -9s itself after
@@ -257,16 +322,13 @@ let crash_leg ~sync_every ~crash_after ~seed =
         let rec deliver i op =
           match Client.request !conn (req_of i op) with
           | Ok (Wire.Ack _) -> ()
-          | Ok (Wire.Busy ms) ->
-              Unix.sleepf (float_of_int ms /. 1000.);
-              deliver i op
           | Ok _ -> failwith "crash leg: unexpected response"
           | Error _ ->
               (* server died mid-request: reap the 137, restart in
                  recovery mode, reconnect, resend the SAME rid *)
               incr crashes;
-              (match Unix.waitpid [] !pid with
-              | _, Unix.WEXITED 137 -> ()
+              (match Serve_util.wait_server !pid with
+              | Unix.WEXITED 137 -> ()
               | _ -> failwith "crash leg: expected _exit 137");
               Client.close !conn;
               pid :=
@@ -325,24 +387,18 @@ let drain_leg () =
                  | Serve_util.Del (u, v) -> Wire.Delete { rid; u; v }
                in
                sent := rid;
-               let rec deliver () =
-                 match Client.request conn req with
-                 | Ok (Wire.Ack _) -> acked := rid
-                 | Ok Wire.Draining | Error _ -> raise Exit
-                 | Ok (Wire.Busy ms) ->
-                     Unix.sleepf (float_of_int ms /. 1000.);
-                     deliver ()
-                 | Ok _ -> failwith "drain leg: unexpected response"
-               in
-               deliver ();
+               (match Client.request conn req with
+               | Ok (Wire.Ack _) -> acked := rid
+               | Ok Wire.Draining | Error _ -> raise Exit
+               | Ok _ -> failwith "drain leg: unexpected response");
                (* mid-load, not before and not after: fire the TERM *)
                if rid = 150 then Unix.kill pid Sys.sigterm)
              ops
          with Exit -> ());
         Client.close conn;
-        (match Unix.waitpid [] pid with
-        | _, Unix.WEXITED 0 -> ()
-        | _, _ -> failwith "drain leg: server did not exit 0 on SIGTERM");
+        (match Serve_util.wait_server pid with
+        | Unix.WEXITED 0 -> ()
+        | _ -> failwith "drain leg: server did not exit 0 on SIGTERM");
         (* journal must recover, audit clean, with every acked update *)
         (match Durable.recover dir with
         | Error msg -> failwith ("drain leg: recover: " ^ msg)
@@ -401,14 +457,15 @@ let run_legs legs =
     legs;
   Experiments.emit t
 
-(* Full sweep: protocol legs + busy + three seeded crash legs + drain. *)
+(* Full sweep: protocol legs + pipelined windows + three seeded crash
+   legs + drain. *)
 let run () =
   Serve_util.ignore_sigpipe ();
   Serve_util.with_scratch (fun sc ->
       let proto, stop_proto = protocol_legs sc in
       run_legs
         (proto
-        @ [ busy_leg () ]
+        @ [ pipeline_leg () ]
         @ [
             crash_leg ~sync_every:1 ~crash_after:50 ~seed:21;
             crash_leg ~sync_every:64 ~crash_after:200 ~seed:22;
@@ -427,7 +484,7 @@ let smoke () =
       in
       run_legs
         (quick
-        @ [ busy_leg (); crash_leg ~sync_every:4 ~crash_after:60 ~seed:29 ]);
+        @ [ pipeline_leg (); crash_leg ~sync_every:4 ~crash_after:60 ~seed:29 ]);
       stop_proto ())
 
 (* serve-smoke: just the SIGTERM drain contract. *)

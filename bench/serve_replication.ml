@@ -50,8 +50,8 @@ let stats c =
   | Ok _ -> failwith "serve-replication: Stats answered a non-Stats_reply"
   | Error msg -> failwith ("serve-replication: Stats: " ^ msg)
 
-(* single in-flight update; Busy is honoured, anything else is fatal *)
-let rec apply c ~rid op =
+(* single in-flight update; anything but an Ack is fatal *)
+let apply c ~rid op =
   let req =
     match op with
     | Serve_util.Ins (u, v) -> Wire.Insert { rid; u; v }
@@ -59,9 +59,6 @@ let rec apply c ~rid op =
   in
   match Client.request c req with
   | Ok (Wire.Ack _) -> ()
-  | Ok (Wire.Busy ms) ->
-      Unix.sleepf (float_of_int ms /. 1000.);
-      apply c ~rid op
   | Ok _ -> failwith "serve-replication: update answered a non-Ack"
   | Error msg -> failwith ("serve-replication: update: " ^ msg)
 

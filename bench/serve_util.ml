@@ -24,11 +24,33 @@ let make_ops rng ~n ~count =
       let v = (u + 1 + Rng.int rng (n - 1)) mod n in
       if Rng.int rng 10 < 7 then Ins (u, v) else Del (u, v))
 
+(* Forked server pids not yet reaped, so a failing leg never leaves a
+   server running (and holding the harness's stdout) behind it. *)
+let live : int list ref = ref []
+
+let forget pid = live := List.filter (fun p -> p <> pid) !live
+
+(* reap a forked server, whatever ended it *)
+let wait_server pid =
+  let _, status = Unix.waitpid [] pid in
+  forget pid;
+  status
+
+let kill_server pid =
+  (try Unix.kill pid Sys.sigkill with Unix.Unix_error (_, _, _) -> ());
+  (try ignore (Unix.waitpid [] pid) with Unix.Unix_error (_, _, _) -> ());
+  forget pid
+
+let stop_server pid =
+  Unix.kill pid Sys.sigterm;
+  wait_server pid
+
 (* Scratch paths for one leg: journal dirs and Unix socket paths under
    the temp dir, named after the harness pid.  [with_scratch] scopes
    them: every path claimed inside is cleared of a stale predecessor
-   first; after a passing leg all of them are removed, and a failing leg
-   keeps them for inspection and re-raises a [Failure] naming them. *)
+   first; after a passing leg all of them are removed.  A failing leg
+   SIGKILLs and reaps every server still running, keeps the paths for
+   inspection and re-raises a [Failure] naming them. *)
 type scratch = { mutable paths : string list }
 
 let rec rm_rf p =
@@ -58,6 +80,7 @@ let with_scratch f =
       r
   | exception e -> (
       let bt = Printexc.get_raw_backtrace () in
+      List.iter kill_server !live;
       match List.filter Sys.file_exists (List.rev sc.paths) with
       | [] -> Printexc.raise_with_backtrace e bt
       | kept ->
@@ -109,7 +132,9 @@ let fork_server ?(sync_every = 1) ?snapshot_every ?audit_every ?crash_after_ops
             2
       in
       Unix._exit code
-  | pid -> pid
+  | pid ->
+      live := pid :: !live;
+      pid
 
 (* Fork a replica child: bootstrap from the primary when [fresh],
    otherwise recover the replica dir (catch-up restart), then run as a
@@ -154,7 +179,9 @@ let fork_replica ?(sync_every = 1) ?snapshot_every ?(tune = fun c -> c) ~fresh
             2
       in
       Unix._exit code
-  | pid -> pid
+  | pid ->
+      live := pid :: !live;
+      pid
 
 let await addr =
   match Client.connect_retry ~attempts:60 ~base_delay:0.02 addr with
@@ -198,11 +225,3 @@ let reference_digest ~dir ~client cfg ops =
   Durable.close d;
   r
 
-let stop_server pid =
-  Unix.kill pid Sys.sigterm;
-  let _, status = Unix.waitpid [] pid in
-  status
-
-let kill_server pid =
-  (try Unix.kill pid Sys.sigkill with Unix.Unix_error (_, _, _) -> ());
-  ignore (Unix.waitpid [] pid)

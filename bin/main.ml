@@ -449,8 +449,8 @@ let dynamic_cmd =
 
 let serve_cmd =
   let run socket port host journal recover replica_of n beta eps multiplier
-      seed sync_every snapshot_every audit_every max_conns max_pending
-      idle_timeout frame_timeout max_frame busy_retry_ms crash_after_ops =
+      seed sync_every snapshot_every audit_every max_conns idle_timeout
+      frame_timeout max_frame crash_after_ops =
     let open Mspar_dynamic in
     let open Mspar_server in
     let fail_config msg =
@@ -486,8 +486,8 @@ let serve_cmd =
           "--beta must be >= 1 (serve has no graph family to derive it)";
       if not (eps > 0.0 && eps < 1.0) then fail_config "--eps must be in (0,1)"
     end;
-    if max_conns < 1 || max_pending < 1 || max_frame < 16 || busy_retry_ms < 1
-    then fail_config "server limits must be positive (and --max-frame >= 16)";
+    if max_conns < 1 || max_frame < 16 then
+      fail_config "server limits must be positive (and --max-frame >= 16)";
     let recover_or_die () =
       match
         Durable.recover ?sync_every ?snapshot_every ?audit_every journal
@@ -543,11 +543,9 @@ let serve_cmd =
       {
         (Server.default_config addr) with
         Server.max_conns;
-        max_pending;
         max_frame;
         idle_timeout;
         frame_timeout;
-        busy_retry_ms;
         seed;
         crash_after_ops;
       }
@@ -627,13 +625,6 @@ let serve_cmd =
       value & opt int 128
       & info [ "max-conns" ] ~docv:"C" ~doc:"Maximum concurrent connections.")
   in
-  let max_pending_arg =
-    let doc =
-      "Requests served per connection per event-loop round; the excess is \
-       answered Busy with a jittered retry-after."
-    in
-    Arg.(value & opt int 64 & info [ "max-pending" ] ~docv:"B" ~doc)
-  in
   let idle_timeout_arg =
     Arg.(
       value & opt float 30.0
@@ -653,12 +644,6 @@ let serve_cmd =
       & info [ "max-frame" ] ~docv:"BYTES"
           ~doc:"Largest frame body accepted on the wire.")
   in
-  let busy_retry_ms_arg =
-    Arg.(
-      value & opt int 20
-      & info [ "busy-retry-ms" ] ~docv:"MS"
-          ~doc:"Base of the jittered Busy retry-after.")
-  in
   let crash_after_ops_arg =
     let doc =
       "Fault-injection hook: _exit(137) after the Nth applied update \
@@ -674,9 +659,8 @@ let serve_cmd =
       const run $ socket_arg $ port_arg $ host_arg $ journal_arg $ recover_arg
       $ replica_of_arg
       $ n_arg $ beta_arg $ eps_arg $ multiplier_arg $ seed_arg $ sync_every_arg
-      $ snapshot_every_arg $ audit_every_arg $ max_conns_arg $ max_pending_arg
-      $ idle_timeout_arg $ frame_timeout_arg $ max_frame_arg $ busy_retry_ms_arg
-      $ crash_after_ops_arg)
+      $ snapshot_every_arg $ audit_every_arg $ max_conns_arg $ idle_timeout_arg
+      $ frame_timeout_arg $ max_frame_arg $ crash_after_ops_arg)
   in
   Cmd.v
     (Cmd.info "serve"

@@ -23,5 +23,3 @@ let sparsify g ~delta_alpha =
     done
   done;
   Graph.of_edges ~n:(Graph.n g) !pairs
-
-let sparsify_for g ~alpha ~eps = sparsify g ~delta_alpha:(delta_alpha ~alpha ~eps)

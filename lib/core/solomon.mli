@@ -18,7 +18,4 @@ val sparsify : Graph.t -> delta_alpha:int -> Graph.t
 (** Keep exactly the edges marked by both endpoints, where every vertex
     marks its first [delta_alpha] adjacency entries.  Maximum degree of the
     result is ≤ [delta_alpha] by construction.
-    @raise Invalid_argument if [eps] is outside (0, 1), [alpha < 0] or the derived [delta_alpha < 1]. *)
-
-val sparsify_for : Graph.t -> alpha:int -> eps:float -> Graph.t
-(** [sparsify g ~delta_alpha:(delta_alpha ~alpha ~eps)]. *)
+    @raise Invalid_argument if [delta_alpha < 1]. *)

@@ -11,8 +11,6 @@ type t = {
 
 type report = { dropped : int; duplicated : int; delayed : int }
 
-let no_report = { dropped = 0; duplicated = 0; delayed = 0 }
-
 let add_report a b =
   {
     dropped = a.dropped + b.dropped;

@@ -32,7 +32,6 @@ type t
 type report = { dropped : int; duplicated : int; delayed : int }
 (** Fault counters, metered by the network next to rounds/messages/bits. *)
 
-val no_report : report
 val add_report : report -> report -> report
 
 val plan :

@@ -66,15 +66,3 @@ let next_op strategy rng dg ~current_mate =
       | edges ->
           let u, v = List.nth edges (Rng.int rng (List.length edges)) in
           Some (Delete (u, v)))
-
-let bulk_insert_gnp rng dg ~p =
-  let n = Dyn_graph.n dg in
-  let acc = ref [] in
-  for u = 0 to n - 1 do
-    for v = u + 1 to n - 1 do
-      if Rng.bernoulli rng p then acc := (u, v) :: !acc
-    done
-  done;
-  let arr = Array.of_list !acc in
-  Rng.shuffle_in_place rng arr;
-  Array.to_list arr

@@ -27,8 +27,3 @@ val next_op :
 (** Produce the next update for the given graph state, or [None] when the
     strategy has no applicable move (e.g. deleting from an empty graph and
     the vertex set is too small to insert). *)
-
-val bulk_insert_gnp : Rng.t -> Dyn_graph.t -> p:float -> (int * int) list
-(** The warm-up prefix: the edges of a G(n,p) sample, in random order
-    (returned so the caller can drive them through an algorithm under
-    test). *)

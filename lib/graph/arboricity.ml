@@ -56,8 +56,6 @@ let density_lower_bound g =
     let m = Graph.m g in
     (m + !non_isolated - 2) / (!non_isolated - 1)
 
-let arboricity_upper_bound = degeneracy
-
 let orient_by_degeneracy g =
   let nv = Graph.n g in
   let _, order = degeneracy_order g in

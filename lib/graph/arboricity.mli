@@ -26,9 +26,6 @@ val density_lower_bound : Graph.t -> int
 (** ⌈m/(n'−1)⌉ where n' is the number of non-isolated vertices; 0 when the
     graph has fewer than 2 non-isolated vertices. *)
 
-val arboricity_upper_bound : Graph.t -> int
-(** Currently the degeneracy (α ≤ degeneracy). *)
-
 val orient_by_degeneracy : Graph.t -> (int * int) array array
 (** Each edge oriented from the endpoint eliminated first; result.(v) lists
     v's out-edges.  Every vertex has out-degree ≤ degeneracy — the workhorse

@@ -66,16 +66,6 @@ let is_maximal g t =
       if t.mates.(u) < 0 && t.mates.(v) < 0 then ok := false);
   !ok
 
-let matched_vertices t =
-  let acc = ref [] in
-  Array.iteri (fun v u -> if u >= 0 then acc := v :: !acc) t.mates;
-  Array.of_list (List.rev !acc)
-
-let free_vertices t =
-  let acc = ref [] in
-  Array.iteri (fun v u -> if u < 0 then acc := v :: !acc) t.mates;
-  Array.of_list (List.rev !acc)
-
 let is_perfect t = 2 * t.size = Array.length t.mates
 
 let restrict_to g t =

@@ -50,9 +50,6 @@ val is_valid : Graph.t -> t -> bool
 val is_maximal : Graph.t -> t -> bool
 (** No graph edge has both endpoints free. *)
 
-val matched_vertices : t -> int array
-val free_vertices : t -> int array
-
 val is_perfect : t -> bool
 (** Every vertex is matched. *)
 

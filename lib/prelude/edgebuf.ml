@@ -4,15 +4,6 @@ let create ?(initial_capacity = 16) () =
   { data = Array.make (Int.max initial_capacity 1) 0; len = 0 }
 
 let length t = t.len
-let is_empty t = t.len = 0
-let capacity t = Array.length t.data
-
-let check t i =
-  if i < 0 || i >= t.len then invalid_arg "Edgebuf: index out of bounds"
-
-let get t i =
-  check t i;
-  t.data.(i)
 
 let ensure_capacity t cap =
   let old = Array.length t.data in
@@ -33,24 +24,7 @@ let push_unchecked t v =
   Array.unsafe_set t.data t.len v;
   t.len <- t.len + 1
 
-let clear t = t.len <- 0
 let data t = t.data
-let to_array t = Array.sub t.data 0 t.len
-
-let blit_into t dst pos =
-  if pos < 0 || pos + t.len > Array.length dst then
-    invalid_arg "Edgebuf.blit_into: destination range out of bounds";
-  Array.blit t.data 0 dst pos t.len
-
-let append ~into t =
-  ensure_capacity into (into.len + t.len);
-  Array.blit t.data 0 into.data into.len t.len;
-  into.len <- into.len + t.len
-
-let iter f t =
-  for i = 0 to t.len - 1 do
-    f (Array.unsafe_get t.data i)
-  done
 
 let fold_left f acc t =
   let acc = ref acc in

@@ -13,26 +13,17 @@ val create : ?initial_capacity:int -> unit -> t
 (** Fresh buffer; capacity defaults to 16 and grows by doubling. *)
 
 val length : t -> int
-val is_empty : t -> bool
-
-val capacity : t -> int
-(** Current storage size; [length t <= capacity t]. *)
 
 val push : t -> int -> unit
 (** Amortised O(1) append. *)
 
 val push_unchecked : t -> int -> unit
 (** {!push} without the growth check.  Precondition ({e unchecked}):
-    [length t < capacity t].  Callers reserve room with {!ensure_capacity}
-    once per block of pushes, then append with no branch per element —
+    [length t] is below the size last reserved with {!ensure_capacity}.
+    Callers reserve room once per block of pushes, then append with no
+    branch per element —
     the marking hot path's contract.  Violating the precondition writes
     out of bounds. *)
-
-val get : t -> int -> int
-(** @raise Invalid_argument on out-of-bounds access. *)
-
-val clear : t -> unit
-(** Forget contents, keep storage (O(1) — ints need no GC scrubbing). *)
 
 val ensure_capacity : t -> int -> unit
 (** Pre-size the storage so the next [ensure_capacity n] pushes up to [n]
@@ -41,18 +32,6 @@ val ensure_capacity : t -> int -> unit
 val data : t -> int array
 (** The underlying storage, {e shared, not copied}; only the first
     [length t] entries are meaningful.  Invalidated by the next growing
-    {!push}/{!ensure_capacity}/{!append}. *)
+    {!push}/{!ensure_capacity}. *)
 
-val to_array : t -> int array
-(** Copy of the first [length t] entries. *)
-
-val blit_into : t -> int array -> int -> unit
-(** [blit_into t dst pos] copies the contents into [dst] starting at
-    [pos], e.g. to concatenate several buffers into one flat array.
-    @raise Invalid_argument if the destination range is out of bounds. *)
-
-val append : into:t -> t -> unit
-(** [append ~into t] pushes all of [t]'s contents onto [into]. *)
-
-val iter : (int -> unit) -> t -> unit
 val fold_left : ('a -> int -> 'a) -> 'a -> t -> 'a

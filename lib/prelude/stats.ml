@@ -27,7 +27,6 @@ let percentile xs p =
   sorted.(Int.max 0 (Int.min (n - 1) (rank - 1)))
 
 let median xs = percentile xs 50.0
-let of_ints a = Array.map float_of_int a
 
 type summary = {
   n : int;
@@ -49,7 +48,3 @@ let summarize xs =
     median = median xs;
     max = hi;
   }
-
-let pp_summary ppf s =
-  Format.fprintf ppf "n=%d mean=%.4g sd=%.4g min=%.4g med=%.4g max=%.4g" s.n
-    s.mean s.stddev s.min s.median s.max

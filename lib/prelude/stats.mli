@@ -16,8 +16,6 @@ val percentile : float array -> float -> float
 
 val median : float array -> float
 
-val of_ints : int array -> float array
-
 type summary = {
   n : int;
   mean : float;
@@ -29,5 +27,3 @@ type summary = {
 
 val summarize : float array -> summary
 (** @raise Invalid_argument on the empty array. *)
-
-val pp_summary : Format.formatter -> summary -> unit

@@ -11,7 +11,7 @@ type t = {
   mutable frames_in : int;
   mutable frames_out : int;
   mutable malformed : int;
-  mutable busy_rejections : int;
+  busy_rejections : int;
   mutable ops_applied : int;
   mutable dedup_hits : int;
   mutable queries : int;

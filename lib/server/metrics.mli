@@ -9,7 +9,9 @@ type t = {
   mutable frames_in : int;
   mutable frames_out : int;
   mutable malformed : int;  (** frames/bodies that failed to decode *)
-  mutable busy_rejections : int;  (** requests answered [Busy] *)
+  busy_rejections : int;
+      (** always 0, since no request is refused for load; reported in
+          {!Wire.summary} *)
   mutable ops_applied : int;  (** updates applied into the pipeline *)
   mutable dedup_hits : int;  (** updates answered from the dedup cache *)
   mutable queries : int;

@@ -7,10 +7,11 @@ open Mspar_dynamic
    - group commit: every processing round ends with [Dispatch.sync_if_dirty]
      *before* any byte of the round's responses is flushed, so an Ack on
      the wire always covers a WAL fsync (zero acknowledged-update loss);
-   - bounded buffers everywhere: at most [max_pending] requests are
-     processed per connection per round (the rest answer [Busy] with a
-     jittered retry-after), and a connection whose out-queue exceeds the
-     soft cap stops being read until it drains;
+   - one backpressure rule: a connection whose out-queue exceeds the
+     soft cap stops being read until it drains.  A round serves every
+     complete frame one read delivered (the 4 KiB [read_buf] plus any
+     carried-over partial frame bound it), so no request is refused for
+     load and a connection's updates apply in arrival order;
    - misbehaving peers cost only themselves: a corrupt or malformed
      frame gets one [Error] reply and the connection is closed, idle and
      slowloris timers reap silent/dribbling peers, and the accept loop
@@ -21,11 +22,9 @@ open Mspar_dynamic
 type config = {
   addr : Wire.addr;
   max_conns : int;
-  max_pending : int;
   max_frame : int;
   idle_timeout : float;
   frame_timeout : float;
-  busy_retry_ms : int;
   seed : int;
   crash_after_ops : int option;
 }
@@ -34,11 +33,9 @@ let default_config addr =
   {
     addr;
     max_conns = 128;
-    max_pending = 64;
     max_frame = Codec.Frames.default_max_frame;
     idle_timeout = 30.;
     frame_timeout = 5.;
-    busy_retry_ms = 20;
     seed = 1;
     crash_after_ops = None;
   }
@@ -113,7 +110,7 @@ type loop = {
   listen_fd : Unix.file_descr;
   dispatch : Dispatch.t;
   metrics : Metrics.t;
-  rng : Rng.t;  (* Busy retry-after + replica reconnect jitter *)
+  rng : Rng.t;  (* replica reconnect jitter *)
   mutable role : role;
   mutable conns : Conn.t list;
   mutable next_id : int;
@@ -155,8 +152,6 @@ let accept_ready l =
       | exception Unix.Unix_error (_, _, _) -> ()
   in
   go 16
-
-let busy_reply l = Wire.Busy (l.cfg.busy_retry_ms + Rng.int l.rng l.cfg.busy_retry_ms)
 
 (* ------------------------------------------------------------------ *)
 (* replication: primary side                                          *)
@@ -201,9 +196,8 @@ let queue_bootstrap l conn =
   in
   go 0
 
-(* Repl_hello / Repl_ack / Promote / Role are the control plane: they
-   bypass the Busy budget (a starved follower would fall further behind)
-   and Repl_ack is one-way.  The loop intercepts them before Dispatch. *)
+(* Repl_hello / Repl_ack / Promote / Role are the control plane, and
+   Repl_ack is one-way.  The loop intercepts them before Dispatch. *)
 let handle_repl l conn req =
   let durable = l.dispatch.Dispatch.durable in
   let m = l.metrics in
@@ -320,12 +314,10 @@ let ship_followers l =
   l.metrics.Metrics.repl_followers <- !followers;
   l.metrics.Metrics.repl_lag <- (if !followers = 0 then 0 else !worst_lag)
 
-(* Decode and serve the frames one connection has buffered, up to the
-   per-round budget; everything beyond the budget answers Busy without
-   touching the pipeline (the client retries with the same rid, so no
-   work is lost).  Returns [false] if the connection turned Closing. *)
+(* Decode and serve every complete frame one connection has buffered.
+   Returns once the buffer holds no whole frame, or the connection
+   turned Closing. *)
 let process_frames l conn =
-  let budget = ref l.cfg.max_pending in
   let continue = ref true in
   while !continue && Conn.(conn.state) = Conn.Open do
     match Conn.next_frame conn ~now:(now ()) with
@@ -348,22 +340,11 @@ let process_frames l conn =
             | Wire.Repl_hello _ | Wire.Repl_ack _ | Wire.Promote | Wire.Role ->
                 handle_repl l conn req
             | _ ->
-                let resp =
-                  if !budget <= 0 || Conn.pending_out conn > out_soft_cap then begin
-                    l.metrics.Metrics.busy_rejections <-
-                      l.metrics.Metrics.busy_rejections + 1;
-                    busy_reply l
-                  end
-                  else begin
-                    decr budget;
-                    (match req with
-                    | Wire.Hello id -> conn.Conn.client <- Some id
-                    | _ -> ());
-                    Dispatch.handle l.dispatch ~client:conn.Conn.client req
-                  end
-                in
-                Conn.queue conn l.scratch resp;
-                l.metrics.Metrics.frames_out <- l.metrics.Metrics.frames_out + 1))
+                (match req with
+                | Wire.Hello id -> conn.Conn.client <- Some id
+                | _ -> ());
+                queue_response l conn
+                  (Dispatch.handle l.dispatch ~client:conn.Conn.client req)))
   done
 
 let read_ready l conn =
@@ -473,7 +454,7 @@ let handle_upstream_resp l r resp ~applied =
       (* a bootstrap stream mid-session means the primary thinks we are
          fresh — our hello must have raced; re-handshake *)
       drop_upstream l r
-  | Wire.Ack _ | Wire.Bool _ | Wire.Digest _ | Wire.Busy _ | Wire.Draining
+  | Wire.Ack _ | Wire.Bool _ | Wire.Digest _ | Wire.Draining
   | Wire.Stats_reply _ | Wire.Error _ | Wire.Role_reply _ ->
       drop_upstream l r
 

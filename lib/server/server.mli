@@ -6,8 +6,10 @@
     - an [Ack] is written to a socket only after the WAL fsync covering
       the op (group commit per select round) — zero acknowledged-update
       loss under kill -9;
-    - per-round request budget and out-queue soft cap bound every
-      buffer; excess requests answer [Busy] with jittered retry-after;
+    - one backpressure rule: a connection whose out-queue is over the
+      soft cap is not read until it flushes.  Every complete frame a
+      read delivers is served, so no request is refused for load and a
+      connection's updates apply in arrival order;
     - corrupt/malformed frames close only the offending connection;
       idle and slowloris timeouts reap silent or dribbling peers;
     - SIGTERM/SIGINT (or a [Drain] request) triggers graceful drain:
@@ -19,13 +21,11 @@ open Mspar_dynamic
 type config = {
   addr : Wire.addr;
   max_conns : int;  (** accepted connections held concurrently *)
-  max_pending : int;  (** requests served per connection per round *)
   max_frame : int;  (** largest frame body accepted on the wire *)
   idle_timeout : float;  (** seconds of silence before a conn is reaped *)
   frame_timeout : float;
       (** seconds an incomplete frame may dribble (slowloris bound) *)
-  busy_retry_ms : int;  (** base of the jittered Busy retry-after *)
-  seed : int;  (** jitter RNG seed *)
+  seed : int;  (** replica reconnect jitter RNG seed *)
   crash_after_ops : int option;  (** fault-injection hook, see {!Dispatch} *)
 }
 

@@ -78,7 +78,6 @@ type response =
   | Ack of bool  (* update applied (or deduped); payload = "changed" *)
   | Bool of bool
   | Digest of digest
-  | Busy of int  (* backpressure: retry after this many milliseconds *)
   | Draining
   | Ok
   | Stats_reply of summary
@@ -158,9 +157,7 @@ let encode_response buf r =
       Codec.add_int64 buf d.graph;
       Codec.add_int64 buf d.sparsifier;
       Codec.add_uvarint buf d.matching
-  | Busy ms ->
-      Buffer.add_char buf '\004';
-      Codec.add_uvarint buf ms
+  (* tag 4 was a refusal for load; it is retired and never reused *)
   | Draining -> Buffer.add_char buf '\005'
   | Ok -> Buffer.add_char buf '\006'
   | Stats_reply s ->
@@ -278,7 +275,6 @@ let response_payload r =
       let sparsifier = Codec.read_int64 r in
       let matching = Codec.read_uvarint r in
       Digest { op_count; graph; sparsifier; matching }
-  | 4 -> Busy (Codec.read_uvarint r)
   | 5 -> Draining
   | 6 -> Ok
   | 7 ->

@@ -65,6 +65,8 @@ type summary = {
   frames_out : int;
   malformed : int;
   busy_rejections : int;
+      (** always 0: no request is refused for load.  Kept so the [Stats]
+          layout stays put for readers that count it as failed ops. *)
   ops_applied : int;
   dedup_hits : int;
   queries : int;
@@ -87,9 +89,6 @@ type response =
           WAL fsync covering the op. *)
   | Bool of bool  (** query answer *)
   | Digest of digest
-  | Busy of int
-      (** Backpressure: batch budget exhausted — retry after the given
-          number of milliseconds (jittered server-side). *)
   | Draining  (** server is draining; no further updates accepted *)
   | Ok
   | Stats_reply of summary

@@ -570,10 +570,61 @@ let qcheck_lower_bound_game =
       | Lower_bound.Small_matching s -> s <= delta
       | Lower_bound.Infeasible _ -> false)
 
+(* A differential reference for the marking loop: every vertex in order,
+   its whole neighborhood when its degree is at most the rule's
+   threshold, else Δ positions drawn by the read-only Fisher–Yates
+   emulation with one live [Rng.int] per draw on [Rng.derive ~seed v].
+   The blocked collector behind [Gdelta] (word prefetch, closure-free
+   index landing, one buffer reservation per block) must emit the same
+   codes in the same order. *)
+let pervertex_mark_codes ~rule ~seed g ~delta =
+  let shift = Graph.pack_shift ~n:(Graph.n g) in
+  let pos = Sparse_array.create (Graph.max_degree g) ~default:(-1) in
+  let value_at i =
+    let x = Sparse_array.get pos i in
+    if x = -1 then i else x
+  in
+  let codes = ref [] in
+  for v = 0 to Graph.n g - 1 do
+    let d = Graph.degree g v in
+    let mark i =
+      codes := ((v lsl shift) lor Graph.neighbor_uncounted g v i) :: !codes
+    in
+    if d <= Mark_kernel.threshold rule delta then
+      for i = 0 to d - 1 do
+        mark i
+      done
+    else begin
+      let rng = Rng.derive ~seed v in
+      Sparse_array.reset pos;
+      for step = 0 to delta - 1 do
+        let last = d - 1 - step in
+        let j = Rng.int rng (last + 1) in
+        mark (value_at j);
+        Sparse_array.set pos j (value_at last)
+      done
+    end
+  done;
+  List.rev !codes
+
+let qcheck_marks_match_reference =
+  QCheck.Test.make
+    ~name:"marked codes = per-vertex one-draw-per-mark reference" ~count:40
+    QCheck.(triple (int_range 1 60) (int_range 1 6) (int_range 0 1000))
+    (fun (n, delta, seed) ->
+      let g = Gen.gnp (Rng.create seed) ~n ~p:0.4 in
+      List.for_all
+        (fun rule ->
+          let buf, _ = Gdelta.marked_codes_seeded ~rule ~seed g ~delta in
+          List.rev (Edgebuf.fold_left (fun acc c -> c :: acc) [] buf)
+          = pervertex_mark_codes ~rule ~seed g ~delta)
+        [ Gdelta.Mark_all_at_most_delta; Gdelta.Mark_all_at_most_two_delta ])
+
 let () =
   let qsuite =
     List.map QCheck_alcotest.to_alcotest
       [
+        qcheck_marks_match_reference;
         qcheck_subgraph_and_degree;
         qcheck_sparsifier_never_hurts_much;
         qcheck_obs_2_10;

@@ -212,11 +212,11 @@ let assert_sparsifier_parity ?rule g ~seed ~delta =
   (* directed mark lists against the raw marked codes *)
   let buf, shift = Gdelta.marked_codes_seeded ?rule ~seed g ~delta in
   let per_vertex = Array.make n [] in
-  Edgebuf.iter
-    (fun code ->
+  Edgebuf.fold_left
+    (fun () code ->
       let v = code lsr shift and u = code land ((1 lsl shift) - 1) in
       per_vertex.(v) <- u :: per_vertex.(v))
-    buf;
+    () buf;
   for v = 0 to n - 1 do
     let want = List.sort_uniq Stdlib.compare per_vertex.(v) in
     let got = Array.to_list (Oracle.marked_neighbors o v) in

@@ -150,7 +150,7 @@ let test_msp007 () =
        "exception E\nlet find x = try if x < 0 then raise E else x with E -> 0")
 
 (* ---------------------------------------------------------------- *)
-(* MSP008: Domain.spawn outside the pool                             *)
+(* MSP008: no Domain.spawn                                           *)
 (* ---------------------------------------------------------------- *)
 
 let test_msp008 () =
@@ -161,14 +161,8 @@ let test_msp008 () =
     (lint ~file:"lib/core/foo.ml" "let f () = Stdlib.Domain.spawn (fun () -> ())");
   check_fires "spawn in bench code" "MSP008"
     (lint ~file:"bench/foo.ml" "let f () = Domain.spawn (fun () -> ())");
-  check_silent "pool.ml is the blessed home" "MSP008"
+  check_fires "no file is a blessed home" "MSP008"
     (lint ~file:"lib/prelude/pool.ml" "let f () = Domain.spawn (fun () -> ())");
-  check_silent "pool consumers are clean" "MSP008"
-    (lint ~file:"lib/core/foo.ml"
-       "module Pool = struct\n\
-       \  let parallel_for_ranges _t ~n:_ f = f ~chunk:0 ~lo:0 ~hi:0\n\
-        end\n\
-        let f p ~n g = Pool.parallel_for_ranges p ~n g");
   check_silent "other Domain functions are fine" "MSP008"
     (lint ~file:"lib/prelude/foo.ml" "let f () = Domain.recommended_domain_count ()");
   check_silent "lint.allow escape" "MSP008"
@@ -334,82 +328,36 @@ let typed_lint ~file source =
   | Error e -> Alcotest.failf "fixture %s does not type-check: %s" file e
   | Ok u -> Lint_engine.suppress [ u ] (Lint_typed_rules.run cfg [ u ])
 
-(* Minimal Pool signature: [norm_path] reduces this local stub to
-   ["Pool.parallel_for_ranges"], the entry point MSP012 matches. *)
-let pool_stub =
-  "module Pool = struct\n\
-  \  let parallel_for_ranges _t ~chunks:_ ~n:_ f = f ~chunk:0 ~lo:0 ~hi:0\n\
-   end\n"
+(* A global written under [Server.run] and outside it; [extra] is
+   appended to the reactor's binding. *)
+let reactor_fixture ?(extra = "") () =
+  "let pending = ref 0\n\
+   let enqueue n = pending := !pending + n\n\
+   module Server = struct\n\
+   \  let run () = pending := 0" ^ extra
+  ^ "\nend\n\
+     let tick () = enqueue 1"
 
 let test_msp012 () =
-  check_fires "captured array written in worker closure" "MSP012"
-    (typed_lint ~file:"lib/core/fix.ml"
-       (pool_stub
-      ^ "let bad p n =\n\
-         \  let acc = Array.make 4 0 in\n\
-         \  Pool.parallel_for_ranges p ~chunks:4 ~n\n\
-         \    (fun ~chunk:_ ~lo ~hi -> acc.(0) <- acc.(0) + hi - lo);\n\
-         \  acc.(0)"));
-  check_silent "closure-local state is private to the worker" "MSP012"
-    (typed_lint ~file:"lib/core/fix.ml"
-       (pool_stub
-      ^ "let good p n =\n\
-         \  Pool.parallel_for_ranges p ~chunks:4 ~n\n\
-         \    (fun ~chunk:_ ~lo ~hi ->\n\
-         \      let local = Array.make 4 0 in\n\
-         \      local.(0) <- hi - lo)"));
-  check_silent "Atomic is the blessed shared-state primitive" "MSP012"
-    (typed_lint ~file:"lib/core/fix.ml"
-       (pool_stub
-      ^ "let counter = Atomic.make 0\n\
-         let good p n =\n\
-         \  Pool.parallel_for_ranges p ~chunks:4 ~n\n\
-         \    (fun ~chunk:_ ~lo:_ ~hi:_ -> Atomic.incr counter)"));
-  check_silent "justified [@@domain_safe] allowlists the binding" "MSP012"
-    (typed_lint ~file:"lib/core/fix.ml"
-       (pool_stub
-      ^ "let safe p n =\n\
-         \  let acc = Array.make 4 0 in\n\
-         \  Pool.parallel_for_ranges p ~chunks:4 ~n\n\
-         \    (fun ~chunk ~lo:_ ~hi -> acc.(chunk) <- hi);\n\
-         \  acc.(0)\n\
-         [@@domain_safe \"each chunk writes only its own slot\"]"));
-  check_fires "[@@domain_safe] without a justification still fires" "MSP012"
-    (typed_lint ~file:"lib/core/fix.ml"
-       (pool_stub
-      ^ "let unsafe p n =\n\
-         \  let acc = Array.make 4 0 in\n\
-         \  Pool.parallel_for_ranges p ~chunks:4 ~n\n\
-         \    (fun ~chunk ~lo:_ ~hi -> acc.(chunk) <- hi);\n\
-         \  acc.(0)\n\
-         [@@domain_safe]"));
-  check_silent "[@lint.allow] suppresses a typed finding" "MSP012"
-    (typed_lint ~file:"lib/core/fix.ml"
-       (pool_stub
-      ^ "let bad p n =\n\
-         \  let acc = Array.make 4 0 in\n\
-         \  Pool.parallel_for_ranges p ~chunks:4 ~n\n\
-         \    (fun ~chunk:_ ~lo ~hi -> acc.(0) <- acc.(0) + hi - lo);\n\
-         \  acc.(0)\n\
-         [@@lint.allow \"MSP012\"]"));
-  (* part B: the write hides one call away from the closure *)
-  check_fires "global write reachable from worker closure" "MSP012"
-    (typed_lint ~file:"lib/core/fix.ml"
-       (pool_stub
-      ^ "let tally = ref 0\n\
-         let bump n = tally := !tally + n\n\
-         let bad p n =\n\
-         \  Pool.parallel_for_ranges p ~chunks:2 ~n\n\
-         \    (fun ~chunk:_ ~lo ~hi -> bump (hi - lo))"));
-  (* reactor context: a global written both under Server.run and outside *)
   check_fires "global written inside and outside the reactor" "MSP012"
+    (typed_lint ~file:"lib/server/fix.ml" (reactor_fixture ()));
+  check_silent "[@lint.allow] suppresses a typed finding" "MSP012"
+    (typed_lint ~file:"lib/server/fix.ml"
+       (reactor_fixture ~extra:" [@@lint.allow \"MSP012\"]" ()));
+  check_silent "a global only the reactor writes" "MSP012"
     (typed_lint ~file:"lib/server/fix.ml"
        "let pending = ref 0\n\
-        let enqueue n = pending := !pending + n\n\
         module Server = struct\n\
-        \  let run () = pending := 0\n\
+        \  let run () = pending := !pending + 1\n\
+        end");
+  check_silent "Atomic is the blessed shared-state primitive" "MSP012"
+    (typed_lint ~file:"lib/server/fix.ml"
+       "let pending = Atomic.make 0\n\
+        let enqueue () = Atomic.incr pending\n\
+        module Server = struct\n\
+        \  let run () = Atomic.set pending 0\n\
         end\n\
-        let tick () = enqueue 1")
+        let tick () = enqueue ()")
 
 let test_msp013 () =
   check_fires "tuple allocated per element in a hot map" "MSP013"
@@ -463,7 +411,8 @@ let test_msp013 () =
        "let pairs xs = List.map (fun x -> (x, x)) xs\n\
         [@@hot] [@@lint.allow \"MSP013\"]")
 
-(* Minimal Graph surface: same [norm_path] story as the Pool stub. *)
+(* Minimal Graph surface: [norm_path] reduces this local stub to the
+   [Graph.*] names MSP014 matches. *)
 let graph_stub =
   "module Graph = struct\n\
   \  let iter_neighbors_uncounted _g _v _f = ()\n\

@@ -55,7 +55,6 @@ let sample_responses =
         sparsifier = -1L;
         matching = 7;
       };
-    Wire.Busy 25;
     Wire.Draining;
     Wire.Ok;
     Wire.Stats_reply
@@ -132,6 +131,8 @@ let test_hostile_bodies () =
   expect_error "tag 0" (Wire.decode_request "\x00");
   expect_error "tag 200" (Wire.decode_request "\xc8");
   expect_error "resp tag 99" (Wire.decode_response "\x63");
+  (* response tag 4, the retired load refusal, must not decode *)
+  expect_error "retired resp tag 4" (Wire.decode_response "\x04\x19");
   (* truncated payloads *)
   expect_error "Hello w/o id" (Wire.decode_request "\x01");
   expect_error "Insert w/ 2 of 3 fields" (Wire.decode_request "\x02\x01\x02");

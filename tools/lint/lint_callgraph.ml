@@ -126,7 +126,6 @@ let build units =
 (* queries                                                            *)
 (* ------------------------------------------------------------------ *)
 
-let node g key = Hashtbl.find_opt g.nodes key
 
 let iter_nodes g f =
   (* deterministic order for reproducible findings *)

@@ -22,16 +22,11 @@ type t
 
 val build : Lint_typed.t list -> t
 
-val node : t -> string -> node option
 val iter_nodes : t -> (node -> unit) -> unit
 
 val resolve_ident : t -> file:string -> Ident.t -> string option
 (** Node key for a [Pident] occurring in [file], when the identifier is one
     of that unit's toplevel bindings. *)
-
-val refs_in : t -> file:string -> Typedtree.expression -> (string * int) list
-(** Resolved node references inside an expression subtree, with the
-    character offset of each occurrence. *)
 
 val callers : t -> string -> string list
 

@@ -47,7 +47,6 @@ let default =
     allows =
       [
         ("MSP001", "lib/prelude/rng.ml");
-        ("MSP008", "lib/prelude/pool.ml");
         ("MSP009", "lib/prelude/journal.ml");
         ("MSP009", "lib/graph/graph_io.ml");
         ("MSP010", "lib/prelude");

@@ -16,9 +16,8 @@
    MSP006  interface discipline — every lib/ module has a .mli
    MSP007  raise contracts      — exported raising functions are _exn-named
                                   or carry @raise in their .mli doc
-   MSP008  pooled parallelism   — Domain.spawn only inside the domain pool
-                                  (lib/prelude/pool.ml); everything else runs
-                                  on a Pool.t so spawn cost stays amortised
+   MSP008  one domain           — no Domain.spawn: every computation runs
+                                  on the calling domain (DESIGN.md §5)
    MSP009  durability funnel    — raw file I/O (open_out / open_in /
                                   Unix.openfile) in lib/ only inside the
                                   journal (lib/prelude/journal.ml) and
@@ -192,8 +191,8 @@ let check_ident ctx path loc =
   if String.equal p "Domain.spawn" then
     add ctx ~code:"MSP008" ~loc
       (Printf.sprintf
-         "%s: raw domain spawning is reserved for the pool (lib/prelude/pool.ml); run the work \
-          on a Mspar_prelude.Pool.t so the spawn cost is paid once per process"
+         "%s: every computation in the tree runs on the calling domain (DESIGN.md §5); a \
+          deliberate spawn takes an explanatory [@@lint.allow \"MSP008\"]"
          p);
   if ctx.in_lib && is_file_io p then
     add ctx ~code:"MSP009" ~loc

@@ -12,37 +12,6 @@ let prepare units = { graph = Lint_callgraph.build units }
 let has_attr name (attrs : Parsetree.attributes) =
   List.exists (fun (a : Parsetree.attribute) -> a.attr_name.txt = name) attrs
 
-(* [None]: attribute absent; [Some None]: present without a justification
-   string; [Some (Some s)]: present with one. *)
-let attr_string_payload name (attrs : Parsetree.attributes) =
-  match List.find_opt (fun (a : Parsetree.attribute) -> a.attr_name.txt = name) attrs with
-  | None -> None
-  | Some a ->
-      Some
-        (match a.attr_payload with
-        | Parsetree.PStr
-            [
-              {
-                pstr_desc =
-                  Pstr_eval
-                    ({ pexp_desc = Pexp_constant (Pconst_string (s, _, _)); _ }, _);
-                _;
-              };
-            ]
-          when String.trim s <> "" ->
-            Some s
-        | _ -> None)
-
-let domain_safe (nd : Lint_callgraph.node) =
-  match attr_string_payload "domain_safe" nd.attrs with
-  | Some (Some _) -> true
-  | _ -> false
-
-let domain_safe_unjustified (nd : Lint_callgraph.node) =
-  match attr_string_payload "domain_safe" nd.attrs with
-  | Some None -> true
-  | _ -> false
-
 let has_prefix ~prefix s =
   String.length s >= String.length prefix
   && String.sub s 0 (String.length prefix) = prefix
@@ -68,7 +37,6 @@ let write_spec = function
   | "Buffer.add_subbytes" | "Buffer.add_buffer" | "Buffer.clear"
   | "Buffer.reset" | "Buffer.truncate"
   | "Edgebuf.push" | "Edgebuf.push_unchecked" | "Edgebuf.ensure_capacity"
-  | "Edgebuf.clear"
   | "Queue.pop" | "Queue.take" | "Queue.clear"
   | "Stack.pop" | "Stack.clear" ->
       Some (Pos 0)
@@ -167,38 +135,13 @@ let collect_writes e =
   it.expr it e;
   List.rev !acc
 
-(* Every identifier bound anywhere inside [e]: patterns, for-loop indices,
-   function parameters.  Stamps are unique within a unit, so a flat set is
-   enough — no scope tracking.  A consequence we document: a local alias of
-   captured storage ([let row = m.(k) in row.(i) <- x]) counts as local. *)
-let bound_idents e =
-  let tbl = Hashtbl.create 32 in
-  let add id = Hashtbl.replace tbl (Ident.unique_name id) () in
-  let pat_it : type k. Tast_iterator.iterator -> k general_pattern -> unit =
-   fun self p ->
-    (match p.pat_desc with
-    | Tpat_var (id, _) -> add id
-    | Tpat_alias (_, id, _) -> add id
-    | _ -> ());
-    Tast_iterator.default_iterator.pat self p
-  in
-  let expr_it (self : Tast_iterator.iterator) e' =
-    (match e'.exp_desc with
-    | Texp_for (id, _, _, _, _, _) -> add id
-    | Texp_function { param; _ } -> add param
-    | _ -> ());
-    Tast_iterator.default_iterator.expr self e'
-  in
-  let it = { Tast_iterator.default_iterator with pat = pat_it; expr = expr_it } in
-  it.expr it e;
-  tbl
-
 (* ------------------------------------------------------------------ *)
 (* MSP012: domain races                                               *)
 (* ------------------------------------------------------------------ *)
 
-let pool_entries = [ "Pool.parallel_for_ranges"; "Pool.run"; "Pool.submit" ]
-
+(* The reactor context: a module-level global written both by a function
+   reachable from [Server.run] and by one that is not is shared between
+   the reactor and another context. *)
 let msp012 cfg a =
   let g = a.graph in
   let findings = ref [] in
@@ -211,97 +154,6 @@ let msp012 cfg a =
       findings := T.of_location ~file ~code:"MSP012" ~message:msg loc :: !findings
     end
   in
-  (* an allowlist entry must say why the writes cannot race *)
-  Lint_callgraph.iter_nodes g (fun nd ->
-      if domain_safe_unjustified nd then
-        emit ~file:nd.file ~loc:nd.loc
-          (Printf.sprintf
-             "[@@domain_safe] on %s has no justification string; state why the \
-              writes are disjoint, e.g. [@@domain_safe \"chunks write disjoint \
-              windows\"]"
-             nd.name));
-  (* worker closures: function arguments at Pool entry-point call sites *)
-  let closures = ref [] in
-  Lint_callgraph.iter_nodes g (fun nd ->
-      let expr_it (self : Tast_iterator.iterator) e =
-        (match e.exp_desc with
-        | Texp_apply ({ exp_desc = Texp_ident (p, _, _); _ }, args)
-          when List.mem (Lint_typed.norm_path p) pool_entries ->
-            List.iter
-              (fun (_, arg) ->
-                match arg with
-                | Some ({ exp_desc = Texp_function _; _ } as c) ->
-                    closures := (nd, c) :: !closures
-                | _ -> ())
-              args
-        | _ -> ());
-        Tast_iterator.default_iterator.expr self e
-      in
-      let it = { Tast_iterator.default_iterator with expr = expr_it } in
-      it.expr it nd.body);
-  let closures = List.rev !closures in
-  (* part A: writes inside a worker closure to captured or global state *)
-  List.iter
-    (fun ((nd : Lint_callgraph.node), c) ->
-      if not (domain_safe nd) then begin
-        let bound = bound_idents c in
-        List.iter
-          (fun w ->
-            match w.wtarget with
-            | Local id when not (Hashtbl.mem bound (Ident.unique_name id)) ->
-                emit ~file:nd.file ~loc:w.wloc
-                  (Printf.sprintf
-                     "%s: %s is captured from the enclosing scope and written \
-                      inside a Pool worker closure; worker domains race on it \
-                      — make it Atomic, keep it closure-local, or annotate \
-                      the binding [@@domain_safe \"reason\"]"
-                     nd.key (target_name w.wtarget))
-            | Named n ->
-                emit ~file:nd.file ~loc:w.wloc
-                  (Printf.sprintf
-                     "%s: module-level mutable state %s is written inside a \
-                      Pool worker closure (%s); worker domains race on it — \
-                      use Atomic or confine writes to the submitting domain"
-                     nd.key n w.wwhat)
-            | Local _ | Unknown -> ())
-          (collect_writes c)
-      end)
-    closures;
-  (* part B: functions reachable from worker closures writing global state *)
-  let roots =
-    List.concat_map
-      (fun ((nd : Lint_callgraph.node), c) ->
-        List.map fst (Lint_callgraph.refs_in g ~file:nd.file c))
-      closures
-  in
-  let wreach = Lint_callgraph.reachable g roots in
-  Hashtbl.iter
-    (fun key () ->
-      match Lint_callgraph.node g key with
-      | None -> ()
-      | Some nd ->
-          if not (domain_safe nd) then
-            List.iter
-              (fun w ->
-                let global =
-                  match w.wtarget with
-                  | Named n -> Some n
-                  | Local id -> Lint_callgraph.resolve_ident g ~file:nd.file id
-                  | Unknown -> None
-                in
-                match global with
-                | Some gname ->
-                    emit ~file:nd.file ~loc:w.wloc
-                      (Printf.sprintf
-                         "%s writes module-level mutable state %s (%s) and is \
-                          reachable from a Pool worker closure; use Atomic or \
-                          keep the state domain-local"
-                         nd.key gname w.wwhat)
-                | None -> ())
-              (collect_writes nd.body))
-    wreach;
-  (* reactor context: a global written both under Server.run and outside it
-     is shared between the reactor and another context *)
   let rreach = Lint_callgraph.reachable g [ "Server.run" ] in
   if Hashtbl.length rreach > 0 then begin
     let node_globals (nd : Lint_callgraph.node) =
@@ -332,13 +184,12 @@ let msp012 cfg a =
         | _ :: _, (_, (out_nd : Lint_callgraph.node), _) :: _ ->
             List.iter
               (fun (_, (nd : Lint_callgraph.node), w) ->
-                if not (domain_safe nd) then
-                  emit ~file:nd.file ~loc:w.wloc
-                    (Printf.sprintf
-                       "%s is written both inside the Server.run reactor (in \
-                        %s) and outside it (in %s); the contexts race — make \
-                        it Atomic or route all writes through the reactor"
-                       gname nd.key out_nd.key))
+                emit ~file:nd.file ~loc:w.wloc
+                  (Printf.sprintf
+                     "%s is written both inside the Server.run reactor (in %s) \
+                      and outside it (in %s); the contexts race — make it \
+                      Atomic or route all writes through the reactor"
+                     gname nd.key out_nd.key))
               ins
         | _ -> ())
       writers

@@ -1,7 +1,7 @@
 (** Interprocedural rules over the typed AST (see doc/LINTS.md):
 
-    - MSP012 — writes to shared mutable state reachable from more than one
-      domain context (Pool worker closures, the Server.run reactor);
+    - MSP012 — a module-level global written both inside the Server.run
+      reactor and outside it;
     - MSP013 — per-element allocation inside [\[@@hot\]] functions;
     - MSP014 — probe accounting: every uncounted adjacency access in the
       CONGEST simulator must be dominated by a [Graph.add_probes] charge.

@@ -30,18 +30,17 @@ let rules_summary =
     ("MSP005", "Obj/Marshal");
     ("MSP006", "lib/ module without .mli");
     ("MSP007", "exported raising function lacking _exn suffix or @raise doc");
-    ("MSP008", "Domain.spawn outside lib/prelude/pool.ml (pooled parallelism)");
+    ("MSP008", "Domain.spawn anywhere (every computation runs on the calling domain)");
     ("MSP009", "raw file I/O in lib/ outside the journal and Graph_io (durability funnel)");
     ("MSP010", "raw Bigarray unsafe access outside Bigvec and the CSR core (off-heap bounds)");
     ("MSP011", "raw Unix socket/fd I/O in lib/ outside lib/server, the journal and Graph_io");
-    ("MSP012", "write to shared mutable state reachable from more than one domain context");
+    ("MSP012", "global written both inside and outside the Server.run reactor");
     ("MSP013", "per-element allocation inside a [@@hot] function");
     ("MSP014", "uncounted CONGEST adjacency access not dominated by a probe charge");
   ]
 
-(* The interprocedural rules cover the trees that run concurrent or hot
-   code; test/ is deliberately out of their scope — test fixtures write
-   captured state from pool closures on purpose. *)
+(* The interprocedural rules cover the trees that run the reactor or hot
+   code; test/ is deliberately out of their scope. *)
 let callgraph_roots = [ "lib"; "bin"; "bench" ]
 
 let budget_s = 30.0
