@@ -65,12 +65,13 @@ bench-smoke:
 bench-serve:
 	dune exec bench/main.exe -- --csv bench_csv serve-faults
 
-# full replication suite: all four hot-standby legs at full op counts —
+# full replication suite: all five hot-standby legs at full op counts —
 # kill -9 failover with Promote + client rediscovery, replica crash
-# catch-up over the surviving dir, stale-epoch fencing, and the
-# slow-follower lag/backpressure leg — writing
-# bench_csv/serve-replication.csv (the failover + fencing legs run at
-# smoke size on every `dune runtest` / `make ci`)
+# catch-up over the surviving dir, stale-epoch fencing, the
+# slow-follower lag/backpressure leg, and a replica of a replica that
+# must re-point at the primary — writing
+# bench_csv/serve-replication.csv (the failover, fencing and redirect
+# legs run at smoke size on every `dune runtest` / `make ci`)
 bench-replication:
 	dune exec bench/main.exe -- --csv bench_csv serve-replication
 

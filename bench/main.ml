@@ -73,86 +73,38 @@ let () =
     in
     args = [] || List.exists matches args
   in
+  (* Every leg, in run order.  [true] marks the default sweep, which runs
+     with no arguments and by prefix.  The smoke runs, the size-heavy legs
+     and the serve benches (which fork real server processes) must be
+     asked for by their exact name. *)
+  let legs =
+    List.map (fun (name, f) -> (name, true, f)) Experiments.all
+    @ [
+        ("fault_sweep", true, Fault_sweep.run);
+        ("crash_soak", true, Crash_soak.run);
+        ("fault-smoke", false, Fault_sweep.smoke);
+        ("crash-smoke", false, Crash_soak.smoke);
+        ("msgr-smoke", false, Msgr_smoke.run ~full:true);
+        ("msgr-smoke-small", false, Msgr_smoke.run ~full:false);
+        ("serve-faults", false, Serve_faults.run);
+        ("serve-faults-smoke", false, Serve_faults.smoke);
+        ("serve-smoke", false, Serve_faults.drain_smoke);
+        ("serve-replication", false, fun () -> Serve_replication.run ());
+        ("replication-smoke", false, Serve_replication.smoke);
+        ("lca-query", false, Lca_query.run ~full:true);
+        ("lca-smoke", false, Lca_query.run ~full:false);
+      ]
+  in
   let ran = ref 0 in
   List.iter
-    (fun (name, f) ->
-      if wants name then begin
+    (fun (name, in_sweep, f) ->
+      if (if in_sweep then wants name else List.mem name args) then begin
         incr ran;
         f ()
       end)
-    Experiments.all;
-  if wants "fault_sweep" then begin
-    incr ran;
-    Fault_sweep.run ()
-  end;
-  if wants "crash_soak" then begin
-    incr ran;
-    Crash_soak.run ()
-  end;
-  (* the smoke runs and the size-heavy legs must be asked for by name —
-     they are not part of the default sweep *)
-  let explicit name = List.mem name args in
-  if explicit "fault-smoke" then begin
-    incr ran;
-    Fault_sweep.smoke ()
-  end;
-  if explicit "crash-smoke" then begin
-    incr ran;
-    Crash_soak.smoke ()
-  end;
-  if explicit "msgr-smoke" then begin
-    incr ran;
-    Msgr_smoke.run ~full:true ()
-  end;
-  if explicit "msgr-smoke-small" then begin
-    incr ran;
-    Msgr_smoke.run ~full:false ()
-  end;
-  (* the serve benches fork real server processes, so they also must be
-     asked for by name and never join the default sweep *)
-  if explicit "serve-faults" then begin
-    incr ran;
-    Serve_faults.run ()
-  end;
-  if explicit "serve-faults-smoke" then begin
-    incr ran;
-    Serve_faults.smoke ()
-  end;
-  if explicit "serve-smoke" then begin
-    incr ran;
-    Serve_faults.drain_smoke ()
-  end;
-  if explicit "serve-replication" then begin
-    incr ran;
-    Serve_replication.run ()
-  end;
-  if explicit "replication-smoke" then begin
-    incr ran;
-    Serve_replication.smoke ()
-  end;
-  if explicit "lca-query" then begin
-    incr ran;
-    Lca_query.run ~full:true ()
-  end;
-  if explicit "lca-smoke" then begin
-    incr ran;
-    Lca_query.run ~full:false ()
-  end;
+    legs;
   if !ran = 0 then begin
     prerr_endline "no experiment matched; available:";
-    List.iter (fun (name, _) -> Printf.eprintf "  %s\n" name) Experiments.all;
-    prerr_endline "  fault_sweep";
-    prerr_endline "  crash_soak";
-    prerr_endline "  fault-smoke";
-    prerr_endline "  crash-smoke";
-    prerr_endline "  msgr-smoke";
-    prerr_endline "  msgr-smoke-small";
-    prerr_endline "  serve-faults";
-    prerr_endline "  serve-faults-smoke";
-    prerr_endline "  serve-smoke";
-    prerr_endline "  serve-replication";
-    prerr_endline "  replication-smoke";
-    prerr_endline "  lca-query";
-    prerr_endline "  lca-smoke";
+    List.iter (fun (name, _, _) -> Printf.eprintf "  %s\n" name) legs;
     exit 1
   end

@@ -15,11 +15,14 @@
      serving path;
    - lag: a follower that never reads accrues [repl_lag] in [Stats]
      while the primary stays fully responsive (slow consumers shed onto
-     the replication out-queue, never onto the serve path).
+     the replication out-queue, never onto the serve path);
+   - redirect: a replica restarted with another replica as its upstream
+     follows that replica's [Redirect] to the primary, catches up, and
+     from then on names the primary in every [Redirect] it answers.
 
    One row per leg into bench_csv/serve-replication.csv (under --csv).
-   Everything is seeded; the smoke variant runs the failover and fencing
-   legs at reduced op counts. *)
+   Everything is seeded; the smoke variant runs the failover, fencing
+   and redirect legs at reduced op counts. *)
 
 open Mspar_prelude
 open Mspar_server
@@ -381,6 +384,93 @@ let lag_leg ~full =
     ~elapsed:(Unix.gettimeofday () -. t0)
     ~digest_equal:true
 
+(* ---- leg 5: a replica of a replica re-points at the primary ---- *)
+
+let redirect_leg ~full =
+  Serve_util.with_scratch @@ fun sc ->
+  let count = if full then 1_000 else 200 in
+  let rng = Rng.create (seed + 4) in
+  let ops = Serve_util.make_ops rng ~n:span ~count in
+  let cfg = Serve_util.config ~n:span ~seed:(seed + 4) in
+  let dir_p = Serve_util.scratch_dir sc "repl-redirect-p" in
+  let dir_r1 = Serve_util.scratch_dir sc "repl-redirect-r1" in
+  let dir_r2 = Serve_util.scratch_dir sc "repl-redirect-r2" in
+  let addr_p = sock_addr sc "redirect-p"
+  and addr_r1 = sock_addr sc "redirect-r1"
+  and addr_r2 = sock_addr sc "redirect-r2" in
+  let t0 = Unix.gettimeofday () in
+  let ppid =
+    Serve_util.fork_server ~sync_every:1 ~fresh:true ~dir:dir_p ~addr:addr_p cfg
+  in
+  let c = Serve_util.await addr_p in
+  Serve_util.hello c 1;
+  let half = count / 2 in
+  for i = 0 to half - 1 do
+    apply c ~rid:(i + 1) ops.(i)
+  done;
+  let r1pid =
+    Serve_util.fork_replica ~sync_every:1 ~fresh:true ~dir:dir_r1
+      ~addr:addr_r1 ~upstream:addr_p ()
+  in
+  let r1c = Serve_util.await addr_r1 in
+  ignore (await_catchup r1c ~target:(role_offset c));
+  Client.close r1c;
+  (* R2 bootstraps from the primary, then comes back as a replica of R1.
+     The Role round trip means R2 is serving, so its SIGTERM handler is
+     in place. *)
+  let r2pid =
+    Serve_util.fork_replica ~sync_every:1 ~fresh:true ~dir:dir_r2
+      ~addr:addr_r2 ~upstream:addr_p ()
+  in
+  (let r2c = Serve_util.await addr_r2 in
+   ignore (role_offset r2c);
+   Client.close r2c);
+  expect_exit_0 "bootstrapped replica" (Serve_util.stop_server r2pid);
+  let r2pid =
+    Serve_util.fork_replica ~sync_every:1 ~fresh:false ~dir:dir_r2
+      ~addr:addr_r2 ~upstream:addr_r1 ()
+  in
+  let rc = Serve_util.await addr_r2 in
+  for i = half to count - 1 do
+    apply c ~rid:(i + 1) ops.(i)
+  done;
+  let primary_off = role_offset c in
+  let replica_off = await_catchup rc ~target:primary_off in
+  gate "re-pointed replica caught up with the primary"
+    (replica_off = primary_off)
+    (Printf.sprintf "replica %d primary %d" replica_off primary_off);
+  let names_primary what resp =
+    match resp with
+    | Ok (Wire.Redirect hint) ->
+        gate (what ^ " redirect names the primary")
+          (Wire.addr_of_string hint = Ok addr_p)
+          hint
+    | Ok _ | Error _ ->
+        failwith ("serve-replication: " ^ what ^ " was not redirected")
+  in
+  names_primary "update"
+    (Client.request rc (Wire.Insert { rid = count + 1; u = 1; v = 2 }));
+  (let pc = Serve_util.await addr_r2 in
+   names_primary "Repl_hello"
+     (Client.request pc
+        (Wire.Repl_hello { epoch = 0; offset = Journal.header_bytes }));
+   Client.close pc);
+  let dg_p = Serve_util.digest c in
+  let dg_r = Serve_util.digest rc in
+  gate "re-pointed replica digest equals primary bit-for-bit"
+    (Serve_util.digest_eq dg_p dg_r)
+    (Printf.sprintf "primary %s replica %s" (Serve_util.pp_digest dg_p)
+       (Serve_util.pp_digest dg_r));
+  Client.close rc;
+  expect_exit_0 "re-pointed replica" (Serve_util.stop_server r2pid);
+  expect_exit_0 "replica" (Serve_util.stop_server r1pid);
+  Client.close c;
+  expect_exit_0 "primary" (Serve_util.stop_server ppid);
+  leg_row ~leg:"redirect" ~ops:count ~acked:count ~replica_off ~primary_off
+    ~fenced:0 ~lag:0
+    ~elapsed:(Unix.gettimeofday () -. t0)
+    ~digest_equal:true
+
 let run ?(smoke = false) () =
   Serve_util.ignore_sigpipe ();
   let full = not smoke in
@@ -389,8 +479,8 @@ let run ?(smoke = false) () =
       ~title:
         "serve-replication (hot-standby WAL shipping: kill -9 failover \
          with promote + client rediscovery, replica crash catch-up, \
-         epoch fencing, slow-follower lag; acked-window digests \
-         bit-for-bit)"
+         epoch fencing, slow-follower lag, replica-of-replica redirect; \
+         acked-window digests bit-for-bit)"
       ~columns:
         [
           "leg"; "ops"; "acked"; "replica-off"; "primary-off"; "fenced";
@@ -401,6 +491,7 @@ let run ?(smoke = false) () =
   if full then Table.add_row t (catchup_leg ~full);
   Table.add_row t (fence_leg ());
   if full then Table.add_row t (lag_leg ~full);
+  Table.add_row t (redirect_leg ~full);
   Experiments.emit t
 
 let smoke () = run ~smoke:true ()

@@ -393,9 +393,9 @@ let dynamic_cmd =
           ~del:(fun u v -> ignore (Durable.delete d u v));
         let s = Durable.stats d in
         Printf.printf
-          "journal: ops=%d snapshots=%d audits=%d audit-failures=%d repairs=%d\n"
+          "journal: ops=%d snapshots=%d audits=%d audit-failures=%d\n"
           s.Durable.ops s.Durable.snapshots s.Durable.audits
-          s.Durable.audit_failures s.Durable.repairs;
+          s.Durable.audit_failures;
         report_matching (Durable.matching d);
         Durable.close d
   in

@@ -29,11 +29,14 @@ type stats = {
   snapshots : int;
   audits : int;
   audit_failures : int;
-  repairs : int;
   recovered_epoch : int option;
   replayed : int;
-  dedup_hits : int;
 }
+
+(* A client's resend window: bit [i] of [applied] and of [changed] tells
+   whether rid [last - i] was applied and whether it changed the graph,
+   for the [window] rids that end at [last]. *)
+type window = { last : int; applied : int; changed : int }
 
 type t = {
   dir : string;
@@ -49,19 +52,17 @@ type t = {
          recomputed at recovery from the bootstrap marker plus the
          byte-identical shipped suffix. *)
   dm : Dyn_matching.t;
-  (* at-most-once: client id -> (last applied request id, its result).
-     Request ids are client-assigned and strictly increasing per client,
-     so one entry per client suffices: a resend after a lost ack carries
-     the same rid and is answered from here without re-applying. *)
-  dedup : (int, int * bool) Hashtbl.t;
+  (* at-most-once: client id -> its resend window.  Request ids are
+     client-assigned and strictly increasing per client, so a resend
+     after lost acks carries rids at or below the last one and is
+     answered from here without re-applying. *)
+  dedup : (int, window) Hashtbl.t;
   snapshot_every : int option;
   audit_every : int option;
   mutable ops : int;
   mutable snapshots : int;
   mutable audits : int;
   mutable audit_failures : int;
-  mutable repairs : int;
-  mutable dedup_hits : int;
   recovered_epoch : int option;
   replayed : int;
 }
@@ -174,25 +175,25 @@ let audit_now t =
     (* Self-repair from the authoritative dynamic graph.  The graph is
        the ground truth (it is what the journal reconstructs); the
        matching is derived state and can be rebuilt from it. *)
-    Dyn_matching.force_rebuild t.dm;
-    t.repairs <- t.repairs + 1
+    Dyn_matching.force_rebuild t.dm
   end;
   failures
 
+(* The resend window is 62 rids: both bit masks stay non-negative ints. *)
+let window = 62
+let window_mask = (1 lsl window) - 1
+
 let encode_dedup buf dedup =
-  let entries =
-    Hashtbl.fold (fun client (rid, res) acc -> (client, rid, res) :: acc) dedup []
-  in
+  let entries = Hashtbl.fold (fun client w acc -> (client, w) :: acc) dedup [] in
   (* sorted by client id so the snapshot bytes are deterministic *)
-  let entries =
-    List.sort (fun (a, _, _) (b, _, _) -> Int.compare a b) entries
-  in
+  let entries = List.sort (fun (a, _) (b, _) -> Int.compare a b) entries in
   Codec.add_uvarint buf (List.length entries);
   List.iter
-    (fun (client, rid, res) ->
+    (fun (client, w) ->
       Codec.add_uvarint buf client;
-      Codec.add_uvarint buf rid;
-      Buffer.add_char buf (if res then '\001' else '\000'))
+      Codec.add_uvarint buf w.last;
+      Codec.add_uvarint buf w.applied;
+      Codec.add_uvarint buf w.changed)
     entries
 
 let decode_dedup r =
@@ -200,31 +201,31 @@ let decode_dedup r =
   let dedup = Hashtbl.create (Int.max 16 count) in
   for _ = 1 to count do
     let client = Codec.read_uvarint r in
-    let rid = Codec.read_uvarint r in
-    let res =
-      match Codec.read_byte r with
-      | 0 -> false
-      | 1 -> true
-      | b -> failwith (Printf.sprintf "bad dedup result byte %d" b)
-    in
-    Hashtbl.replace dedup client (rid, res)
+    let last = Codec.read_uvarint r in
+    let applied = Codec.read_uvarint r in
+    let changed = Codec.read_uvarint r in
+    if applied > window_mask || applied land 1 = 0 || changed land lnot applied <> 0
+    then failwith (Printf.sprintf "bad resend window of client %d" client);
+    Hashtbl.replace dedup client { last; applied; changed }
   done;
   dedup
 
 (* Snapshot payloads open with a layout tag, checked before any field is
    decoded.  Layout 1 had no tag and held a sparsifier section (graph,
-   RNG, marks) ahead of the matcher; layouts 2 and 3 hold the op count,
+   RNG, marks) ahead of the matcher; layouts 2 to 4 hold the op count,
    the matcher and the dedup table.  Layout 3's matcher rebuilds from a
    per-window seed, layout 2's from one shared stream, so a layout-2
-   matcher would replay under a different rebuild. *)
-let snapshot_layout = "mspar-snap/3"
+   matcher would replay under a different rebuild.  Layout 4 keeps a
+   resend window per client where layout 3 kept one outcome. *)
+let snapshot_layout = "mspar-snap/4"
 
 let layout_mismatch =
   Printf.sprintf
-    "snapshot layout mismatch: this build reads layout 3 (tag %S: op count, \
-     window-seeded matcher, dedup), the payload lacks that tag (layout 2 \
-     blobs hold a stream-seeded matcher, layout 1 blobs are untagged and \
-     also carry the sparsifier)"
+    "snapshot layout mismatch: this build reads layout 4 (tag %S: op count, \
+     window-seeded matcher, per-client resend windows), the payload lacks \
+     that tag (layout 3 blobs keep one outcome per client, layout 2 blobs \
+     hold a stream-seeded matcher, layout 1 blobs are untagged and also \
+     carry the sparsifier)"
     snapshot_layout
 
 let encode_state t =
@@ -237,11 +238,16 @@ let encode_state t =
 
 let snapshot_now t =
   (* Journal first: every op covered by the snapshot must be durable
-     before the Epoch record claims the snapshot supersedes it. *)
+     before the Epoch record claims the snapshot supersedes it.  A
+     replica writes the blob only: its Epoch records are the shipped
+     ones, and a frame of its own would break byte-identity with the
+     primary's suffix. *)
   Journal.sync t.writer;
   Journal.write_blob (snap_path t.dir t.ops) (encode_state t);
-  Journal.append t.writer (Journal.Epoch t.ops);
-  Journal.sync t.writer;
+  if Option.is_none t.cursor then begin
+    Journal.append t.writer (Journal.Epoch t.ops);
+    Journal.sync t.writer
+  end;
   t.snapshots <- t.snapshots + 1
 
 (* [Error] for a payload of another layout; a damaged payload of this
@@ -260,29 +266,50 @@ let decode_snapshot payload =
 (* ops                                                                *)
 (* ------------------------------------------------------------------ *)
 
-(* The at-most-once guard: [Some (last, result)] iff [client] already
-   had [rid] (or a later rid) applied. *)
-let seen dedup ~client ~rid =
+(* The at-most-once guard: [`Fresh] for a rid past the client's last
+   one, [`Resent changed] for an applied rid the window still holds. *)
+let lookup dedup ~client ~rid =
   match Hashtbl.find_opt dedup client with
-  | Some (last, _) as entry when rid <= last -> entry
-  | Some _ | None -> None
+  | None -> `Fresh
+  | Some w when rid > w.last -> `Fresh
+  | Some w ->
+      let i = w.last - rid in
+      if i < window && (w.applied lsr i) land 1 = 1 then
+        `Resent ((w.changed lsr i) land 1 = 1)
+      else `Unanswerable
+
+(* slide the client's window forward to the fresh [rid] and record its
+   outcome in bit 0 *)
+let record dedup ~client ~rid changed =
+  let w =
+    Option.value (Hashtbl.find_opt dedup client)
+      ~default:{ last = rid; applied = 0; changed = 0 }
+  in
+  let s = rid - w.last in
+  let slide bits = if s < window then (bits lsl s) land window_mask else 0 in
+  Hashtbl.replace dedup client
+    {
+      last = rid;
+      applied = slide w.applied lor 1;
+      changed = slide w.changed lor Bool.to_int changed;
+    }
 
 (* The one place an update reaches the matcher — live, replayed at
    recovery, or shipped from a primary.  A [Tagged] record passes the
    at-most-once guard and records its outcome in [dedup]; the primary
-   only journals rids it applied, so on a healthy stream the guard never
+   only journals fresh rids, so on a healthy stream the guard never
    fires.  Returns the applied update, or [None] for a record that is
-   not one (or a duplicate rid). *)
+   not one (or not a fresh rid). *)
 let rec apply dm dedup = function
   | Journal.Insert (u, v) -> Some (u, v, Dyn_matching.insert dm u v)
   | Journal.Delete (u, v) -> Some (u, v, Dyn_matching.delete dm u v)
   | Journal.Tagged (client, rid, op) -> (
-      match seen dedup ~client ~rid with
-      | Some _ -> None
-      | None ->
+      match lookup dedup ~client ~rid with
+      | `Resent _ | `Unanswerable -> None
+      | `Fresh ->
           let applied = apply dm dedup op in
           Option.iter
-            (fun (_, _, changed) -> Hashtbl.replace dedup client (rid, changed))
+            (fun (_, _, changed) -> record dedup ~client ~rid changed)
             applied;
           applied)
   | Journal.Epoch _ | Journal.Meta _ -> None
@@ -314,16 +341,19 @@ let insert t u v = journal_and_apply t (Journal.Insert (u, v)) u v
 let delete t u v = journal_and_apply t (Journal.Delete (u, v)) u v
 
 (* At-most-once variants for the server: the op is journaled as [Tagged]
-   so replay rebuilds the dedup table.  A resend of the last applied rid
-   answers from the cache; an rid from the past (client restarted a
-   sequence, or an out-of-order duplicate) is refused as a duplicate
-   rather than re-applied. *)
+   so replay rebuilds the dedup table.  A resend inside the window
+   answers its own recorded outcome; a rid the window cannot answer
+   (never applied, or too old) is refused, never re-applied. *)
 let apply_req t ~client ~rid op u v =
-  match seen t.dedup ~client ~rid with
-  | Some (last, res) ->
-      t.dedup_hits <- t.dedup_hits + 1;
-      `Duplicate (rid = last && res)
-  | None -> `Applied (journal_and_apply t (Journal.Tagged (client, rid, op)) u v)
+  match lookup t.dedup ~client ~rid with
+  | `Fresh -> `Applied (journal_and_apply t (Journal.Tagged (client, rid, op)) u v)
+  | `Resent changed -> `Duplicate changed
+  | `Unanswerable ->
+      invalid_arg
+        (Printf.sprintf
+           "Durable: rid %d of client %d is outside its resend window: never \
+            applied, or not among the last %d rids"
+           rid client window)
 
 let insert_req t ~client ~rid u v =
   apply_req t ~client ~rid (Journal.Insert (u, v)) u v
@@ -354,8 +384,6 @@ let make ~dir ~config ~writer ~lock ~repl_epoch ~cursor ~dm ~dedup
     snapshots = 0;
     audits = 0;
     audit_failures = 0;
-    repairs = 0;
-    dedup_hits = 0;
     recovered_epoch;
     replayed;
   }
@@ -535,13 +563,6 @@ let bootstrap_payload t =
   Journal.sync t.writer;
   (t.ops, encode_state t, Journal.durable_offset t.writer)
 
-let snapshot_blob_only t =
-  (* replica-side snapshot: the blob only, no Epoch append — the shipped
-     Epoch record already in our WAL is the marker, and appending our own
-     frames would break byte-identity with the primary's suffix *)
-  Journal.write_blob (snap_path t.dir t.ops) (encode_state t);
-  t.snapshots <- t.snapshots + 1
-
 let bump_repl_epoch t =
   let e = t.repl_epoch + 1 in
   Journal.append t.writer (Journal.Meta (encode_repl_epoch e));
@@ -619,7 +640,7 @@ let apply_shipped t payload ~on_update =
                         (* the primary snapshotted here; our state is
                            bit-for-bit the same, so a local blob at the
                            same epoch is valid and bounds our replay *)
-                        if e = t.ops then snapshot_blob_only t
+                        if e = t.ops then snapshot_now t
                     | Journal.Meta m -> (
                         match repl_epoch_of_meta m with
                         | Some e when e > t.repl_epoch -> t.repl_epoch <- e
@@ -655,10 +676,8 @@ let stats t =
     snapshots = t.snapshots;
     audits = t.audits;
     audit_failures = t.audit_failures;
-    repairs = t.repairs;
     recovered_epoch = t.recovered_epoch;
     replayed = t.replayed;
-    dedup_hits = t.dedup_hits;
   }
 
 let close t =

@@ -6,8 +6,8 @@
     applied, snapshot blobs are written every [snapshot_every] ops (with
     an [Epoch] journal record marking the boundary), and the {!Audit}
     checks run every [audit_every] ops — a failed audit rebuilds the
-    matching from the authoritative dynamic graph and counts the repair
-    in {!stats}.  The G_Δ the service answers point queries from is not
+    matching from the authoritative dynamic graph and is counted in
+    {!stats}.  The G_Δ the service answers point queries from is not
     stored here: it is a pure function of the graph and
     [(config.seed, config.delta)], replayed by [Mspar_lca.Oracle].
 
@@ -38,13 +38,12 @@ type stats = {
   ops : int;  (** ops journaled (including no-ops), lifetime *)
   snapshots : int;  (** snapshot blobs written by this process *)
   audits : int;  (** audit passes run by this process *)
-  audit_failures : int;  (** audits that found at least one violation *)
-  repairs : int;  (** matcher rebuilds forced by failed audits *)
+  audit_failures : int;
+      (** audits that found at least one violation; each one rebuilt the
+          matcher *)
   recovered_epoch : int option;
       (** snapshot epoch this process recovered from, if any *)
   replayed : int;  (** ops replayed from the journal at recovery *)
-  dedup_hits : int;
-      (** duplicate requests answered from the at-most-once cache *)
 }
 
 type t
@@ -102,10 +101,15 @@ val insert_req :
   t -> client:int -> rid:int -> int -> int -> [ `Applied of bool | `Duplicate of bool ]
 (** At-most-once insert on behalf of server client [client] with
     client-assigned request id [rid] (strictly increasing per client).
-    A fresh rid journals a [Tagged] record then applies; [rid] equal to
-    the last applied one answers [`Duplicate] with the cached result
-    (the resend-after-lost-ack case); an older rid is [`Duplicate false].
-    @raise Invalid_argument on out-of-range endpoints.
+    A rid past the client's last one journals a [Tagged] record then
+    applies.  A resend of one of the last 62 rids (the last one
+    included) answers [`Duplicate changed] with that rid's own outcome
+    (the resend-after-lost-acks case), so a client that keeps at most 62
+    updates unacked gets exact answers for every resend.  The window is
+    carried in snapshots and rebuilt on replay.
+    @raise Invalid_argument on out-of-range endpoints, and on a rid the
+    window cannot answer: one never applied, or 62 or more rids before
+    the last one.  Nothing is journaled then.
     @raise Unix.Unix_error on filesystem errors. *)
 
 val delete_req :
@@ -122,13 +126,15 @@ val sync : t -> unit
 val audit_now : t -> string list
 (** Run {!Audit.matching} (dynamic graph, its CSR snapshot, matching
     invariants) now.  On failure, rebuilds the matching from the graph
-    ({!Dyn_matching.force_rebuild}), bumping [repairs]; the returned
-    list is what the audit {e found} (pre-repair).  Consumes randomness
-    only when a repair actually happens. *)
+    ({!Dyn_matching.force_rebuild}), bumping [audit_failures]; the
+    returned list is what the audit {e found} (pre-repair).  Consumes
+    randomness only when a repair actually happens. *)
 
 val snapshot_now : t -> unit
 (** Sync the journal, write a snapshot blob at the current op count, and
-    append the [Epoch] record.
+    append the [Epoch] record.  On an un-promoted replica
+    ({!replica_cursor} is [Some _]) only the blob is written: its
+    [Epoch] records are the primary's shipped ones.
     @raise Unix.Unix_error on filesystem errors. *)
 
 (** {2 Replication}
@@ -203,12 +209,6 @@ val apply_shipped :
     state change when validation fails; an [Error "apply failed"]
     mid-application leaves the replica inconsistent — discard the dir
     and re-bootstrap. *)
-
-val snapshot_blob_only : t -> unit
-(** Write a snapshot blob at the current op count {e without} appending
-    an [Epoch] record — the replica-side form of {!snapshot_now}, used
-    where the epoch marker already exists as a shipped frame.
-    @raise Unix.Unix_error on filesystem errors. *)
 
 val bump_repl_epoch : t -> int
 (** Promote: append a durable epoch record ([repl_epoch t + 1]), stamp

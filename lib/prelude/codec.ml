@@ -283,6 +283,12 @@ module Frames = struct
               end
         end
 
+  (* bytes one frame with a [len]-byte body occupies: the uvarint length,
+     the body and the CRC trailer *)
+  let frame_size len =
+    let rec prefix n = if n < 0x80 then 1 else 1 + prefix (n lsr 7) in
+    prefix len + len + 4
+
   let add_crc_le buf crc =
     for i = 0 to 3 do
       Buffer.add_char buf

@@ -121,6 +121,10 @@ module Frames : sig
   val encode : Buffer.t -> string -> unit
   (** Append one frame carrying [body] — the exact inverse of {!next}. *)
 
+  val frame_size : int -> int
+  (** Bytes one frame with a body of the given length occupies on the
+      wire or on disk: length prefix, body and CRC trailer. *)
+
   val encode_bytes : Buffer.t -> bytes -> pos:int -> len:int -> unit
   (** {!encode} for a body staged in [b.[pos .. pos+len)] — appends and
       checksums in place, building no intermediate string.  The server's
@@ -129,7 +133,8 @@ module Frames : sig
 
   val decode_all : ?max_frame:int -> string -> string list * tail
   (** Whole-buffer decode: every complete valid frame in order, plus the
-      verdict on what remains.  Implemented independently of the
-      incremental reader so the two can be property-tested against each
-      other. *)
+      verdict on what remains.  The journal reader, snapshot blobs and
+      shipped WAL slices all go through it.  Implemented independently
+      of the incremental reader so the two can be property-tested
+      against each other. *)
 end

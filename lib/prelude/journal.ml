@@ -95,28 +95,19 @@ let decode_body body =
   if not (Codec.at_end r) then failwith "trailing bytes in record body";
   rec_
 
-let frame buf r =
+let body_of r =
   let body = Buffer.create 16 in
   encode_body body r;
-  Codec.Frames.encode buf (Buffer.contents body)
+  Buffer.contents body
 
-let frame_size r =
-  let buf = Buffer.create 32 in
-  frame buf r;
-  Buffer.length buf
+let frame buf r = Codec.Frames.encode buf (body_of r)
+let frame_size r = Codec.Frames.frame_size (String.length (body_of r))
 
 let record_of_body body =
   match decode_body body with
   | r -> Ok r
   | exception (Failure msg | Invalid_argument msg) -> Error msg
   | exception Codec.Truncated -> Error "short record body"
-
-let read_crc_le r =
-  let x = ref 0l in
-  for i = 0 to 3 do
-    x := Int32.logor !x (Int32.shift_left (Int32.of_int (Codec.read_byte r)) (8 * i))
-  done;
-  !x
 
 (* ------------------------------------------------------------------ *)
 (* reading                                                            *)
@@ -129,44 +120,35 @@ type read_result = {
 }
 
 (* shared parse core: every valid record with the byte offset its frame
-   starts at, plus the usual (valid_bytes, torn) verdict *)
+   starts at, plus the usual (valid_bytes, torn) verdict.  Frames are cut
+   by [Codec.Frames.decode_all], the decoder shipped WAL bytes go through
+   too; the first body that is not a record ends the valid prefix. *)
 let parse_frames contents =
-  if String.length contents < header_len then
-    ([], 0, Some "missing or short header")
+  let total = String.length contents in
+  if total < header_len then ([], 0, Some "missing or short header")
   else if not (String.equal (String.sub contents 0 header_len) header) then
     ([], 0, Some "bad magic/version header")
   else begin
-    let total = String.length contents in
-    let records = ref [] in
-    let valid = ref header_len in
-    let torn = ref None in
-    (try
-       while !valid < total do
-         let r = Codec.reader ~pos:!valid contents in
-         let body_len = Codec.read_uvarint r in
-         let body_start = Codec.pos r in
-         if body_len > total - body_start - 4 then raise Codec.Truncated;
-         let body = String.sub contents body_start body_len in
-         let trailer = Codec.reader ~pos:(body_start + body_len) contents in
-         let stored = read_crc_le trailer in
-         if not (Int32.equal stored (Codec.crc32 body)) then begin
-           torn := Some "crc mismatch";
-           raise Exit
-         end;
-         (match decode_body body with
-         | rec_ -> records := (!valid, rec_) :: !records
-         | exception (Failure msg | Invalid_argument msg) ->
-             torn := Some ("malformed record: " ^ msg);
-             raise Exit
-         | exception Codec.Truncated ->
-             torn := Some "malformed record: short body";
-             raise Exit);
-         valid := body_start + body_len + 4
-       done
-     with
-    | Codec.Truncated -> torn := Some "truncated record (torn tail)"
-    | Exit -> ());
-    (List.rev !records, !valid, !torn)
+    let bodies, tail =
+      Codec.Frames.decode_all (String.sub contents header_len (total - header_len))
+    in
+    let rec go acc off = function
+      | [] ->
+          ( List.rev acc,
+            off,
+            match tail with
+            | Codec.Frames.Clean -> None
+            | Codec.Frames.Short -> Some "truncated record (torn tail)"
+            | Codec.Frames.Bad msg -> Some msg )
+      | body :: rest -> (
+          match record_of_body body with
+          | Ok r ->
+              go ((off, r) :: acc)
+                (off + Codec.Frames.frame_size (String.length body))
+                rest
+          | Error msg -> (List.rev acc, off, Some ("malformed record: " ^ msg)))
+    in
+    go [] header_len bodies
   end
 
 let parse contents =
@@ -343,17 +325,13 @@ let close w =
 
 let blob_magic = "MSPARSNP"
 
+(* a blob is [blob_magic], the version byte, then the payload as one
+   frame: the journal's framing, without its size bound *)
 let write_blob path payload =
   let buf = Buffer.create (String.length payload + 32) in
   Buffer.add_string buf blob_magic;
   Buffer.add_char buf version;
-  Codec.add_uvarint buf (String.length payload);
-  Buffer.add_string buf payload;
-  let crc = Codec.crc32 payload in
-  for i = 0 to 3 do
-    Buffer.add_char buf
-      (Char.chr (Int32.to_int (Int32.shift_right_logical crc (8 * i)) land 0xff))
-  done;
+  Codec.Frames.encode buf payload;
   let tmp = path ^ ".tmp" in
   let fd = Unix.openfile tmp [ Unix.O_WRONLY; Unix.O_CREAT; Unix.O_TRUNC ] 0o644 in
   Fun.protect
@@ -377,20 +355,12 @@ let read_blob path =
     if String.length contents < hl then None
     else if not (String.equal (String.sub contents 0 (String.length blob_magic)) blob_magic)
     then None
-    else begin
-      match
-        let r = Codec.reader ~pos:hl contents in
-        let len = Codec.read_uvarint r in
-        let start = Codec.pos r in
-        if len > String.length contents - start - 4 then raise Codec.Truncated;
-        let payload = String.sub contents start len in
-        let trailer = Codec.reader ~pos:(start + len) contents in
-        let stored = read_crc_le trailer in
-        if Int32.equal stored (Codec.crc32 payload) then Some payload else None
-      with
-      | res -> res
-      | exception Codec.Truncated -> None
-    end
+    else
+      List.nth_opt
+        (fst
+           (Codec.Frames.decode_all ~max_frame:max_int
+              (String.sub contents hl (String.length contents - hl))))
+        0
   end
 
 (* ------------------------------------------------------------------ *)

@@ -11,40 +11,28 @@ type t = {
   read_buf : bytes;
 }
 
-let sockaddr = function
-  | Wire.Unix_path p -> Unix.ADDR_UNIX p
-  | Wire.Tcp (host, port) ->
-      let inet =
-        match Unix.inet_addr_of_string host with
-        | a -> a
-        | exception Failure _ -> (Unix.gethostbyname host).Unix.h_addr_list.(0)
-      in
-      Unix.ADDR_INET (inet, port)
-
 let connect addr =
-  let domain =
-    match addr with Wire.Unix_path _ -> Unix.PF_UNIX | Wire.Tcp _ -> Unix.PF_INET
-  in
-  match
-    let fd = Unix.socket domain Unix.SOCK_STREAM 0 in
-    match Unix.connect fd (sockaddr addr) with
-    | () -> fd
-    | exception e ->
-        (try Unix.close fd with Unix.Unix_error (_, _, _) -> ());
-        raise e
-  with
-  | fd ->
-      Ok
-        {
-          fd;
-          frames = Codec.Frames.create ();
-          scratch = Buffer.create 256;
-          read_buf = Bytes.create 4096;
-        }
-  | exception Unix.Unix_error (e, _, _) ->
-      Error (Fmt.str "connect %a: %s" Wire.pp_addr addr (Unix.error_message e))
-  | exception Not_found ->
-      Error (Fmt.str "connect %a: cannot resolve host" Wire.pp_addr addr)
+  let fail msg = Error (Fmt.str "connect %a: %s" Wire.pp_addr addr msg) in
+  match Wire.sockaddr addr with
+  | Error msg -> fail msg
+  | Ok sa -> (
+      match
+        let fd = Unix.socket (Unix.domain_of_sockaddr sa) Unix.SOCK_STREAM 0 in
+        match Unix.connect fd sa with
+        | () -> fd
+        | exception e ->
+            (try Unix.close fd with Unix.Unix_error (_, _, _) -> ());
+            raise e
+      with
+      | fd ->
+          Ok
+            {
+              fd;
+              frames = Codec.Frames.create ();
+              scratch = Buffer.create 256;
+              read_buf = Bytes.create 4096;
+            }
+      | exception Unix.Unix_error (e, _, _) -> fail (Unix.error_message e))
 
 (* Capped full-jitter backoff: the ceiling doubles per attempt up to
    [cap] and the actual delay is drawn uniformly from [0, ceiling) —

@@ -1,6 +1,14 @@
 (** Blocking client for the [mspar serve] protocol — used by the smoke
     tests, the fault harness, and the load generator.  [send]/[recv] are
-    split so a driver can pipeline several requests per connection. *)
+    split so a caller can pipeline several requests per connection.
+
+    Update contract (DESIGN.md §10): rids are strictly increasing per
+    client id, and after a timeout or EOF the caller reconnects, sends
+    [Hello] again and resends every unacked rid in order.  The server
+    answers a resend with that rid's own [Ack changed] as long as it is
+    one of the client's last 62 rids; an older rid answers [Error].  So
+    a client that wants an exact answer for every resend keeps at most
+    62 updates unacked. *)
 
 type t
 
@@ -38,7 +46,8 @@ val connect_primary :
     the list must include the primary's own address.  Returns the
     connected client and the address that worked.  After a failover the
     caller must re-send its [Hello] and replay unacked rids — at-most-once
-    dedup makes the replay exactly-once. *)
+    dedup makes the replay exactly-once, with exact answers within the
+    62-rid window above. *)
 
 val send : t -> Wire.request -> (unit, string) result
 (** Write one request frame (blocking until fully written). *)

@@ -12,21 +12,25 @@ type follower = {
   mutable acked : int;  (* highest Repl_ack offset received *)
 }
 
+(* who is on the other end; the last handshake decides *)
+type peer =
+  | Client of int option  (* accepted; [Some id] once a Hello bound it *)
+  | Follower of follower  (* accepted; an accepted Repl_hello made it a
+                             replication out-stream *)
+  | Upstream  (* dialled by a replica: the link to its primary *)
+
 type t = {
   fd : Unix.file_descr;
   id : int;
   frames : Codec.Frames.t;
   out : Buffer.t;
   mutable out_pos : int;  (* prefix of [out] already written to the fd *)
-  mutable client : int option;  (* set by Hello; required for updates *)
+  mutable peer : peer;
   mutable last_activity : float;
   mutable partial_since : float option;
       (* when the oldest buffered incomplete frame started arriving —
          the slowloris clock *)
   mutable state : state;
-  mutable follower : follower option;
-      (* set by an accepted Repl_hello: this connection is a replication
-         out-stream and the shipping loop tracks it here *)
   mutable wbuf : bytes;
       (* reusable write-side scratch: stages response bodies for
          [Codec.Frames.encode_bytes] and carries the pending [out]
@@ -42,11 +46,10 @@ let create ?(max_frame = Codec.Frames.default_max_frame) ~id ~now fd =
     frames = Codec.Frames.create ~max_frame ();
     out = Buffer.create 512;
     out_pos = 0;
-    client = None;
+    peer = Client None;
     last_activity = now;
     partial_since = None;
     state = Open;
-    follower = None;
     wbuf = Bytes.create 4096;
   }
 

@@ -12,20 +12,30 @@ type follower = {
   mutable acked : int;  (** highest [Repl_ack] offset received *)
 }
 
+(** Who is on the other end of a connection.  An accepted connection
+    starts as [Client None]; the last handshake it sent decides what it
+    is, so it is never a bound client and a follower at once. *)
+type peer =
+  | Client of int option
+      (** a client; [Some id] once [Hello] bound it, which updates
+          require *)
+  | Follower of follower  (** a replication out-stream *)
+  | Upstream
+      (** dialled by a replica: its link to the primary, which answers
+          the [Repl_hello] / [Repl_ack] requests sent on it *)
+
 type t = {
   fd : Unix.file_descr;
   id : int;
   frames : Codec.Frames.t;
   out : Buffer.t;
   mutable out_pos : int;
-  mutable client : int option;  (** set by [Hello]; required for updates *)
+  mutable peer : peer;
   mutable last_activity : float;
   mutable partial_since : float option;
       (** since when an incomplete frame has been pending — drives the
           slowloris timeout *)
   mutable state : state;
-  mutable follower : follower option;
-      (** [Some _] iff this connection is a replication out-stream *)
   mutable wbuf : bytes;
       (** reusable write-side scratch (grown on demand): response bodies
           are staged here for [Codec.Frames.encode_bytes], and [flush]
@@ -34,7 +44,7 @@ type t = {
 }
 
 val create : ?max_frame:int -> id:int -> now:float -> Unix.file_descr -> t
-(** Wrap an accepted fd (switched to non-blocking).
+(** Wrap a connected fd (switched to non-blocking) as a [Client None].
     @raise Unix.Unix_error on fd errors. *)
 
 val pending_out : t -> int

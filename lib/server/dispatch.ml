@@ -23,14 +23,14 @@ type t = {
   oracle : Oracle.t;
   mutable draining : bool;
   mutable dirty : bool;  (* ops journaled since the last group commit *)
-  mutable redirect : string option;
-      (* replica mode: updates are refused with this primary hint;
-         point queries still served locally by the oracle *)
+  mutable upstream : Wire.addr option;
+      (* the primary a replica tails and redirects updates to; read only
+         while the journal says this is a replica *)
   crash_after_ops : int option;
   mutable applied : int;
 }
 
-let create ?crash_after_ops ?redirect ~metrics durable =
+let create ?crash_after_ops ?upstream ~metrics durable =
   let cfg = Durable.config durable in
   let g = Dyn_matching.graph (Durable.matching durable) in
   let oracle =
@@ -43,14 +43,16 @@ let create ?crash_after_ops ?redirect ~metrics durable =
     oracle;
     draining = false;
     dirty = false;
-    redirect;
+    upstream;
     crash_after_ops;
     applied = 0;
   }
 
 let oracle t = t.oracle
-let is_primary t = Option.is_none t.redirect
-let set_primary t = t.redirect <- None
+
+let redirect t =
+  Wire.Redirect
+    (match t.upstream with Some a -> Fmt.str "%a" Wire.pp_addr a | None -> "")
 
 (* The one place a [Wire.digest] is built.  [sparsifier] is the
    checksum of the G_Δ the point queries answer from: the seeded batch
@@ -78,8 +80,7 @@ let crash_point t =
   | Some k when t.applied >= k -> Unix._exit 137
   | Some _ | None -> ()
 
-let update t ~client ~u ~v result =
-  ignore client;
+let update t ~u ~v result =
   t.dirty <- true;
   match result with
   | `Applied changed ->
@@ -98,30 +99,21 @@ let update t ~client ~u ~v result =
 let handle t ~client (req : Wire.request) : Wire.response =
   match req with
   | Wire.Hello _ -> Wire.Ok  (* binding handled by the loop *)
-  | Wire.Insert { rid; u; v } -> (
+  | Wire.Insert { rid; u; v } | Wire.Delete { rid; u; v } -> (
       if t.draining then Wire.Draining
       else
-        match t.redirect with
-        | Some hint -> Wire.Redirect hint
-        | None -> (
-            match client with
-            | None -> Wire.Error "updates require Hello first"
-            | Some client -> (
-                match Durable.insert_req t.durable ~client ~rid u v with
-                | result -> update t ~client ~u ~v result
-                | exception Invalid_argument msg -> Wire.Error msg)))
-  | Wire.Delete { rid; u; v } -> (
-      if t.draining then Wire.Draining
-      else
-        match t.redirect with
-        | Some hint -> Wire.Redirect hint
-        | None -> (
-            match client with
-            | None -> Wire.Error "updates require Hello first"
-            | Some client -> (
-                match Durable.delete_req t.durable ~client ~rid u v with
-                | result -> update t ~client ~u ~v result
-                | exception Invalid_argument msg -> Wire.Error msg)))
+        match (Durable.replica_cursor t.durable, client) with
+        | Some _, _ -> redirect t
+        | None, None -> Wire.Error "updates require Hello first"
+        | None, Some client -> (
+            let apply =
+              match req with
+              | Wire.Insert _ -> Durable.insert_req
+              | _ -> Durable.delete_req
+            in
+            match apply t.durable ~client ~rid u v with
+            | result -> update t ~u ~v result
+            | exception Invalid_argument msg -> Wire.Error msg))
   | Wire.Query_matched v -> (
       t.metrics.Metrics.queries <- t.metrics.Metrics.queries + 1;
       match Oracle.is_matched t.oracle v with
@@ -140,8 +132,8 @@ let handle t ~client (req : Wire.request) : Wire.response =
       | exception Invalid_argument msg -> Wire.Error msg)
   | Wire.Checksum -> Wire.Digest (digest t.durable)
   | Wire.Snapshot -> (
-      match t.redirect with
-      | Some hint -> Wire.Redirect hint
+      match Durable.replica_cursor t.durable with
+      | Some _ -> redirect t
       | None ->
           Durable.snapshot_now t.durable;
           t.dirty <- false;

@@ -28,32 +28,34 @@ type t = {
       (** once set (Drain request or SIGTERM), updates answer
           [Draining]; queries keep working *)
   mutable dirty : bool;
-  mutable redirect : string option;
-      (** replica mode: updates and Snapshot answer [Redirect] with this
-          primary-address hint; queries keep being served locally *)
+      (** set by a journaled update (or shipped WAL bytes on a replica);
+          cleared by {!sync_if_dirty} *)
+  mutable upstream : Wire.addr option;
+      (** the primary a replica tails and names in its [Redirect]s; the
+          serve loop re-points it when the upstream redirects.  Read only
+          while [Durable.replica_cursor durable] is [Some _], which is
+          the one record of whether this node is a replica *)
   crash_after_ops : int option;
   mutable applied : int;
 }
 
 val create :
-  ?crash_after_ops:int -> ?redirect:string -> metrics:Metrics.t -> Durable.t -> t
+  ?crash_after_ops:int -> ?upstream:Wire.addr -> metrics:Metrics.t -> Durable.t -> t
 (** Registers the new oracle in [metrics], whose reports read its memo
     counters.  [crash_after_ops] is a fault-injection hook: the process
     [_exit]s with status 137 (simulated kill -9) immediately after the
-    Nth applied update, before any ack reaches a socket.  [redirect]
-    starts the dispatcher in replica (read-only) mode with the given
-    primary-address hint. *)
+    Nth applied update, before any ack reaches a socket. *)
 
-val is_primary : t -> bool
-(** [true] iff updates are accepted here (no redirect in force). *)
-
-val set_primary : t -> unit
-(** Promotion: clear the redirect so updates are accepted locally. *)
+val redirect : t -> Wire.response
+(** A replica's answer to a request only the primary serves: [Redirect]
+    naming [upstream] (an empty hint when there is none). *)
 
 val handle : t -> client:int option -> Wire.request -> Wire.response
 (** Serve one request.  [client] is the connection's Hello-bound id;
-    updates without one are protocol errors.  Total: domain errors come
-    back as [Wire.Error], not exceptions.
+    updates without one are protocol errors.  On a replica, updates and
+    [Snapshot] answer {!redirect}; queries are served locally.  Total:
+    domain errors, including a resent rid outside its window, come back
+    as [Wire.Error], not exceptions.
     @raise Unix.Unix_error on journal I/O errors. *)
 
 val digest : Durable.t -> Wire.digest

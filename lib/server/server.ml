@@ -53,34 +53,23 @@ let out_soft_cap = 256 * 1024
 
 let bind_listen addr =
   match
-    match addr with
-    | Wire.Unix_path path ->
+    let sa =
+      match Wire.sockaddr addr with Ok sa -> sa | Error msg -> failwith msg
+    in
+    (match sa with
+    | Unix.ADDR_UNIX path -> (
         (* a previous unclean shutdown leaves the socket file behind;
            binding over it needs the unlink first *)
-        (match (Unix.stat path).Unix.st_kind with
+        match (Unix.stat path).Unix.st_kind with
         | Unix.S_SOCK -> Unix.unlink path
         | _ -> failwith (path ^ " exists and is not a socket")
-        | exception Unix.Unix_error (Unix.ENOENT, _, _) -> ());
-        let fd = Unix.socket Unix.PF_UNIX Unix.SOCK_STREAM 0 in
-        Unix.bind fd (Unix.ADDR_UNIX path);
-        Unix.listen fd 64;
-        fd
-    | Wire.Tcp (host, port) ->
-        let inet =
-          match Unix.inet_addr_of_string host with
-          | a -> a
-          | exception Failure _ -> (
-              match Unix.gethostbyname host with
-              | { Unix.h_addr_list = [||]; _ } ->
-                  failwith ("cannot resolve " ^ host)
-              | h -> h.Unix.h_addr_list.(0)
-              | exception Not_found -> failwith ("cannot resolve " ^ host))
-        in
-        let fd = Unix.socket Unix.PF_INET Unix.SOCK_STREAM 0 in
-        Unix.setsockopt fd Unix.SO_REUSEADDR true;
-        Unix.bind fd (Unix.ADDR_INET (inet, port));
-        Unix.listen fd 64;
-        fd
+        | exception Unix.Unix_error (Unix.ENOENT, _, _) -> ())
+    | Unix.ADDR_INET _ -> ());
+    let fd = Unix.socket (Unix.domain_of_sockaddr sa) Unix.SOCK_STREAM 0 in
+    Unix.setsockopt fd Unix.SO_REUSEADDR true;
+    Unix.bind fd sa;
+    Unix.listen fd 64;
+    fd
   with
   | fd -> Ok fd
   | exception Unix.Unix_error (e, fn, _) ->
@@ -93,27 +82,20 @@ let bind_listen addr =
 (* the loop                                                           *)
 (* ------------------------------------------------------------------ *)
 
-(* Replica role state: the link to the primary, plus reconnect backoff.
-   [upstream] is mutable because a Redirect from a demoted peer can
-   re-point it at the new primary. *)
-type replica_state = {
-  mutable upstream : Wire.addr;
-  mutable up : Conn.t option;
-  mutable attempt : int;
-  mutable next_try : float;
-}
-
-type role = Primary | Replica of replica_state
-
+(* Whether this node is a replica is read from its journal
+   ([Durable.replica_cursor]) and nowhere else.  A replica's link to its
+   primary is one more connection in [conns] (peer [Upstream]); the loop
+   keeps only that link's reconnect backoff. *)
 type loop = {
   cfg : config;
   listen_fd : Unix.file_descr;
   dispatch : Dispatch.t;
   metrics : Metrics.t;
-  rng : Rng.t;  (* replica reconnect jitter *)
-  mutable role : role;
+  rng : Rng.t;  (* upstream reconnect jitter *)
   mutable conns : Conn.t list;
   mutable next_id : int;
+  mutable attempt : int;  (* upstream links lost or refused in a row *)
+  mutable next_try : float;  (* no upstream dial before this time *)
   read_buf : bytes;
   scratch : Buffer.t;
 }
@@ -122,18 +104,31 @@ type loop = {
    deadline and replica reconnect backoff only ever compare two readings *)
 let now () = Int64.to_float (Clock.now_ns ()) /. 1e9
 
+let is_upstream c =
+  match c.Conn.peer with
+  | Conn.Upstream -> true
+  | Conn.Client _ | Conn.Follower _ -> false
+
+(* schedule the next upstream dial under jittered backoff *)
+let backoff l =
+  l.attempt <- l.attempt + 1;
+  l.next_try <-
+    now () +. Client.backoff_delay l.rng ~attempt:l.attempt ~base:0.05 ~cap:2.0
+
 let drop l conn =
   (* idempotent: a conn can fail twice in one round (read EOF, then a
      flush error on the already-closed fd) *)
   if List.exists (fun c -> c.Conn.id = conn.Conn.id) l.conns then begin
     Conn.close conn;
     l.conns <- List.filter (fun c -> c.Conn.id <> conn.Conn.id) l.conns;
-    l.metrics.Metrics.active <- l.metrics.Metrics.active - 1
+    (* the upstream was dialled, not accepted: it is redialled instead *)
+    if is_upstream conn then backoff l
+    else l.metrics.Metrics.active <- l.metrics.Metrics.active - 1
   end
 
 let accept_ready l =
   let rec go budget =
-    if budget > 0 && List.length l.conns < l.cfg.max_conns then
+    if budget > 0 && l.metrics.Metrics.active < l.cfg.max_conns then
       match Unix.accept l.listen_fd with
       | fd, _ ->
           let conn =
@@ -160,18 +155,14 @@ let accept_ready l =
 let ship_chunk = 60 * 1024
 let bootstrap_chunk = 200 * 1024
 
-let uvarint_len n =
-  let rec go n acc = if n < 0x80 then acc else go (n lsr 7) (acc + 1) in
-  go n 1
-
 (* longest prefix of [slice] that is whole journal frames — a ship chunk
    may cut the last frame and the follower appends verbatim, so only
    whole frames ever leave the process *)
 let whole_frames_len slice =
-  let bodies, _tail = Codec.Frames.decode_all slice in
   List.fold_left
-    (fun acc b -> acc + uvarint_len (String.length b) + String.length b + 4)
-    0 bodies
+    (fun acc b -> acc + Codec.Frames.frame_size (String.length b))
+    0
+    (fst (Codec.Frames.decode_all slice))
 
 let queue_response l conn resp =
   Conn.queue conn l.scratch resp;
@@ -201,47 +192,33 @@ let queue_bootstrap l conn =
 let handle_repl l conn req =
   let durable = l.dispatch.Dispatch.durable in
   let m = l.metrics in
+  let replica = Option.is_some (Durable.replica_cursor durable) in
   match req with
   | Wire.Role ->
       let offset =
-        match Durable.replica_cursor durable with
-        | Some c -> c
-        | None -> Durable.durable_offset durable
+        Option.value (Durable.replica_cursor durable)
+          ~default:(Durable.durable_offset durable)
       in
       queue_response l conn
         (Wire.Role_reply
-           {
-             primary = Dispatch.is_primary l.dispatch;
-             epoch = Durable.repl_epoch durable;
-             offset;
-           })
+           { primary = not replica; epoch = Durable.repl_epoch durable; offset })
   | Wire.Repl_ack { offset } -> (
-      match conn.Conn.follower with
-      | Some f ->
-          f.Conn.acked <- Int.max f.Conn.acked offset
-      | None ->
+      match conn.Conn.peer with
+      | Conn.Follower f -> f.Conn.acked <- Int.max f.Conn.acked offset
+      | Conn.Client _ | Conn.Upstream ->
           queue_response l conn (Wire.Error "Repl_ack without Repl_hello");
           conn.Conn.state <- Conn.Closing)
   | Wire.Promote ->
       (* idempotent on a primary: epochs bump only on an actual
          replica->primary transition, so promotion records never appear
          in a shipped stream *)
-      if not (Dispatch.is_primary l.dispatch) then begin
+      if replica then begin
         ignore (Durable.bump_repl_epoch durable);
-        Dispatch.set_primary l.dispatch;
-        (match l.role with
-        | Replica r ->
-            (match r.up with Some c -> Conn.close c | None -> ());
-            r.up <- None
-        | Primary -> ());
-        l.role <- Primary
+        List.iter (fun c -> if is_upstream c then drop l c) l.conns
       end;
       queue_response l conn Wire.Ok
   | Wire.Repl_hello { epoch; offset } ->
-      if not (Dispatch.is_primary l.dispatch) then
-        queue_response l conn
-          (Wire.Redirect
-             (Option.value l.dispatch.Dispatch.redirect ~default:""))
+      if replica then queue_response l conn (Dispatch.redirect l.dispatch)
       else begin
         let my_e = Durable.repl_epoch durable in
         if epoch = 0 && offset = 0 then queue_bootstrap l conn
@@ -258,7 +235,7 @@ let handle_repl l conn req =
             && Result.is_ok (Journal.tail_from (Durable.wal_path durable) ~offset)
           in
           if ok_boundary then begin
-            conn.Conn.follower <- Some { Conn.sent = offset; acked = offset };
+            conn.Conn.peer <- Conn.Follower { Conn.sent = offset; acked = offset };
             queue_response l conn Wire.Ok
           end
           else begin
@@ -280,9 +257,9 @@ let ship_followers l =
   let worst_lag = ref 0 in
   List.iter
     (fun c ->
-      match c.Conn.follower with
-      | None -> ()
-      | Some f ->
+      match c.Conn.peer with
+      | Conn.Client _ | Conn.Upstream -> ()
+      | Conn.Follower f ->
           incr followers;
           if
             Conn.(c.state) = Conn.Open
@@ -314,7 +291,108 @@ let ship_followers l =
   l.metrics.Metrics.repl_followers <- !followers;
   l.metrics.Metrics.repl_lag <- (if !followers = 0 then 0 else !worst_lag)
 
-(* Decode and serve every complete frame one connection has buffered.
+(* ------------------------------------------------------------------ *)
+(* replication: replica side                                          *)
+(* ------------------------------------------------------------------ *)
+
+(* dial the upstream and queue the handshake from our durable cursor *)
+let connect_upstream l addr ~cursor =
+  match Client.connect addr with
+  | Error _ -> backoff l
+  | Ok ct ->
+      let conn =
+        Conn.create ~max_frame:l.cfg.max_frame ~id:l.next_id ~now:(now ())
+          (Client.fd ct)
+      in
+      conn.Conn.peer <- Conn.Upstream;
+      l.next_id <- l.next_id + 1;
+      Conn.queue_request conn l.scratch
+        (Wire.Repl_hello
+           { epoch = Durable.repl_epoch l.dispatch.Dispatch.durable; offset = cursor });
+      l.conns <- conn :: l.conns;
+      l.attempt <- 0
+
+(* one response from the primary, read off the upstream link *)
+let upstream_response l conn body =
+  let durable = l.dispatch.Dispatch.durable in
+  let m = l.metrics in
+  match Wire.decode_response body with
+  | Stdlib.Ok (Wire.Repl_frames { epoch; start_offset; payload }) -> (
+      if
+        epoch <> Durable.repl_epoch durable
+        || Durable.replica_cursor durable <> Some start_offset
+      then begin
+        (* wrong epoch or a gap: drop the link and re-handshake from our
+           durable cursor rather than guess *)
+        m.Metrics.repl_fenced <- m.Metrics.repl_fenced + 1;
+        drop l conn
+      end
+      else
+        match
+          Durable.apply_shipped durable payload ~on_update:(fun ~u ~v ~changed ->
+              if changed then
+                Mspar_lca.Oracle.invalidate_edge (Dispatch.oracle l.dispatch) u v)
+        with
+        | Ok n ->
+            m.Metrics.ops_applied <- m.Metrics.ops_applied + n;
+            (* replica group commit: the loop fsyncs the appended frames
+               before this ack leaves, so an acked offset survives kill -9 *)
+            l.dispatch.Dispatch.dirty <- true;
+            Conn.queue_request conn l.scratch
+              (Wire.Repl_ack { offset = start_offset + String.length payload })
+        | Error msg ->
+            prerr_endline ("mspar serve: replication apply failed: " ^ msg);
+            drop l conn)
+  | Stdlib.Ok (Wire.Repl_fence { epoch }) ->
+      m.Metrics.repl_fenced <- m.Metrics.repl_fenced + 1;
+      Printf.eprintf "mspar serve: fenced by upstream at epoch %d\n%!" epoch;
+      drop l conn
+  | Stdlib.Ok (Wire.Redirect hint) ->
+      (* our upstream is itself a replica: follow it to its primary, which
+         our own Redirects then name too *)
+      (match Wire.addr_of_string hint with
+      | Ok a -> l.dispatch.Dispatch.upstream <- Some a
+      | Error _ -> ());
+      drop l conn
+  | Stdlib.Ok Wire.Ok -> ()  (* hello accepted; frames follow *)
+  | Stdlib.Ok (Wire.Repl_snapshot _) ->
+      (* a bootstrap stream on a live link means the primary thinks we are
+         fresh — our hello must have raced; re-handshake *)
+      drop l conn
+  | Stdlib.Ok
+      ( Wire.Ack _ | Wire.Bool _ | Wire.Digest _ | Wire.Draining
+      | Wire.Stats_reply _ | Wire.Error _ | Wire.Role_reply _ )
+  | Stdlib.Error _ ->
+      drop l conn
+
+(* ------------------------------------------------------------------ *)
+(* per-connection I/O                                                 *)
+(* ------------------------------------------------------------------ *)
+
+let serve_request l conn body =
+  l.metrics.Metrics.frames_in <- l.metrics.Metrics.frames_in + 1;
+  match Wire.decode_request body with
+  | Stdlib.Error msg ->
+      l.metrics.Metrics.malformed <- l.metrics.Metrics.malformed + 1;
+      Conn.queue conn l.scratch (Wire.Error msg);
+      conn.Conn.state <- Conn.Closing
+  | Stdlib.Ok
+      ((Wire.Repl_hello _ | Wire.Repl_ack _ | Wire.Promote | Wire.Role) as req)
+    ->
+      handle_repl l conn req
+  | Stdlib.Ok req ->
+      (match req with
+      | Wire.Hello id -> conn.Conn.peer <- Conn.Client (Some id)
+      | _ -> ());
+      let client =
+        match conn.Conn.peer with
+        | Conn.Client c -> c
+        | Conn.Follower _ | Conn.Upstream -> None
+      in
+      queue_response l conn (Dispatch.handle l.dispatch ~client req)
+
+(* Decode and serve every complete frame one connection has buffered:
+   requests from clients and followers, responses on the upstream link.
    Returns once the buffer holds no whole frame, or the connection
    turned Closing. *)
 let process_frames l conn =
@@ -322,29 +400,14 @@ let process_frames l conn =
   while !continue && Conn.(conn.state) = Conn.Open do
     match Conn.next_frame conn ~now:(now ()) with
     | `Need_more -> continue := false
+    | `Corrupt _ when is_upstream conn -> drop l conn
     | `Corrupt msg ->
         l.metrics.Metrics.malformed <- l.metrics.Metrics.malformed + 1;
         Conn.queue conn l.scratch (Wire.Error ("corrupt frame: " ^ msg));
-        conn.Conn.state <- Conn.Closing;
-        continue := false
-    | `Frame body -> (
-        l.metrics.Metrics.frames_in <- l.metrics.Metrics.frames_in + 1;
-        match Wire.decode_request body with
-        | Stdlib.Error msg ->
-            l.metrics.Metrics.malformed <- l.metrics.Metrics.malformed + 1;
-            Conn.queue conn l.scratch (Wire.Error msg);
-            conn.Conn.state <- Conn.Closing;
-            continue := false
-        | Stdlib.Ok req -> (
-            match req with
-            | Wire.Repl_hello _ | Wire.Repl_ack _ | Wire.Promote | Wire.Role ->
-                handle_repl l conn req
-            | _ ->
-                (match req with
-                | Wire.Hello id -> conn.Conn.client <- Some id
-                | _ -> ());
-                queue_response l conn
-                  (Dispatch.handle l.dispatch ~client:conn.Conn.client req)))
+        conn.Conn.state <- Conn.Closing
+    | `Frame body ->
+        if is_upstream conn then upstream_response l conn body
+        else serve_request l conn body
   done
 
 let read_ready l conn =
@@ -375,116 +438,17 @@ let reap_timeouts l =
             (* slowloris: a frame has been dribbling in for too long *)
             drop l conn
         | Some _ | None -> ());
-        if
-          Conn.(conn.state) = Conn.Open
-          && Option.is_none conn.Conn.follower
-          (* a caught-up follower is legitimately silent between ops *)
-          && t -. conn.Conn.last_activity > l.cfg.idle_timeout
-        then drop l conn
+        match conn.Conn.peer with
+        | Conn.Client _
+          when Conn.(conn.state) = Conn.Open
+               && t -. conn.Conn.last_activity > l.cfg.idle_timeout ->
+            drop l conn
+        | Conn.Client _ | Conn.Follower _ | Conn.Upstream ->
+            (* a caught-up follower, like the upstream of a caught-up
+               replica, is legitimately silent between ops *)
+            ()
       end)
     l.conns
-
-(* ------------------------------------------------------------------ *)
-(* replication: replica side                                          *)
-(* ------------------------------------------------------------------ *)
-
-let drop_upstream l r =
-  (match r.up with Some c -> Conn.close c | None -> ());
-  r.up <- None;
-  r.attempt <- r.attempt + 1;
-  r.next_try <-
-    now () +. Client.backoff_delay l.rng ~attempt:r.attempt ~base:0.05 ~cap:2.0
-
-let try_connect_upstream l r =
-  match Client.connect r.upstream with
-  | Error _ -> drop_upstream l r  (* schedules the jittered retry *)
-  | Ok ct -> (
-      let durable = l.dispatch.Dispatch.durable in
-      match Durable.replica_cursor durable with
-      | None -> Client.close ct  (* promoted while connecting; done *)
-      | Some cursor ->
-          (* adopt the raw fd into a Conn so the select loop drives it *)
-          let conn =
-            Conn.create ~max_frame:l.cfg.max_frame ~id:l.next_id ~now:(now ())
-              (Client.fd ct)
-          in
-          l.next_id <- l.next_id + 1;
-          Conn.queue_request conn l.scratch
-            (Wire.Repl_hello
-               { epoch = Durable.repl_epoch durable; offset = cursor });
-          r.up <- Some conn;
-          r.attempt <- 0)
-
-let handle_upstream_resp l r resp ~applied =
-  let durable = l.dispatch.Dispatch.durable in
-  let m = l.metrics in
-  match resp with
-  | Wire.Repl_frames { epoch; start_offset; payload } ->
-      let cursor = Option.value (Durable.replica_cursor durable) ~default:(-1) in
-      if epoch <> Durable.repl_epoch durable || start_offset <> cursor then begin
-        (* wrong epoch or a gap: drop the link and re-handshake from our
-           durable cursor rather than guess *)
-        m.Metrics.repl_fenced <- m.Metrics.repl_fenced + 1;
-        drop_upstream l r
-      end
-      else begin
-        match
-          Durable.apply_shipped durable payload ~on_update:(fun ~u ~v ~changed ->
-              if changed then
-                Mspar_lca.Oracle.invalidate_edge (Dispatch.oracle l.dispatch) u v)
-        with
-        | Ok n ->
-            m.Metrics.ops_applied <- m.Metrics.ops_applied + n;
-            applied := true
-        | Error msg ->
-            prerr_endline ("mspar serve: replication apply failed: " ^ msg);
-            drop_upstream l r
-      end
-  | Wire.Repl_fence { epoch } ->
-      m.Metrics.repl_fenced <- m.Metrics.repl_fenced + 1;
-      Printf.eprintf "mspar serve: fenced by upstream at epoch %d\n%!" epoch;
-      drop_upstream l r
-  | Wire.Redirect hint ->
-      (match Wire.addr_of_string hint with
-      | Ok a -> r.upstream <- a
-      | Error _ -> ());
-      drop_upstream l r
-  | Wire.Ok -> ()  (* hello accepted; frames follow *)
-  | Wire.Repl_snapshot _ ->
-      (* a bootstrap stream mid-session means the primary thinks we are
-         fresh — our hello must have raced; re-handshake *)
-      drop_upstream l r
-  | Wire.Ack _ | Wire.Bool _ | Wire.Digest _ | Wire.Draining
-  | Wire.Stats_reply _ | Wire.Error _ | Wire.Role_reply _ ->
-      drop_upstream l r
-
-let upstream_read l r conn =
-  match Conn.read_into conn l.read_buf with
-  | `Blocked -> ()
-  | `Eof -> drop_upstream l r
-  | `Data n ->
-      Conn.feed conn ~now:(now ()) (Bytes.sub_string l.read_buf 0 n) n;
-      let applied = ref false in
-      let continue = ref true in
-      let alive () = match r.up with Some c -> c == conn | None -> false in
-      while !continue && alive () do
-        match Conn.next_frame conn ~now:(now ()) with
-        | `Need_more -> continue := false
-        | `Corrupt _ -> drop_upstream l r
-        | `Frame body -> (
-            match Wire.decode_response body with
-            | Stdlib.Error _ -> drop_upstream l r
-            | Stdlib.Ok resp -> handle_upstream_resp l r resp ~applied)
-      done;
-      if !applied && alive () then begin
-        (* replica group commit: fsync the appended frames, then ack the
-           new durable cursor — an acked offset always survives kill -9 *)
-        Durable.sync l.dispatch.Dispatch.durable;
-        match Durable.replica_cursor l.dispatch.Dispatch.durable with
-        | Some cursor ->
-            Conn.queue_request conn l.scratch (Wire.Repl_ack { offset = cursor })
-        | None -> ()
-      end
 
 (* synchronous snapshot fetch over a blocking client — how [--replica-of]
    seeds an empty dir before entering the serve loop *)
@@ -546,10 +510,9 @@ let unlink_socket cfg =
 
 let serve ?replica_of cfg ~listen ~(durable : Durable.t) =
   let metrics = Metrics.create () in
-  let redirect = Option.map (Fmt.str "%a" Wire.pp_addr) replica_of in
   let dispatch =
-    Dispatch.create ?crash_after_ops:cfg.crash_after_ops ?redirect ~metrics
-      durable
+    Dispatch.create ?crash_after_ops:cfg.crash_after_ops ?upstream:replica_of
+      ~metrics durable
   in
   let term = ref false in
   let set_handler sg f = Sys.signal sg (Sys.Signal_handle f) in
@@ -562,12 +525,6 @@ let serve ?replica_of cfg ~listen ~(durable : Durable.t) =
     Sys.set_signal Sys.sigpipe old_pipe
   in
   Unix.set_nonblock listen;
-  let role =
-    match replica_of with
-    | None -> Primary
-    | Some upstream ->
-        Replica { upstream; up = None; attempt = 0; next_try = 0. }
-  in
   let l =
     {
       cfg;
@@ -575,27 +532,25 @@ let serve ?replica_of cfg ~listen ~(durable : Durable.t) =
       dispatch;
       metrics;
       rng = Rng.create cfg.seed;
-      role;
       conns = [];
       next_id = 0;
+      attempt = 0;
+      next_try = 0.;
       read_buf = Bytes.create 4096;
       scratch = Buffer.create 256;
     }
   in
   Fun.protect ~finally:restore (fun () ->
       while not (!term || dispatch.Dispatch.draining) do
-        (* replica: keep the upstream link alive (jittered backoff) *)
-        (match l.role with
-        | Replica r when Option.is_none r.up && now () >= r.next_try ->
-            try_connect_upstream l r
-        | Replica _ | Primary -> ());
-        let up_conn =
-          match l.role with Replica { up; _ } -> up | Primary -> None
-        in
-        let accepting = List.length l.conns < cfg.max_conns in
+        (* a replica keeps its upstream link alive (jittered backoff) *)
+        (match (Durable.replica_cursor durable, dispatch.Dispatch.upstream) with
+        | Some cursor, Some addr
+          when now () >= l.next_try && not (List.exists is_upstream l.conns) ->
+            connect_upstream l addr ~cursor
+        | _ -> ());
+        let accepting = metrics.Metrics.active < cfg.max_conns in
         let rfds =
           (if accepting then [ listen ] else [])
-          @ (match up_conn with Some c -> [ c.Conn.fd ] | None -> [])
           @ List.filter_map
               (fun c ->
                 if
@@ -606,41 +561,30 @@ let serve ?replica_of cfg ~listen ~(durable : Durable.t) =
               l.conns
         in
         let wfds =
-          (match up_conn with
-          | Some c when Conn.pending_out c > 0 -> [ c.Conn.fd ]
-          | Some _ | None -> [])
-          @ List.filter_map
-              (fun c -> if Conn.pending_out c > 0 then Some c.Conn.fd else None)
-              l.conns
+          List.filter_map
+            (fun c -> if Conn.pending_out c > 0 then Some c.Conn.fd else None)
+            l.conns
         in
         match Unix.select rfds wfds [] 0.05 with
         | exception Unix.Unix_error (Unix.EINTR, _, _) -> ()
         | rs, ws, _ ->
             if List.memq listen rs then accept_ready l;
             List.iter
-              (fun c -> if List.memq c.Conn.fd rs then read_ready l c)
+              (fun c ->
+                (* a Promote earlier in this pass may have dropped the
+                   upstream *)
+                if Conn.(c.state) = Conn.Open && List.memq c.Conn.fd rs then
+                  read_ready l c)
               l.conns;
-            (match (l.role, up_conn) with
-            | Replica r, Some c
-              when (match r.up with Some c' -> c' == c | None -> false)
-                   && List.memq c.Conn.fd rs ->
-                upstream_read l r c
-            | _ -> ());
             (* group commit BEFORE any response byte leaves the process *)
             Dispatch.sync_if_dirty dispatch;
             (* ship-after-fsync: followers see only crash-safe bytes *)
-            if Dispatch.is_primary dispatch then ship_followers l;
+            ship_followers l;
             List.iter
               (fun c ->
                 if List.memq c.Conn.fd ws || Conn.pending_out c > 0 then
                   flush_conn l c)
               l.conns;
-            (match l.role with
-            | Replica ({ up = Some c; _ } as r) when Conn.pending_out c > 0 -> (
-                match Conn.flush c with
-                | `Error -> drop_upstream l r
-                | `Done | `Partial _ -> ())
-            | Replica _ | Primary -> ());
             reap_timeouts l
       done;
       (* ---- drain ---- *)
@@ -652,17 +596,10 @@ let serve ?replica_of cfg ~listen ~(durable : Durable.t) =
         (fun c -> if Conn.(c.state) = Conn.Open then process_frames l c)
         l.conns;
       Dispatch.sync_if_dirty dispatch;
-      (* a replica must not append its own Epoch frame — that would break
-         byte-identity with the primary's shipped suffix *)
-      (match Durable.replica_cursor durable with
-      | Some _ -> Durable.snapshot_blob_only durable
-      | None -> Durable.snapshot_now durable);
+      Durable.snapshot_now durable;
       drain_flush l ~deadline:(now () +. 1.0);
       List.iter Conn.close l.conns;
       l.conns <- [];
-      (match l.role with
-      | Replica { up = Some c; _ } -> Conn.close c
-      | Replica _ | Primary -> ());
       unlink_socket cfg;
       Ok ())
 

@@ -70,8 +70,10 @@ val run :
     primary (see DESIGN.md §13): it tails the primary's WAL into its own
     journal byte-for-byte (handshaking from [Durable.replica_cursor]),
     acks each locally-fsynced extension, serves point queries from its
-    own oracle, answers updates with [Redirect], and keeps reconnecting
-    under jittered backoff while the primary is away.  A [Promote]
+    own oracle, answers updates with a [Redirect] naming its upstream,
+    and keeps reconnecting under jittered backoff while the upstream is
+    away.  An upstream that is itself a replica redirects the node to
+    its own upstream, which the node then tails and names instead.  A [Promote]
     request (on this or any node) bumps the replication epoch and turns
     the replica into a full primary; stale-epoch peers are fenced.
 

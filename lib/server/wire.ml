@@ -31,6 +31,17 @@ let addr_of_string s =
   else if String.contains s ':' then tcp s
   else Ok (Unix_path s)
 
+let sockaddr = function
+  | Unix_path p -> Ok (Unix.ADDR_UNIX p)
+  | Tcp (host, port) -> (
+      match Unix.inet_addr_of_string host with
+      | a -> Ok (Unix.ADDR_INET (a, port))
+      | exception Failure _ -> (
+          match Unix.gethostbyname host with
+          | { Unix.h_addr_list = [||]; _ } | (exception Not_found) ->
+              Stdlib.Error ("cannot resolve " ^ host)
+          | h -> Ok (Unix.ADDR_INET (h.Unix.h_addr_list.(0), port))))
+
 type request =
   | Hello of int  (* client id: binds the connection for dedup *)
   | Insert of { rid : int; u : int; v : int }

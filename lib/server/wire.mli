@@ -16,6 +16,11 @@ val addr_of_string : string -> (addr, string) result
     bare filesystem path (no [':'] → [Unix_path]).  Inverse of
     {!pp_addr}. *)
 
+val sockaddr : addr -> (Unix.sockaddr, string) result
+(** The socket address to bind or connect to.  A TCP host that is not an
+    address literal is looked up by name; one that resolves to no
+    address is an [Error]. *)
+
 type request =
   | Hello of int
       (** Bind the connection to a client id.  Must precede updates: the

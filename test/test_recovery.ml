@@ -378,9 +378,8 @@ let test_durable_audit_repairs () =
       Dyn_matching.inject_corruption (Durable.matching d);
       let found = Durable.audit_now d in
       check_bool "detected" true (found <> []);
-      let s = Durable.stats d in
-      check_bool "repair counted" true (s.Durable.repairs >= 1);
-      check_int "failure counted" 1 s.Durable.audit_failures;
+      check_int "failure (and its repair) counted" 1
+        (Durable.stats d).Durable.audit_failures;
       check_bool "healthy now" true (Durable.audit_now d = []);
       Durable.close d)
 
@@ -410,13 +409,13 @@ let test_durable_out_of_range_not_journaled () =
 (* Snapshot payloads open with a layout tag.  A blob of another layout
    is skipped at recovery like a damaged one, so a primary reaches the
    same state by full replay; bootstrap refuses one outright. *)
-let layout_tag = "mspar-snap/3"
+let layout_tag = "mspar-snap/4"
 
 let foreign_layout payload =
   check_bool "payload opens with the layout tag" true
     (String.starts_with ~prefix:layout_tag payload);
   let tl = String.length layout_tag in
-  "mspar-snap/2" ^ String.sub payload tl (String.length payload - tl)
+  "mspar-snap/3" ^ String.sub payload tl (String.length payload - tl)
 
 let test_durable_foreign_layout () =
   with_dir (fun dir ->
@@ -437,7 +436,7 @@ let test_durable_foreign_layout () =
           | Ok () -> Alcotest.fail "bootstrap must refuse a foreign layout"
           | Error msg ->
               check_bool "refusal names both layouts" true
-                (is_substring msg "layout 3" && is_substring msg "layout 2"));
+                (is_substring msg "layout 4" && is_substring msg "layout 3"));
           List.iter
             (fun e ->
               let path = Filename.concat dir (Printf.sprintf "snap-%d.bin" e) in
@@ -517,6 +516,11 @@ let test_lock_guards_durable () =
 (* at-most-once request dedup                                           *)
 (* ------------------------------------------------------------------ *)
 
+let refused_rid f =
+  match f () with
+  | exception Invalid_argument _ -> true
+  | `Applied _ | `Duplicate _ -> false
+
 let test_dedup_basics () =
   with_dir (fun dir ->
       let d = Durable.create ~sync_every:1 ~dir (durable_config 16 6) in
@@ -524,19 +528,68 @@ let test_dedup_basics () =
         (Durable.insert_req d ~client:1 ~rid:1 0 1 = `Applied true);
       check_bool "resend answers the cached result" true
         (Durable.insert_req d ~client:1 ~rid:1 0 1 = `Duplicate true);
-      check_bool "stale rid is a no-op" true
-        (Durable.insert_req d ~client:1 ~rid:0 2 3 = `Duplicate false);
+      check_bool "a rid never applied is refused" true
+        (refused_rid (fun () -> Durable.insert_req d ~client:1 ~rid:0 2 3));
       check_bool "cached result tracks the op outcome" true
         (* inserting the same edge again: applied, but the graph did not
            change, and the cache must remember exactly that *)
         (Durable.insert_req d ~client:1 ~rid:2 0 1 = `Applied false);
       check_bool "resend of a false outcome stays false" true
         (Durable.insert_req d ~client:1 ~rid:2 0 1 = `Duplicate false);
+      check_bool "an older resend keeps its own outcome" true
+        (Durable.insert_req d ~client:1 ~rid:1 0 1 = `Duplicate true);
       check_bool "clients are independent" true
         (Durable.delete_req d ~client:2 ~rid:1 0 1 = `Applied true);
-      check_int "dedup hits counted" 3 (Durable.stats d).Durable.dedup_hits;
       check_int "only fresh rids hit the journal" 3 (Durable.op_count d);
       Durable.close d)
+
+(* a resend of an older rid answers that rid's outcome, not the last
+   one's: live, after recover, and after a snapshot plus recover *)
+let test_dedup_resend_window () =
+  with_dir (fun dir ->
+      let d =
+        Durable.create ~sync_every:1 ~snapshot_every:3 ~dir
+          (durable_config 16 8)
+      in
+      check_bool "rid 1 inserts (0,1)" true
+        (Durable.insert_req d ~client:1 ~rid:1 0 1 = `Applied true);
+      check_bool "rid 2 inserts (2,3)" true
+        (Durable.insert_req d ~client:1 ~rid:2 2 3 = `Applied true);
+      check_bool "resent rid 1 answers true" true
+        (Durable.insert_req d ~client:1 ~rid:1 0 1 = `Duplicate true);
+      Durable.close d;
+      let d =
+        match Durable.recover ~snapshot_every:3 dir with
+        | Ok d -> d
+        | Error e -> Alcotest.failf "recover: %s" e
+      in
+      check_bool "resent rid 1 answers true after recover" true
+        (Durable.insert_req d ~client:1 ~rid:1 0 1 = `Duplicate true);
+      (* rid 5 leaves rids 3 and 4 unapplied; the third op fires the
+         snapshot, so the window below comes from the blob *)
+      check_bool "rid 5 applies" true
+        (Durable.insert_req d ~client:1 ~rid:5 4 5 = `Applied true);
+      Durable.close d;
+      match Durable.recover ~snapshot_every:3 dir with
+      | Error e -> Alcotest.failf "recover: %s" e
+      | Ok d ->
+          check_bool "recovered from the snapshot" true
+            ((Durable.stats d).Durable.recovered_epoch = Some 3);
+          check_bool "rid 1 after snapshot + recover" true
+            (Durable.insert_req d ~client:1 ~rid:1 0 1 = `Duplicate true);
+          check_bool "rid 5 after snapshot + recover" true
+            (Durable.insert_req d ~client:1 ~rid:5 4 5 = `Duplicate true);
+          check_bool "skipped rid 4 is refused" true
+            (refused_rid (fun () -> Durable.insert_req d ~client:1 ~rid:4 0 2));
+          (* 62 rids later, rid 1 has left the window *)
+          for rid = 6 to 63 do
+            ignore (Durable.insert_req d ~client:1 ~rid 6 7)
+          done;
+          check_bool "rid 2 is the oldest rid the window holds" true
+            (Durable.insert_req d ~client:1 ~rid:2 2 3 = `Duplicate true);
+          check_bool "rid 1 has left the window" true
+            (refused_rid (fun () -> Durable.insert_req d ~client:1 ~rid:1 0 1));
+          Durable.close d)
 
 let test_dedup_survives_recover () =
   with_dir (fun dir ->
@@ -556,8 +609,8 @@ let test_dedup_survives_recover () =
       | Ok d ->
           check_bool "last rid still deduped after recover" true
             (Durable.delete_req d ~client:9 ~rid:5 2 3 = `Duplicate true);
-          check_bool "older rid stays stale" true
-            (Durable.insert_req d ~client:9 ~rid:2 1 2 = `Duplicate false);
+          check_bool "older rid keeps its own outcome" true
+            (Durable.insert_req d ~client:9 ~rid:2 1 2 = `Duplicate true);
           check_bool "the stream continues" true
             (Durable.insert_req d ~client:9 ~rid:6 4 5 = `Applied true);
           Durable.close d)
@@ -1061,6 +1114,8 @@ let () =
           Alcotest.test_case "at-most-once basics" `Quick test_dedup_basics;
           Alcotest.test_case "survives recover" `Quick
             test_dedup_survives_recover;
+          Alcotest.test_case "resend gets its own answer" `Quick
+            test_dedup_resend_window;
         ] );
       ( "properties",
         List.map QCheck_alcotest.to_alcotest
