@@ -58,7 +58,8 @@ bench-smoke:
 	dune exec bench/main.exe -- --csv bench_csv msgr-smoke
 
 # full serve suite: the complete socket fault-injection sweep (hostile
-# frames, pipelined windows, seeded kill -9 crash points with bit-for-bit
+# frames, pipelined windows, an unread window resent after reconnect,
+# seeded kill -9 crash points k = 50, 200, 450 with bit-for-bit
 # recovery, SIGTERM drain) against a forked `mspar serve` (smoke-size
 # legs run on every `dune runtest` / `make ci`); serve throughput and
 # latency are measured by perfbench's serve-write and serve-mixed

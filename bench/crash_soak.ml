@@ -12,8 +12,11 @@
      - the recovered state passes the full audit;
      - *extension equivalence*: applying the ops the journal did not
        retain on top of the recovered state reproduces the uncrashed
-       run's final graph and matched edge set bit-for-bit (the journal
-       runs with sync_every = 1, so every acknowledged op is durable).
+       run's final graph and matched edge set bit-for-bit (every run is
+       closed, which syncs, before its disk is damaged).
+
+   Every run keeps the one durability schedule: an audited snapshot
+   every n ops, the newest two blobs kept.
 
    A separate leg injects silent matching corruption and checks the
    audit detects it, repairs it, and counts the repair in stats.
@@ -120,14 +123,8 @@ let config ~n ~seed =
     seed;
   }
 
-let cadence = (Some 25, Some 40) (* snapshot_every, audit_every *)
-
 let run_all ~dir ~n ~seed ops =
-  let snapshot_every, audit_every = cadence in
-  let d =
-    Durable.create ~sync_every:1 ?snapshot_every ?audit_every ~dir
-      (config ~n ~seed)
-  in
+  let d = Durable.create ~dir (config ~n ~seed) in
   Array.iter (apply_op d) ops;
   let out = observe d in
   Durable.close d;
@@ -149,13 +146,9 @@ let newest_snapshot dir =
   | f :: _ -> Some (Filename.concat dir f)
 
 let crash_trial rng ~n ~seed ~reference ops =
-  let snapshot_every, audit_every = cadence in
   let dir = fresh_dir () in
   let k = 1 + Rng.int rng (Array.length ops) in
-  let d =
-    Durable.create ~sync_every:1 ?snapshot_every ?audit_every ~dir
-      (config ~n ~seed)
-  in
+  let d = Durable.create ~dir (config ~n ~seed) in
   Array.iter (apply_op d) (Array.sub ops 0 k);
   Durable.close d;
   let journal = Filename.concat dir "journal.wal" in
@@ -183,9 +176,7 @@ let crash_trial rng ~n ~seed ~reference ops =
         | None -> "clean-kill")
     | _ -> "clean-kill"
   in
-  (match
-     Durable.recover ~sync_every:1 ?snapshot_every ?audit_every dir
-   with
+  (match Durable.recover dir with
   | exception e ->
       failwith
         (Printf.sprintf "[%s] recover raised: %s" mode (Printexc.to_string e))
@@ -223,7 +214,7 @@ let crash_trial rng ~n ~seed ~reference ops =
 
 let repair_trial ~n ~seed ops =
   let dir = fresh_dir () in
-  let d = Durable.create ~sync_every:1 ~dir (config ~n ~seed) in
+  let d = Durable.create ~dir (config ~n ~seed) in
   Array.iter (apply_op d) ops;
   Dyn_matching.inject_corruption (Durable.matching d);
   let failures = Durable.audit_now d in

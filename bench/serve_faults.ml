@@ -283,13 +283,20 @@ let pipeline_leg () =
         | _ -> failwith "pipelined-window server did not drain cleanly");
   }
 
+(* op [i] of a leg's stream, as the request with rid [i + 1] *)
+let req_of i op =
+  let rid = i + 1 in
+  match op with
+  | Serve_util.Ins (u, v) -> Wire.Insert { rid; u; v }
+  | Serve_util.Del (u, v) -> Wire.Delete { rid; u; v }
+
 (* One crash leg: run [ops] through a server that kill -9s itself after
    [crash_after] applied updates, restart in recovery mode, resend the
    lost rid, and compare the final digest against the uncrashed
    reference bit-for-bit. *)
-let crash_leg ~sync_every ~crash_after ~seed =
+let crash_leg ~crash_after ~seed =
   {
-    name = Printf.sprintf "crash-k%d-sync%d" crash_after sync_every;
+    name = Printf.sprintf "crash-k%d" crash_after;
     run =
       (fun sc ->
         let n = 64 and count = 600 and client = 7 in
@@ -307,18 +314,12 @@ let crash_leg ~sync_every ~crash_after ~seed =
         let addr = Wire.Unix_path path in
         let pid =
           ref
-            (Serve_util.fork_server ~sync_every ~fresh:true ~dir ~addr
+            (Serve_util.fork_server ~fresh:true ~dir ~addr
                ~crash_after_ops:crash_after cfg)
         in
         let conn = ref (Serve_util.await addr) in
         Serve_util.hello !conn client;
         let crashes = ref 0 in
-        let req_of i op =
-          let rid = i + 1 in
-          match op with
-          | Serve_util.Ins (u, v) -> Wire.Insert { rid; u; v }
-          | Serve_util.Del (u, v) -> Wire.Delete { rid; u; v }
-        in
         let rec deliver i op =
           match Client.request !conn (req_of i op) with
           | Ok (Wire.Ack _) -> ()
@@ -331,8 +332,7 @@ let crash_leg ~sync_every ~crash_after ~seed =
               | Unix.WEXITED 137 -> ()
               | _ -> failwith "crash leg: expected _exit 137");
               Client.close !conn;
-              pid :=
-                Serve_util.fork_server ~sync_every ~fresh:false ~dir ~addr cfg;
+              pid := Serve_util.fork_server ~fresh:false ~dir ~addr cfg;
               conn := Serve_util.await addr;
               Serve_util.hello !conn client;
               deliver i op
@@ -356,6 +356,73 @@ let crash_leg ~sync_every ~crash_after ~seed =
                (Serve_util.pp_digest expect)));
   }
 
+(* Resend over real sockets: a client pipelines a window of fresh
+   inserts and hangs up without reading a reply, so every update is
+   durable and none is acked.  Reconnected under the same client id, it
+   resends every rid: each must answer its own [Ack true] from the
+   resend window, none may apply twice, and the digest must equal the
+   uncrashed in-process reference. *)
+let resend_leg () =
+  {
+    name = "resend-unacked-window";
+    run =
+      (fun sc ->
+        let n = 64 and count = 40 and client = 5 and seed = 31 in
+        let cfg = Serve_util.config ~n ~seed in
+        let dir = Serve_util.scratch_dir sc "serve-faults-resend" in
+        let path = Serve_util.scratch_sock sc "faults-resend" in
+        let addr = Wire.Unix_path path in
+        let pid = Serve_util.fork_server ~fresh:true ~dir ~addr cfg in
+        (Serve_util.await addr |> fun c -> Client.close c);
+        (* distinct edges: every insert is fresh and changes the graph *)
+        let ops = Array.init count (fun i -> Serve_util.Ins (i, i + 1)) in
+        let fd = raw_connect path in
+        raw_send fd
+          (String.concat ""
+             (frame_of (Wire.Hello client)
+             :: Array.to_list (Array.mapi (fun i op -> frame_of (req_of i op)) ops)));
+        Unix.close fd;
+        let c = Serve_util.await addr in
+        let stats () =
+          match Client.request c Wire.Stats with
+          | Ok (Wire.Stats_reply s) -> s
+          | Ok _ | Error _ -> failwith "resend leg: Stats failed"
+        in
+        (* the window is applied, unacked, before the first resend *)
+        let deadline = Unix.gettimeofday () +. 5.0 in
+        while (stats ()).Wire.ops_applied < count do
+          if Unix.gettimeofday () > deadline then
+            failwith "resend leg: the unread window was never applied";
+          Unix.sleepf 0.01
+        done;
+        Serve_util.hello c client;
+        Array.iteri
+          (fun i op ->
+            match Client.request c (req_of i op) with
+            | Ok (Wire.Ack true) -> ()
+            | Ok _ | Error _ ->
+                failwith
+                  (Printf.sprintf "resend leg: rid %d did not answer Ack true"
+                     (i + 1)))
+          ops;
+        let s = stats () in
+        if s.Wire.ops_applied <> count || s.Wire.dedup_hits <> count then
+          failwith
+            (Printf.sprintf "resend leg: ops_applied %d, dedup_hits %d of %d"
+               s.Wire.ops_applied s.Wire.dedup_hits count);
+        let got = Serve_util.digest c in
+        Client.close c;
+        (match Serve_util.stop_server pid with
+        | Unix.WEXITED 0 -> ()
+        | _ -> failwith "resend leg: server did not drain cleanly");
+        let ref_dir = Serve_util.scratch_dir sc "serve-faults-resend-ref" in
+        let expect = Serve_util.reference_digest ~dir:ref_dir ~client cfg ops in
+        if not (Serve_util.digest_eq got expect) then
+          failwith
+            (Printf.sprintf "resend leg digest mismatch: got %s, want %s"
+               (Serve_util.pp_digest got) (Serve_util.pp_digest expect)));
+  }
+
 (* serve-smoke: SIGTERM mid-load → exit 0, audit-clean journal, zero
    acknowledged-update loss (recovered state must extend the acked
    prefix by only the in-flight suffix). *)
@@ -371,9 +438,7 @@ let drain_leg () =
         let dir = Serve_util.scratch_dir sc "serve-drain" in
         let path = Serve_util.scratch_sock sc "faults-drain" in
         let addr = Wire.Unix_path path in
-        let pid =
-          Serve_util.fork_server ~sync_every:4 ~fresh:true ~dir ~addr cfg
-        in
+        let pid = Serve_util.fork_server ~fresh:true ~dir ~addr cfg in
         let conn = Serve_util.await addr in
         Serve_util.hello conn client;
         let acked = ref 0 and sent = ref 0 in
@@ -415,7 +480,7 @@ let drain_leg () =
                [acked, sent] — acked updates can never be lost, and
                nothing past the in-flight suffix can appear *)
             let ref_dir = Serve_util.scratch_dir sc "serve-drain-ref" in
-            let rd = Durable.create ~sync_every:1 ~dir:ref_dir cfg in
+            let rd = Durable.create ~dir:ref_dir cfg in
             let matched = ref None in
             Array.iteri
               (fun i op ->
@@ -457,19 +522,19 @@ let run_legs legs =
     legs;
   Experiments.emit t
 
-(* Full sweep: protocol legs + pipelined windows + three seeded crash
-   legs + drain. *)
+(* Full sweep: protocol legs + pipelined windows + the unacked-window
+   resend + three seeded crash legs + drain. *)
 let run () =
   Serve_util.ignore_sigpipe ();
   Serve_util.with_scratch (fun sc ->
       let proto, stop_proto = protocol_legs sc in
       run_legs
         (proto
-        @ [ pipeline_leg () ]
+        @ [ pipeline_leg (); resend_leg () ]
         @ [
-            crash_leg ~sync_every:1 ~crash_after:50 ~seed:21;
-            crash_leg ~sync_every:64 ~crash_after:200 ~seed:22;
-            crash_leg ~sync_every:1 ~crash_after:450 ~seed:23;
+            crash_leg ~crash_after:50 ~seed:21;
+            crash_leg ~crash_after:200 ~seed:22;
+            crash_leg ~crash_after:450 ~seed:23;
           ]
         @ [ drain_leg () ]);
       stop_proto ())
@@ -484,7 +549,7 @@ let smoke () =
       in
       run_legs
         (quick
-        @ [ pipeline_leg (); crash_leg ~sync_every:4 ~crash_after:60 ~seed:29 ]);
+        @ [ pipeline_leg (); resend_leg (); crash_leg ~crash_after:60 ~seed:29 ]);
       stop_proto ())
 
 (* serve-smoke: just the SIGTERM drain contract. *)

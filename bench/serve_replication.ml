@@ -86,6 +86,29 @@ let await_catchup rc ~target =
   in
   go ()
 
+(* Every blob a SIGTERM'd node leaves in its dir is one an Epoch record
+   of its journal names (a recovery reads no other), and only the newest
+   two are kept. *)
+let blobs_named what dir =
+  let named =
+    List.filter_map
+      (function
+        | Journal.Epoch e -> Some (Filename.basename (Journal.blob_path dir e))
+        | _ -> None)
+      (Journal.read (Filename.concat dir "journal.wal")).Journal.records
+  in
+  let blobs =
+    List.filter
+      (String.starts_with ~prefix:"snap-")
+      (Array.to_list (Sys.readdir dir))
+  in
+  let unnamed = List.filter (fun f -> not (List.mem f named)) blobs in
+  gate (what ^ " keeps only blobs its Epoch records name")
+    (List.is_empty unnamed) (String.concat " " unnamed);
+  gate (what ^ " keeps at most two blobs")
+    (List.length blobs <= 2)
+    (Printf.sprintf "%d blobs" (List.length blobs))
+
 let expect_exit_0 what status =
   gate (what ^ " drains to exit 0")
     (match status with Unix.WEXITED 0 -> true | _ -> false)
@@ -122,12 +145,10 @@ let failover_leg ~full =
   let addr_p = sock_addr sc "failover-p"
   and addr_r = sock_addr sc "failover-r" in
   let t0 = Unix.gettimeofday () in
-  (* snapshot_every small enough that Epoch records cross the wire: the
-     replica must write its own snapshot blobs from the shipped stream *)
-  let ppid =
-    Serve_util.fork_server ~sync_every:1 ~snapshot_every:100 ~fresh:true
-      ~dir:dir_p ~addr:addr_p cfg
-  in
+  (* at n = 64 the primary's snapshot cadence puts Epoch records on the
+     wire: the replica writes its own snapshot blobs from the shipped
+     stream *)
+  let ppid = Serve_util.fork_server ~fresh:true ~dir:dir_p ~addr:addr_p cfg in
   let c = Serve_util.await addr_p in
   Serve_util.hello c 1;
   (* half the load lands before the replica exists — bootstrap has to
@@ -137,7 +158,7 @@ let failover_leg ~full =
     apply c ~rid:(i + 1) ops.(i)
   done;
   let rpid =
-    Serve_util.fork_replica ~sync_every:1 ~fresh:true ~dir:dir_r ~addr:addr_r
+    Serve_util.fork_replica ~fresh:true ~dir:dir_r ~addr:addr_r
       ~upstream:addr_p ()
   in
   let rc = Serve_util.await addr_r in
@@ -186,13 +207,21 @@ let failover_leg ~full =
     gate "stale-epoch hello is fenced" r "expected Repl_fence {epoch = 1}";
     1
   in
+  (* the dead primary comes back on its own dir, a primary still but at
+     epoch 0: listed first, it must lose to the promoted replica *)
+  let stale_pid =
+    Serve_util.fork_server ~fresh:false ~dir:dir_p ~addr:addr_p cfg
+  in
+  Client.close (Serve_util.await addr_p);
   (* the client walks the address list and rediscovers the primary *)
   let c2, where =
     match Client.connect_primary ~seed:17 [ addr_p; addr_r ] with
     | Ok x -> x
     | Error msg -> failwith ("serve-replication: connect_primary: " ^ msg)
   in
-  gate "failover lands on the promoted replica" (where = addr_r) "wrong addr";
+  gate "failover lands on the promoted replica, not the revived primary"
+    (where = addr_r)
+    (Fmt.str "landed on %a" Wire.pp_addr where);
   Serve_util.hello c2 1;
   (* replay the last rid as a crashed client would: at-most-once dedup
      must absorb it, so the digest below stays on the reference *)
@@ -205,6 +234,7 @@ let failover_leg ~full =
        (Serve_util.pp_digest ref_dg));
   Client.close c2;
   expect_exit_0 "promoted replica" (Serve_util.stop_server rpid);
+  expect_exit_0 "revived ex-primary" (Serve_util.stop_server stale_pid);
   leg_row ~leg:"failover" ~ops:count ~acked:count ~replica_off ~primary_off
     ~fenced ~lag:0
     ~elapsed:(Unix.gettimeofday () -. t0)
@@ -223,12 +253,12 @@ let catchup_leg ~full =
   let addr_p = sock_addr sc "catchup-p" and addr_r = sock_addr sc "catchup-r" in
   let t0 = Unix.gettimeofday () in
   let ppid =
-    Serve_util.fork_server ~sync_every:1 ~fresh:true ~dir:dir_p ~addr:addr_p cfg
+    Serve_util.fork_server ~fresh:true ~dir:dir_p ~addr:addr_p cfg
   in
   let c = Serve_util.await addr_p in
   Serve_util.hello c 1;
   let rpid =
-    Serve_util.fork_replica ~sync_every:1 ~fresh:true ~dir:dir_r ~addr:addr_r
+    Serve_util.fork_replica ~fresh:true ~dir:dir_r ~addr:addr_r
       ~upstream:addr_p ()
   in
   let rc = Serve_util.await addr_r in
@@ -245,7 +275,7 @@ let catchup_leg ~full =
     apply c ~rid:(i + 1) ops.(i)
   done;
   let rpid =
-    Serve_util.fork_replica ~sync_every:1 ~fresh:false ~dir:dir_r ~addr:addr_r
+    Serve_util.fork_replica ~fresh:false ~dir:dir_r ~addr:addr_r
       ~upstream:addr_p ()
   in
   let rc = Serve_util.await addr_r in
@@ -262,6 +292,7 @@ let catchup_leg ~full =
        (Serve_util.pp_digest dg_r));
   Client.close rc;
   expect_exit_0 "replica" (Serve_util.stop_server rpid);
+  blobs_named "SIGTERM'd replica" dir_r;
   Client.close c;
   expect_exit_0 "primary" (Serve_util.stop_server ppid);
   leg_row ~leg:"catchup" ~ops:count ~acked:count ~replica_off ~primary_off
@@ -281,7 +312,7 @@ let fence_leg () =
   let addr_p = sock_addr sc "fence-p" in
   let t0 = Unix.gettimeofday () in
   let ppid =
-    Serve_util.fork_server ~sync_every:1 ~fresh:true ~dir:dir_p ~addr:addr_p cfg
+    Serve_util.fork_server ~fresh:true ~dir:dir_p ~addr:addr_p cfg
   in
   let c = Serve_util.await addr_p in
   Serve_util.hello c 1;
@@ -344,7 +375,7 @@ let lag_leg ~full =
   let addr_p = sock_addr sc "lag-p" in
   let t0 = Unix.gettimeofday () in
   let ppid =
-    Serve_util.fork_server ~sync_every:1 ~fresh:true ~dir:dir_p ~addr:addr_p cfg
+    Serve_util.fork_server ~fresh:true ~dir:dir_p ~addr:addr_p cfg
   in
   let c = Serve_util.await addr_p in
   Serve_util.hello c 1;
@@ -400,7 +431,7 @@ let redirect_leg ~full =
   and addr_r2 = sock_addr sc "redirect-r2" in
   let t0 = Unix.gettimeofday () in
   let ppid =
-    Serve_util.fork_server ~sync_every:1 ~fresh:true ~dir:dir_p ~addr:addr_p cfg
+    Serve_util.fork_server ~fresh:true ~dir:dir_p ~addr:addr_p cfg
   in
   let c = Serve_util.await addr_p in
   Serve_util.hello c 1;
@@ -409,7 +440,7 @@ let redirect_leg ~full =
     apply c ~rid:(i + 1) ops.(i)
   done;
   let r1pid =
-    Serve_util.fork_replica ~sync_every:1 ~fresh:true ~dir:dir_r1
+    Serve_util.fork_replica ~fresh:true ~dir:dir_r1
       ~addr:addr_r1 ~upstream:addr_p ()
   in
   let r1c = Serve_util.await addr_r1 in
@@ -419,7 +450,7 @@ let redirect_leg ~full =
      The Role round trip means R2 is serving, so its SIGTERM handler is
      in place. *)
   let r2pid =
-    Serve_util.fork_replica ~sync_every:1 ~fresh:true ~dir:dir_r2
+    Serve_util.fork_replica ~fresh:true ~dir:dir_r2
       ~addr:addr_r2 ~upstream:addr_p ()
   in
   (let r2c = Serve_util.await addr_r2 in
@@ -427,7 +458,7 @@ let redirect_leg ~full =
    Client.close r2c);
   expect_exit_0 "bootstrapped replica" (Serve_util.stop_server r2pid);
   let r2pid =
-    Serve_util.fork_replica ~sync_every:1 ~fresh:false ~dir:dir_r2
+    Serve_util.fork_replica ~fresh:false ~dir:dir_r2
       ~addr:addr_r2 ~upstream:addr_r1 ()
   in
   let rc = Serve_util.await addr_r2 in
@@ -464,8 +495,13 @@ let redirect_leg ~full =
   Client.close rc;
   expect_exit_0 "re-pointed replica" (Serve_util.stop_server r2pid);
   expect_exit_0 "replica" (Serve_util.stop_server r1pid);
+  (* op count 200 (1,000 full): neither replica stops on a multiple of
+     n = 64, where its last shipped Epoch is *)
+  blobs_named "SIGTERM'd replica of a replica" dir_r2;
+  blobs_named "SIGTERM'd replica" dir_r1;
   Client.close c;
   expect_exit_0 "primary" (Serve_util.stop_server ppid);
+  blobs_named "drained primary" dir_p;
   leg_row ~leg:"redirect" ~ops:count ~acked:count ~replica_off ~primary_off
     ~fenced:0 ~lag:0
     ~elapsed:(Unix.gettimeofday () -. t0)

@@ -92,19 +92,15 @@ let with_scratch f =
 (* Fork a server child.  [fresh] creates the journal dir; otherwise the
    child recovers it (breaking the stale lock a kill -9'd predecessor
    left behind).  The child never returns. *)
-let fork_server ?(sync_every = 1) ?snapshot_every ?audit_every ?crash_after_ops
-    ?(tune = fun c -> c) ~fresh ~dir ~addr cfg =
+let fork_server ?crash_after_ops ?(tune = fun c -> c) ~fresh ~dir ~addr cfg =
   match Unix.fork () with
   | 0 ->
       let code =
         match
           let durable =
-            if fresh then
-              Durable.create ~sync_every ?snapshot_every ?audit_every ~dir cfg
+            if fresh then Durable.create ~dir cfg
             else
-              match
-                Durable.recover ~sync_every ?snapshot_every ?audit_every dir
-              with
+              match Durable.recover dir with
               | Ok d -> d
               | Error msg -> failwith ("recover: " ^ msg)
           in
@@ -139,14 +135,13 @@ let fork_server ?(sync_every = 1) ?snapshot_every ?audit_every ?crash_after_ops
 (* Fork a replica child: bootstrap from the primary when [fresh],
    otherwise recover the replica dir (catch-up restart), then run as a
    hot standby of [upstream].  Same child discipline as [fork_server]. *)
-let fork_replica ?(sync_every = 1) ?snapshot_every ?(tune = fun c -> c) ~fresh
-    ~dir ~addr ~upstream () =
+let fork_replica ?(tune = fun c -> c) ~fresh ~dir ~addr ~upstream () =
   match Unix.fork () with
   | 0 ->
       let code =
         match
           let recover () =
-            match Durable.recover ~sync_every ?snapshot_every dir with
+            match Durable.recover dir with
             | Ok d -> d
             | Error msg -> failwith ("replica recover: " ^ msg)
           in
@@ -219,7 +214,7 @@ let apply_req d ~client ~rid = function
    at-most-once entry points, in-process.  Returns the digest the
    crashed-and-recovered server must reproduce bit-for-bit. *)
 let reference_digest ~dir ~client cfg ops =
-  let d = Durable.create ~sync_every:1 ~dir cfg in
+  let d = Durable.create ~dir cfg in
   Array.iteri (fun i op -> apply_req d ~client ~rid:(i + 1) op) ops;
   let r = Dispatch.digest d in
   Durable.close d;

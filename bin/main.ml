@@ -298,8 +298,8 @@ let dist_cmd =
 (* ------------------------------------------------------------------ *)
 
 let dynamic_cmd =
-  let run family n p radius seed eps beta multiplier steps journal
-      snapshot_every audit_every recover input =
+  let run family n p radius seed eps beta multiplier steps journal recover
+      input =
     let open Mspar_dynamic in
     let report_matching dm =
       let s = Dyn_matching.stats dm in
@@ -352,7 +352,7 @@ let dynamic_cmd =
     | Some dir ->
         let d =
           if recover then (
-            match Durable.recover ?snapshot_every ?audit_every dir with
+            match Durable.recover dir with
             | Error msg ->
                 Printf.eprintf "recover failed: %s\n" msg;
                 (* same code as serve --recover: exit-code hygiene *)
@@ -373,7 +373,7 @@ let dynamic_cmd =
             let beta = resolve_beta g ~declared:beta ~family_beta:fam_beta in
             let delta = Delta_param.scaled ~multiplier ~beta ~eps in
             let d =
-              Durable.create ?snapshot_every ?audit_every ~dir
+              Durable.create ~dir
                 { Durable.n = Graph.n g; delta; beta; eps; multiplier; seed }
             in
             let planted = Greedy.maximal g in
@@ -404,23 +404,11 @@ let dynamic_cmd =
   in
   let journal_arg =
     let doc =
-      "Run crash-safe: journal every update to $(docv)/journal.wal and write \
-       periodic snapshot blobs there (see --snapshot-every/--audit-every)."
+      "Run crash-safe: journal every update to $(docv)/journal.wal, and \
+       every n updates audit the state and write a snapshot blob there \
+       (the newest two are kept), so a crash replays at most n updates."
     in
     Arg.(value & opt (some string) None & info [ "journal" ] ~docv:"DIR" ~doc)
-  in
-  let snapshot_every_arg =
-    let doc = "Write a snapshot blob every $(docv) journaled updates." in
-    Arg.(
-      value
-      & opt (some int) None
-      & info [ "snapshot-every" ] ~docv:"N" ~doc)
-  in
-  let audit_every_arg =
-    let doc =
-      "Run the invariant audit (with self-repair) every $(docv) updates."
-    in
-    Arg.(value & opt (some int) None & info [ "audit-every" ] ~docv:"K" ~doc)
   in
   let recover_arg =
     let doc =
@@ -432,8 +420,8 @@ let dynamic_cmd =
   let term =
     Term.(
       const run $ family_arg $ n_arg $ p_arg $ radius_arg $ seed_arg $ eps_arg
-      $ beta_arg $ multiplier_arg $ steps_arg $ journal_arg $ snapshot_every_arg
-      $ audit_every_arg $ recover_arg $ input_arg)
+      $ beta_arg $ multiplier_arg $ steps_arg $ journal_arg $ recover_arg
+      $ input_arg)
   in
   Cmd.v
     (Cmd.info "dynamic"
@@ -449,8 +437,7 @@ let dynamic_cmd =
 
 let serve_cmd =
   let run socket port host journal recover replica_of n beta eps multiplier
-      seed sync_every snapshot_every audit_every max_conns idle_timeout
-      frame_timeout max_frame crash_after_ops =
+      seed max_conns idle_timeout frame_timeout max_frame crash_after_ops =
     let open Mspar_dynamic in
     let open Mspar_server in
     let fail_config msg =
@@ -489,9 +476,7 @@ let serve_cmd =
     if max_conns < 1 || max_frame < 16 then
       fail_config "server limits must be positive (and --max-frame >= 16)";
     let recover_or_die () =
-      match
-        Durable.recover ?sync_every ?snapshot_every ?audit_every journal
-      with
+      match Durable.recover journal with
       | Error msg ->
           Printf.eprintf "mspar serve: recovery failed: %s\n" msg;
           exit Server.exit_recovery_failure
@@ -510,9 +495,7 @@ let serve_cmd =
       | Some upstream -> (
           (* replica: resume the local tail when the dir already holds a
              journal, else bootstrap a fresh one from the primary *)
-          match
-            Durable.recover ?sync_every ?snapshot_every ?audit_every journal
-          with
+          match Durable.recover journal with
           | Ok d -> d
           | Error "no journal found" -> (
               match Server.bootstrap_replica ~upstream ~dir:journal with
@@ -531,8 +514,7 @@ let serve_cmd =
           else begin
             let delta = Delta_param.scaled ~multiplier ~beta ~eps in
             match
-              Durable.create ?sync_every ?snapshot_every ?audit_every
-                ~dir:journal
+              Durable.create ~dir:journal
                 { Durable.n; delta; beta; eps; multiplier; seed }
             with
             | d -> d
@@ -585,7 +567,12 @@ let serve_cmd =
     Arg.(value & opt string "127.0.0.1" & info [ "host" ] ~docv:"HOST" ~doc)
   in
   let journal_arg =
-    let doc = "Journal directory (WAL + snapshots); required." in
+    let doc =
+      "Journal directory (WAL + snapshot blobs); required.  Every ack follows \
+       an fsync, and every n updates a primary audits its state and writes \
+       a snapshot blob (the newest two are kept), so a crash replays at \
+       most n updates."
+    in
     Arg.(value & opt string "" & info [ "journal" ] ~docv:"DIR" ~doc)
   in
   let recover_arg =
@@ -604,21 +591,6 @@ let serve_cmd =
       value
       & opt (some string) None
       & info [ "replica-of" ] ~docv:"ADDR" ~doc)
-  in
-  let sync_every_arg =
-    let doc =
-      "Journal fsync batch (1 = fsync every op; the serve loop additionally \
-       group-commits before acknowledging, so acks are always durable)."
-    in
-    Arg.(value & opt (some int) None & info [ "sync-every" ] ~docv:"N" ~doc)
-  in
-  let snapshot_every_arg =
-    let doc = "Write a snapshot blob every $(docv) journaled updates." in
-    Arg.(value & opt (some int) None & info [ "snapshot-every" ] ~docv:"N" ~doc)
-  in
-  let audit_every_arg =
-    let doc = "Run the invariant audit every $(docv) updates." in
-    Arg.(value & opt (some int) None & info [ "audit-every" ] ~docv:"K" ~doc)
   in
   let max_conns_arg =
     Arg.(
@@ -658,9 +630,9 @@ let serve_cmd =
     Term.(
       const run $ socket_arg $ port_arg $ host_arg $ journal_arg $ recover_arg
       $ replica_of_arg
-      $ n_arg $ beta_arg $ eps_arg $ multiplier_arg $ seed_arg $ sync_every_arg
-      $ snapshot_every_arg $ audit_every_arg $ max_conns_arg $ idle_timeout_arg
-      $ frame_timeout_arg $ max_frame_arg $ crash_after_ops_arg)
+      $ n_arg $ beta_arg $ eps_arg $ multiplier_arg $ seed_arg $ max_conns_arg
+      $ idle_timeout_arg $ frame_timeout_arg $ max_frame_arg
+      $ crash_after_ops_arg)
   in
   Cmd.v
     (Cmd.info "serve"

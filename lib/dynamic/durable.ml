@@ -1,7 +1,11 @@
 open Mspar_prelude
 
 (* Crash-safe wrapper around the dynamic matcher: a Journal WAL of ops,
-   periodic snapshot blobs, periodic invariant audits with self-repair.
+   and one durability schedule decided by the config and the op count
+   alone — the journal is fsynced at the caller's commit points ([sync],
+   snapshots, [close]), and every [config.n] journaled ops a primary
+   audits its state and writes a snapshot blob named by an [Epoch]
+   record, keeping that blob and its fallback.
 
    Layout of [dir]:
      journal.wal       op log (Meta config record first, then ops/epochs)
@@ -45,7 +49,8 @@ type t = {
   lock : Journal.lock;
   mutable repl_epoch : int;
       (* monotone replication epoch: bumped on promotion, persisted as a
-         Meta record and in the lockfile; fences stale primaries *)
+         Meta record; the Repl_hello handshake fences followers of
+         another epoch *)
   mutable cursor : int option;
       (* replica mode: the primary-WAL byte offset this dir has applied
          up to.  [None] on primaries.  Maintained by [apply_shipped];
@@ -57,18 +62,19 @@ type t = {
      after lost acks carries rids at or below the last one and is
      answered from here without re-applying. *)
   dedup : (int, window) Hashtbl.t;
-  snapshot_every : int option;
-  audit_every : int option;
+  mutable last_epoch : int option;
+      (* the op count of the newest blob known to be readable: the one
+         this process last wrote, or recovered from.  It and the next
+         one are the two blobs kept on disk *)
   mutable ops : int;
   mutable snapshots : int;
   mutable audits : int;
   mutable audit_failures : int;
   recovered_epoch : int option;
-  replayed : int;
+  mutable replayed : int;
 }
 
 let journal_path dir = Filename.concat dir "journal.wal"
-let snap_path dir epoch = Filename.concat dir (Printf.sprintf "snap-%d.bin" epoch)
 
 (* ------------------------------------------------------------------ *)
 (* config codec (the Meta record payload)                             *)
@@ -236,19 +242,32 @@ let encode_state t =
   encode_dedup buf t.dedup;
   Buffer.contents buf
 
-let snapshot_now t =
-  (* Journal first: every op covered by the snapshot must be durable
-     before the Epoch record claims the snapshot supersedes it.  A
-     replica writes the blob only: its Epoch records are the shipped
-     ones, and a frame of its own would break byte-identity with the
-     primary's suffix. *)
+(* The state has reached an Epoch: audit it first, so that a repair
+   happens at the same op wherever this Epoch is applied (on the primary,
+   on every replica, and in every replay), then write the blob once the
+   ops it covers are durable.  A primary appends the Epoch record after
+   the blob; a replica's is the shipped frame, already in its buffer.
+   Once the Epoch is durable only its blob and the last readable one
+   stay. *)
+let checkpoint t =
+  ignore (audit_now t);
   Journal.sync t.writer;
-  Journal.write_blob (snap_path t.dir t.ops) (encode_state t);
+  Journal.write_blob (Journal.blob_path t.dir t.ops) (encode_state t);
   if Option.is_none t.cursor then begin
     Journal.append t.writer (Journal.Epoch t.ops);
     Journal.sync t.writer
   end;
-  t.snapshots <- t.snapshots + 1
+  t.snapshots <- t.snapshots + 1;
+  Journal.retain_blobs t.dir ~keep:(t.ops :: Option.to_list t.last_epoch);
+  t.last_epoch <- Some t.ops
+
+(* A replica writes nothing: a frame of its own would break byte-identity
+   with the primary's suffix, and a blob no Epoch names is never read. *)
+let snapshot_now t =
+  if
+    Option.is_none t.cursor
+    && not (Option.equal Int.equal t.last_epoch (Some t.ops))
+  then checkpoint t
 
 (* [Error] for a payload of another layout; a damaged payload of this
    layout raises from the codec or the validating decoder instead. *)
@@ -314,14 +333,10 @@ let rec apply dm dedup = function
           applied)
   | Journal.Epoch _ | Journal.Meta _ -> None
 
+(* every [config.n] journaled ops: a crash replays at most [n] of them *)
 let after_op t =
   t.ops <- t.ops + 1;
-  (match t.audit_every with
-  | Some k when t.ops mod k = 0 -> ignore (audit_now t)
-  | Some _ | None -> ());
-  match t.snapshot_every with
-  | Some s when t.ops mod s = 0 -> snapshot_now t
-  | Some _ | None -> ()
+  if t.ops mod t.config.n = 0 then snapshot_now t
 
 (* Live updates range-check before journaling: a record that replay
    cannot apply would make every later recovery of the dir fail. *)
@@ -367,8 +382,8 @@ let sync t = Journal.sync t.writer
 (* create / recover                                                   *)
 (* ------------------------------------------------------------------ *)
 
-let make ~dir ~config ~writer ~lock ~repl_epoch ~cursor ~dm ~dedup
-    ~snapshot_every ~audit_every ~ops ~recovered_epoch ~replayed =
+let make ~dir ~config ~writer ~lock ~repl_epoch ~cursor ~dm ~dedup ~last_epoch
+    ~ops ~recovered_epoch =
   {
     dir;
     config;
@@ -378,21 +393,22 @@ let make ~dir ~config ~writer ~lock ~repl_epoch ~cursor ~dm ~dedup
     cursor;
     dm;
     dedup;
-    snapshot_every;
-    audit_every;
+    last_epoch;
     ops;
     snapshots = 0;
     audits = 0;
     audit_failures = 0;
     recovered_epoch;
-    replayed;
+    replayed = 0;
   }
 
-let create ?sync_every ?snapshot_every ?audit_every ~dir config =
+let create ~dir config =
   if Sys.file_exists (journal_path dir) then
     invalid_arg "Durable.create: journal already exists (use recover)";
-  (* parameters are checked before anything touches disk; the G_Δ the
-     service answers from is built with this Δ *)
+  (* parameters are checked before anything touches disk: the snapshot
+     cadence divides by n, and the G_Δ the service answers from is built
+     with this Δ *)
+  if config.n < 1 then invalid_arg "Durable.create: n >= 1";
   if config.delta < 1 then invalid_arg "Durable.create: delta >= 1";
   let dm = fresh_matching config in
   Journal.ensure_dir dir;
@@ -402,19 +418,18 @@ let create ?sync_every ?snapshot_every ?audit_every ~dir config =
     | Error msg -> invalid_arg ("Durable.create: " ^ msg)
   in
   match
-    let writer = Journal.open_writer ?sync_every (journal_path dir) in
+    let writer = Journal.open_writer (journal_path dir) in
     Journal.append writer (Journal.Meta (encode_config config));
     Journal.sync writer;
     make ~dir ~config ~writer ~lock ~repl_epoch:0 ~cursor:None ~dm
-      ~dedup:(Hashtbl.create 16) ~snapshot_every ~audit_every ~ops:0
-      ~recovered_epoch:None ~replayed:0
+      ~dedup:(Hashtbl.create 16) ~last_epoch:None ~ops:0 ~recovered_epoch:None
   with
   | t -> t
   | exception e ->
       Journal.release_lock lock;
       raise e
 
-let recover ?sync_every ?snapshot_every ?audit_every dir =
+let recover dir =
   let path = journal_path dir in
   if not (Sys.file_exists path) then Error "no journal found"
   else begin
@@ -490,7 +505,7 @@ let recover ?sync_every ?snapshot_every ?audit_every dir =
                     | Journal.Epoch e -> (
                         match
                           Option.map decode_snapshot
-                            (Journal.read_blob (snap_path dir e))
+                            (Journal.read_blob (Journal.blob_path dir e))
                         with
                         | Some (Ok (epoch, dm, dedup)) when epoch = e ->
                             Some (i + 1, Some e, dm, dedup)
@@ -514,35 +529,38 @@ let recover ?sync_every ?snapshot_every ?audit_every dir =
                             bootstrap blob %s and every later one are \
                             missing, damaged or of another layout: \
                             re-bootstrap this dir from the primary"
-                           op_epoch (snap_path dir op_epoch))
+                           op_epoch (Journal.blob_path dir op_epoch))
                 in
                 match start with
                 | Error msg -> fail msg
                 | Ok (first, recovered_epoch, dm, dedup) -> (
-                    let replayed = ref 0 in
+                    (* ops before the snapshot point are counted by the
+                       epoch itself; the replayed ops come after it *)
+                    let t =
+                      make ~dir ~config ~writer:(Journal.open_writer path)
+                        ~lock ~repl_epoch ~cursor ~dm ~dedup
+                        ~last_epoch:recovered_epoch
+                        ~ops:(Option.value ~default:0 recovered_epoch)
+                        ~recovered_epoch
+                    in
                     match
                       for i = first to Array.length records - 1 do
-                        if Option.is_some (apply dm dedup records.(i)) then
-                          incr replayed
+                        match records.(i) with
+                        | Journal.Epoch _ ->
+                            (* audited where it was written, so a repair
+                               made there is made again here *)
+                            ignore (audit_now t)
+                        | r ->
+                            if Option.is_some (apply dm dedup r) then begin
+                              t.ops <- t.ops + 1;
+                              t.replayed <- t.replayed + 1
+                            end
                       done
                     with
                     | exception e ->
+                        Journal.close t.writer;
                         fail ("replay failed: " ^ Printexc.to_string e)
-                    | () ->
-                        (* ops before the snapshot point are counted by the
-                           epoch itself; the replayed ops come after it *)
-                        let ops =
-                          Option.value ~default:0 recovered_epoch + !replayed
-                        in
-                        let writer = Journal.open_writer ?sync_every path in
-                        (* stamp the fence on the lockfile so a claimant
-                           from an older epoch is refused even after we
-                           die *)
-                        Journal.refresh_lock_epoch lock repl_epoch;
-                        Ok
-                          (make ~dir ~config ~writer ~lock ~repl_epoch ~cursor
-                             ~dm ~dedup ~snapshot_every ~audit_every ~ops
-                             ~recovered_epoch ~replayed:!replayed))))
+                    | () -> Ok t)))
         | _ :: _ -> fail "journal does not start with a config record")
   end
 
@@ -569,7 +587,6 @@ let bump_repl_epoch t =
   Journal.sync t.writer;
   t.repl_epoch <- e;
   t.cursor <- None;
-  Journal.refresh_lock_epoch t.lock e;
   e
 
 let bootstrap_replica ~dir ~config_bytes ~op_epoch ~wal_offset ~repl_epoch
@@ -595,10 +612,8 @@ let bootstrap_replica ~dir ~config_bytes ~op_epoch ~wal_offset ~repl_epoch
                 Fun.protect
                   ~finally:(fun () -> Journal.release_lock lock)
                   (fun () ->
-                    Journal.write_blob (snap_path dir op_epoch) snapshot;
-                    let w =
-                      Journal.open_writer ~sync_every:1 (journal_path dir)
-                    in
+                    Journal.write_blob (Journal.blob_path dir op_epoch) snapshot;
+                    let w = Journal.open_writer (journal_path dir) in
                     Journal.append w (Journal.Meta config_bytes);
                     Journal.append w
                       (Journal.Meta
@@ -637,10 +652,12 @@ let apply_shipped t payload ~on_update =
                   (fun r ->
                     match r with
                     | Journal.Epoch e ->
-                        (* the primary snapshotted here; our state is
-                           bit-for-bit the same, so a local blob at the
-                           same epoch is valid and bounds our replay *)
-                        if e = t.ops then snapshot_now t
+                        (* the primary audited and snapshotted here; our
+                           state is bit-for-bit the same, so the audit
+                           repeats any repair it made, and a local blob
+                           at the same epoch is valid and bounds our
+                           replay *)
+                        if e = t.ops then checkpoint t
                     | Journal.Meta m -> (
                         match repl_epoch_of_meta m with
                         | Some e when e > t.repl_epoch -> t.repl_epoch <- e

@@ -2,23 +2,35 @@
 
     Wraps {!Dyn_matching} — whose dynamic graph is the only dynamic
     state kept — behind a write-ahead journal (see
-    {!Mspar_prelude.Journal}): every op is journaled before it is
-    applied, snapshot blobs are written every [snapshot_every] ops (with
-    an [Epoch] journal record marking the boundary), and the {!Audit}
-    checks run every [audit_every] ops — a failed audit rebuilds the
-    matching from the authoritative dynamic graph and is counted in
-    {!stats}.  The G_Δ the service answers point queries from is not
+    {!Mspar_prelude.Journal}).  One durability schedule, decided by the
+    config and the op count, with nothing to set:
+    - every op is journaled before it is applied, and the journal is
+      fsynced at commit points only: {!sync} (the server's group
+      commit), snapshots and {!close};
+    - every [config.n] journaled ops a primary runs the {!Audit} checks
+      and writes a snapshot blob, named by an [Epoch] journal record, so
+      a crash replays at most [n] ops.  A blob holds at least the
+      n-entry mate array, so this costs O(1 + m/n) per update,
+      amortised;
+    - once a new [Epoch] is durable, only two blobs stay on disk: its
+      own, and the fallback — the blob written before it or, after a
+      recovery, the one recovery read (a damaged newer one is dropped).
+    A failed audit rebuilds the matching from the authoritative dynamic
+    graph and is counted in {!stats}.  Every [Epoch] is audited wherever
+    it is applied — before a primary writes it, when a replica applies
+    it, when recovery replays it — so a repair happens at the same op
+    everywhere.  The G_Δ the service answers point queries from is not
     stored here: it is a pure function of the graph and
     [(config.seed, config.delta)], replayed by [Mspar_lca.Oracle].
 
     {!recover} rebuilds the state after a crash: truncate the journal's
     torn tail, load the newest snapshot blob that passes its CRC, its
-    layout tag and structural validation (falling back to older ones;
-    with none left a primary replays its whole journal, a replica must
-    re-bootstrap), and replay the op suffix.  Snapshots carry the exact
-    adjacency order and RNG stream position, so replay is bit-for-bit
-    identical to the uncrashed run — with [sync_every = 1], recovery
-    loses nothing and diverges nowhere.
+    layout tag and structural validation (falling back to the older
+    one; with none left a primary replays its whole journal, a replica
+    must re-bootstrap), and replay the op suffix.  Snapshots carry the
+    exact adjacency order and RNG stream position, so replay is
+    bit-for-bit identical to the uncrashed run: every op a {!sync}
+    covered survives, and recovery diverges nowhere.
 
     All file I/O goes through {!Mspar_prelude.Journal} (lint MSP009). *)
 
@@ -48,29 +60,18 @@ type stats = {
 
 type t
 
-val create :
-  ?sync_every:int ->
-  ?snapshot_every:int ->
-  ?audit_every:int ->
-  dir:string ->
-  config ->
-  t
+val create : dir:string -> config -> t
 (** Start a fresh durable pipeline in [dir] (created if missing): claim
     the directory lockfile ({!Mspar_prelude.Journal.acquire_lock}), write
     the journal header and the [Meta] config record, derive the matcher
-    RNG stream from [config.seed].  [sync_every] is the journal fsync
-    batch (default 32; 1 = lose nothing).
+    RNG stream from [config.seed].
     @raise Invalid_argument if [dir] already holds a journal (use
     {!recover}), is locked by a live process, or a parameter is out of
-    range ([delta < 1], [eps] outside (0, 1)).
+    range ([n < 1], [delta < 1], [eps] outside (0, 1)); parameters are
+    checked before anything touches disk.
     @raise Unix.Unix_error on filesystem errors. *)
 
-val recover :
-  ?sync_every:int ->
-  ?snapshot_every:int ->
-  ?audit_every:int ->
-  string ->
-  (t, string) result
+val recover : string -> (t, string) result
 (** Recover from the journal in the given directory.  Claims the
     directory lockfile first — a dir held by a live process is an
     [Error], a stale lock (dead owner) is broken automatically.  Never
@@ -86,8 +87,8 @@ val recover :
 
 val insert : t -> int -> int -> bool
 (** Journal then apply an insertion; returns [false] if the edge was
-    already present.  Triggers the periodic audit and snapshot if their
-    counters come due.
+    already present.  On a primary whose op count reaches a multiple of
+    [config.n], audits and snapshots ({!snapshot_now}).
     @raise Invalid_argument on out-of-range endpoints, before anything
     is journaled.
     @raise Unix.Unix_error on filesystem errors. *)
@@ -131,11 +132,15 @@ val audit_now : t -> string list
     randomness only when a repair actually happens. *)
 
 val snapshot_now : t -> unit
-(** Sync the journal, write a snapshot blob at the current op count, and
-    append the [Epoch] record.  On an un-promoted replica
-    ({!replica_cursor} is [Some _]) only the blob is written: its
-    [Epoch] records are the primary's shipped ones.
-    @raise Unix.Unix_error on filesystem errors. *)
+(** Audit (repairing as {!audit_now} does), sync the journal, write a
+    snapshot blob at the current op count, append and sync the [Epoch]
+    record, then remove every blob but this one and its fallback (see
+    above).  A no-op when the newest readable blob is already at the
+    current op count, and on an un-promoted replica ({!replica_cursor} is
+    [Some _]): a replica's blobs come only from shipped [Epoch]s
+    ({!apply_shipped}).
+    @raise Unix.Unix_error on filesystem errors.
+    @raise Sys_error if a superseded blob cannot be removed. *)
 
 (** {2 Replication}
 
@@ -147,8 +152,8 @@ val snapshot_now : t -> unit
     shipped suffix, its replay position is implied by its own file
     length, and recovery after a replica crash resumes from exactly the
     right primary offset ({!replica_cursor}).  Promotion
-    ({!bump_repl_epoch}) appends a monotone epoch record and stamps the
-    directory lockfile, fencing any stale ex-primary. *)
+    ({!bump_repl_epoch}) appends a monotone epoch record, which the
+    serve loop's [Repl_hello] handshake compares. *)
 
 val repl_epoch : t -> int
 (** Current replication epoch: 0 at creation, bumped by every
@@ -204,17 +209,18 @@ val apply_shipped :
     record up front, appends the bytes verbatim, applies each op in
     order (firing [on_update] per graph update so derived read state can
     be invalidated), maintains the dedup table from [Tagged] records,
-    writes a local snapshot blob at shipped [Epoch] points, and advances
-    the cursor.  Returns the number of ops applied.  [Error] without any
+    audits and writes a local snapshot blob at each shipped [Epoch]
+    (keeping the newest two, as {!snapshot_now} does), and advances the
+    cursor.  Returns the number of ops applied.  [Error] without any
     state change when validation fails; an [Error "apply failed"]
     mid-application leaves the replica inconsistent — discard the dir
     and re-bootstrap. *)
 
 val bump_repl_epoch : t -> int
-(** Promote: append a durable epoch record ([repl_epoch t + 1]), stamp
-    the lockfile fence, clear {!replica_cursor}, and return the new
-    epoch.  After this the dir is a primary; a stale ex-primary
-    presenting an older epoch is refused by lock and handshake alike.
+(** Promote: append a durable epoch record ([repl_epoch t + 1]), clear
+    {!replica_cursor}, and return the new epoch.  After this the dir is
+    a primary; a follower presenting an older epoch is refused at the
+    [Repl_hello] handshake.
     @raise Unix.Unix_error on filesystem errors. *)
 
 val matching : t -> Dyn_matching.t

@@ -17,10 +17,10 @@
    [truncate_torn].
 
    Writers buffer encoded frames and push them to the file descriptor
-   with one [write] + [fsync] per [sync_every] records (or on [sync] /
-   [close]), so callers choose their own durability-vs-throughput point:
-   [sync_every = 1] is classic WAL semantics (no acknowledged op is ever
-   lost), larger batches amortise the fsync. *)
+   with one [write] + [fsync] at the caller's commit points ([sync] and
+   [close]) and never in between: the serve loop's group commit, a
+   snapshot, a replica's ack.  A record is durable once a [sync] after
+   its [append] has returned. *)
 
 type record =
   | Insert of int * int
@@ -240,9 +240,6 @@ let truncate_torn path result =
 type writer = {
   fd : Unix.file_descr;
   buf : Buffer.t;
-  sync_every : int;
-  mutable unsynced : int;  (* records appended since the last fsync *)
-  mutable appended : int;
   mutable written_bytes : int;  (* bytes pushed to the fd, fsynced or not *)
   mutable durable_bytes : int;  (* bytes covered by the last fsync *)
   mutable closed : bool;
@@ -262,25 +259,18 @@ let flush_buf w =
 let sync w =
   if w.closed then invalid_arg "Journal.sync: writer is closed";
   flush_buf w;
-  if w.unsynced > 0 then Unix.fsync w.fd;
-  w.unsynced <- 0;
-  w.durable_bytes <- w.written_bytes
+  (* a commit point with nothing new to commit costs no fsync *)
+  if w.written_bytes > w.durable_bytes then begin
+    Unix.fsync w.fd;
+    w.durable_bytes <- w.written_bytes
+  end
 
-let open_writer ?(sync_every = 32) path =
-  if sync_every < 1 then invalid_arg "Journal.open_writer: sync_every >= 1";
+let open_writer path =
   let fd = Unix.openfile path [ Unix.O_WRONLY; Unix.O_CREAT ] 0o644 in
   let size = (Unix.fstat fd).Unix.st_size in
   let w =
-    {
-      fd;
-      buf = Buffer.create 256;
-      sync_every;
-      unsynced = 0;
-      appended = 0;
-      written_bytes = size;
-      durable_bytes = size;
-      closed = false;
-    }
+    { fd; buf = Buffer.create 256; written_bytes = size; durable_bytes = size;
+      closed = false }
   in
   if size < header_len then begin
     (* fresh (or header-torn) file: start from a clean header *)
@@ -288,9 +278,7 @@ let open_writer ?(sync_every = 32) path =
     w.written_bytes <- 0;
     w.durable_bytes <- 0;
     Buffer.add_string w.buf header;
-    flush_buf w;
-    Unix.fsync fd;
-    w.durable_bytes <- w.written_bytes
+    sync w
   end
   else ignore (Unix.lseek fd 0 Unix.SEEK_END);
   w
@@ -299,18 +287,11 @@ let durable_offset w = w.durable_bytes
 
 let append w r =
   if w.closed then invalid_arg "Journal.append: writer is closed";
-  frame w.buf r;
-  w.appended <- w.appended + 1;
-  w.unsynced <- w.unsynced + 1;
-  if w.unsynced >= w.sync_every then sync w
+  frame w.buf r
 
 let append_raw w s =
   if w.closed then invalid_arg "Journal.append_raw: writer is closed";
-  Buffer.add_string w.buf s;
-  w.unsynced <- w.unsynced + 1;
-  if w.unsynced >= w.sync_every then sync w
-
-let appended w = w.appended
+  Buffer.add_string w.buf s
 
 let close w =
   if not w.closed then begin
@@ -324,6 +305,10 @@ let close w =
 (* ------------------------------------------------------------------ *)
 
 let blob_magic = "MSPARSNP"
+
+(* a dir's blobs are named by the op count they capture *)
+let blob_name epoch = Printf.sprintf "snap-%d.bin" epoch
+let blob_path dir epoch = Filename.concat dir (blob_name epoch)
 
 (* a blob is [blob_magic], the version byte, then the payload as one
    frame: the journal's framing, without its size bound *)
@@ -363,6 +348,17 @@ let read_blob path =
         0
   end
 
+let retain_blobs dir ~keep =
+  let kept = List.map blob_name keep in
+  Array.iter
+    (fun name ->
+      if
+        String.starts_with ~prefix:"snap-" name
+        && String.ends_with ~suffix:".bin" name
+        && not (List.exists (String.equal name) kept)
+      then Sys.remove (Filename.concat dir name))
+    (Sys.readdir dir)
+
 (* ------------------------------------------------------------------ *)
 (* directory lockfile                                                 *)
 (* ------------------------------------------------------------------ *)
@@ -373,26 +369,14 @@ let read_blob path =
    behind by a kill -9'd owner is detected by probing the recorded pid
    (kill 0): if the process is gone — or the file is unparsable — the
    lock is stale and is broken, once.  This is advisory single-host
-   locking; it is not meant to survive shared network filesystems.
-
-   Replication fencing rides on the same file: the lockfile records a
-   replication epoch next to the pid ("pid epoch", old single-token
-   files read as epoch 0).  An epoch-claiming acquire compares epochs
-   before liveness: a claimant behind the recorded epoch is refused even
-   if the holder is dead (a demoted ex-primary must re-learn the world,
-   not seize its old dir), while a strictly newer epoch seizes the lock
-   even from a live holder (the promote-over-stale-primary fence). *)
+   locking; it is not meant to survive shared network filesystems. *)
 
 type lock = { lock_path : string; mutable held : bool }
 
-let lock_body ~epoch = Printf.sprintf "%d %d" (Unix.getpid ()) epoch
-
-let parse_lock s =
-  match String.split_on_char ' ' (String.trim s) with
-  | [ pid ] -> (int_of_string_opt pid, 0)
-  | pid :: epoch :: _ ->
-      (int_of_string_opt pid, Option.value (int_of_string_opt epoch) ~default:0)
-  | [] -> (None, 0)
+(* the holder's pid is the first token: lockfiles of older builds go on
+   to record a replication epoch, which nothing reads *)
+let lock_holder s =
+  int_of_string_opt (List.hd (String.split_on_char ' ' (String.trim s)))
 
 let lock_path dir = Filename.concat dir "lock.pid"
 
@@ -411,66 +395,39 @@ let holder_alive ~path pid =
     | exception Unix.Unix_error (Unix.EPERM, _, _) -> true  (* alive, not ours *)
     | exception Unix.Unix_error (_, _, _) -> false
 
-let try_claim ~epoch path =
+let try_claim path =
   match Unix.openfile path [ Unix.O_WRONLY; Unix.O_CREAT; Unix.O_EXCL ] 0o644 with
   | fd ->
       Fun.protect
         ~finally:(fun () -> Unix.close fd)
         (fun () ->
-          let s = lock_body ~epoch in
+          let s = string_of_int (Unix.getpid ()) in
           let n = Unix.write_substring fd s 0 (String.length s) in
           if n <> String.length s then failwith "short write to lockfile");
       true
   | exception Unix.Unix_error (Unix.EEXIST, _, _) -> false
 
-let acquire_lock ?epoch dir =
+let acquire_lock dir =
   let path = lock_path dir in
-  let claim_epoch = Option.value epoch ~default:0 in
   let claimed () =
     Hashtbl.replace live_locks path ();
     Ok { lock_path = path; held = true }
   in
-  let break_and_claim () =
-    (try Sys.remove path with Sys_error _ -> ());
-    if try_claim ~epoch:claim_epoch path then claimed ()
-    else Error (Printf.sprintf "journal dir lock contended (%s)" path)
-  in
-  if try_claim ~epoch:claim_epoch path then claimed ()
+  if try_claim path then claimed ()
   else begin
-    let holder, held_epoch =
+    let holder =
       match read_file path with
-      | s -> parse_lock s
-      | exception Sys_error _ -> (None, 0)
+      | s -> lock_holder s
+      | exception Sys_error _ -> None
     in
-    match (epoch, holder) with
-    | Some e, _ when e < held_epoch ->
-        (* fenced: the dir has moved to a newer epoch — even a dead
-           holder's lock refuses a claimant from the past *)
-        Error
-          (Printf.sprintf
-             "journal dir fenced: lock epoch %d ahead of claimed %d (%s)"
-             held_epoch e path)
-    | Some e, _ when e > held_epoch ->
-        (* promotion fence: a strictly newer epoch seizes the dir, live
-           holder or not — the stale primary has already been superseded *)
-        break_and_claim ()
-    | _, Some pid when holder_alive ~path pid ->
+    match holder with
+    | Some pid when holder_alive ~path pid ->
         Error (Printf.sprintf "journal dir locked by pid %d (%s)" pid path)
-    | _, _ ->
+    | Some _ | None ->
         (* stale: owner is dead or the file is garbage — break it once *)
-        break_and_claim ()
-  end
-
-let refresh_lock_epoch l epoch =
-  if l.held then begin
-    let fd =
-      Unix.openfile l.lock_path [ Unix.O_WRONLY; Unix.O_CREAT; Unix.O_TRUNC ] 0o644
-    in
-    Fun.protect
-      ~finally:(fun () -> Unix.close fd)
-      (fun () ->
-        let s = lock_body ~epoch in
-        ignore (Unix.write_substring fd s 0 (String.length s)))
+        (try Sys.remove path with Sys_error _ -> ());
+        if try_claim path then claimed ()
+        else Error (Printf.sprintf "journal dir lock contended (%s)" path)
   end
 
 let release_lock l =

@@ -3,8 +3,9 @@
 
     This module is the single blessed home of raw file I/O in [lib/]
     (lint rule MSP009); everything durability-related — framing, CRCs,
-    fsync policy, torn-tail truncation, atomic renames — lives here so
-    it can be reviewed in one place.
+    fsyncs, torn-tail truncation, atomic renames, blob retention — lives
+    here so it can be reviewed in one place.  A writer fsyncs only at
+    its caller's commit points ({!sync}, {!close}).
 
     {2 File format}
 
@@ -54,30 +55,24 @@ val record_of_body : string -> (record, string) result
 
 type writer
 
-val open_writer : ?sync_every:int -> string -> writer
+val open_writer : string -> writer
 (** Open (creating or appending to) the journal at [path].  A fresh or
-    header-torn file is (re)started from a clean header.  Records are
-    buffered and pushed with one [write]+[fsync] per [sync_every]
-    appends (default 32); [sync_every = 1] gives classic no-loss WAL
-    semantics.  If the existing file has a torn tail, run {!read} +
-    {!truncate_torn} first — appending after garbage hides it forever.
-    @raise Invalid_argument if [sync_every < 1].
+    header-torn file is (re)started from a clean, fsynced header.  If
+    the existing file has a torn tail, run {!read} + {!truncate_torn}
+    first — appending after garbage hides it forever.
     @raise Unix.Unix_error on filesystem errors. *)
 
 val append : writer -> record -> unit
-(** Buffer one record; flushes + fsyncs when the batch fills.
-    @raise Invalid_argument if the writer is closed.
-    @raise Unix.Unix_error on filesystem errors. *)
+(** Buffer one record.  Nothing reaches the file before the next
+    {!sync} or {!close}.
+    @raise Invalid_argument if the writer is closed. *)
 
 val sync : writer -> unit
-(** Force-flush the buffer and fsync.  After [sync] returns, every
-    appended record survives a crash.
+(** The commit point: write the buffer and fsync.  After [sync]
+    returns, every appended record survives a crash.  No fsync is
+    issued when nothing was written since the last one.
     @raise Invalid_argument if the writer is closed.
     @raise Unix.Unix_error on filesystem errors. *)
-
-val appended : writer -> int
-(** Number of records appended through this writer (not counting
-    pre-existing file contents). *)
 
 val durable_offset : writer -> int
 (** Total file bytes covered by the last fsync through this writer —
@@ -89,11 +84,10 @@ val append_raw : writer -> string -> unit
 (** Append already-framed journal bytes verbatim (replication follower
     path: shipped WAL frames are byte-identical to the primary's, so
     they are validated with {!Mspar_prelude.Codec.Frames.decode_all} +
-    {!record_of_body} and then appended without re-encoding).  Counts
-    as one record toward the [sync_every] batch.  The caller must have
-    validated the bytes — appending garbage poisons the journal.
-    @raise Invalid_argument if the writer is closed.
-    @raise Unix.Unix_error on filesystem errors. *)
+    {!record_of_body} and then appended without re-encoding).  Buffered
+    like {!append}.  The caller must have validated the bytes —
+    appending garbage poisons the journal.
+    @raise Invalid_argument if the writer is closed. *)
 
 val close : writer -> unit
 (** [sync] then close the fd.  Idempotent.
@@ -149,6 +143,10 @@ val read_slice : string -> pos:int -> len:int -> string
 
 (** {2 Snapshot blobs} *)
 
+val blob_path : string -> int -> string
+(** [blob_path dir e] is the blob of [dir] that captures op count [e]
+    ([snap-<e>.bin]). *)
+
 val write_blob : string -> string -> unit
 (** [write_blob path payload] durably writes [payload] (with magic,
     length, and CRC framing) to [path ^ ".tmp"], fsyncs, then renames —
@@ -162,6 +160,12 @@ val read_blob : string -> string option
     to an older snapshot or full replay.
     @raise Sys_error if the file exists but cannot be opened/read. *)
 
+val retain_blobs : string -> keep:int list -> unit
+(** [retain_blobs dir ~keep] removes every blob of [dir]
+    ([snap-*.bin]) but those {!blob_path} names for the op counts in
+    [keep].
+    @raise Sys_error if the dir cannot be listed or a blob removed. *)
+
 val ensure_dir : string -> unit
 (** [mkdir -p]: create [path] and any missing parents.
     @raise Unix.Unix_error on filesystem errors other than [EEXIST]. *)
@@ -171,30 +175,17 @@ val ensure_dir : string -> unit
     Advisory single-host lock claiming a journal directory, so two
     {!Durable} instances cannot open the same dir and interleave WAL
     frames.  The lock is a [lock.pid] file created with
-    [O_CREAT|O_EXCL] holding the owner's pid and a replication epoch
-    ("pid epoch"; legacy single-token files read as epoch 0); a lock
+    [O_CREAT|O_EXCL] holding the owner's pid (a lockfile of an older
+    build that records ["pid epoch"] is read by its first token); a lock
     whose recorded pid no longer exists (or whose contents are
     unparsable) is stale and is broken automatically, once. *)
 
 type lock
 
-val acquire_lock : ?epoch:int -> string -> (lock, string) result
+val acquire_lock : string -> (lock, string) result
 (** [acquire_lock dir] claims [dir] (which must exist).  [Error reason]
     if another live process holds it.
-
-    Without [?epoch] the claim is epoch-agnostic: only holder liveness
-    decides (crash recovery of one's own dir).  With [~epoch:e] the
-    claim is {e fenced}: it is refused when the lockfile records a
-    strictly newer epoch — even if the holder is dead — and it seizes
-    the lock (live holder or not) when [e] is strictly newer, which is
-    how a promoted node fences out a stale primary.  Equal epochs fall
-    back to the liveness rule.
     @raise Unix.Unix_error on filesystem errors other than [EEXIST]. *)
-
-val refresh_lock_epoch : lock -> int -> unit
-(** Rewrite the held lockfile with a new epoch (promotion bumps the
-    fence without releasing the dir).  No-op on a released lock.
-    @raise Unix.Unix_error on filesystem errors. *)
 
 val release_lock : lock -> unit
 (** Remove the lockfile.  Idempotent; never raises. *)

@@ -110,10 +110,12 @@ let rec recv ?(timeout = 5.0) t =
 let request ?timeout t req =
   match send t req with Error _ as e -> e | Ok () -> recv ?timeout t
 
-(* Failover discovery: probe each address with Role until one answers as
-   the primary.  The server answers every Role with Role_reply, so the
-   list must name the primary itself.  Sweeps are separated by the same
-   full-jitter backoff as [connect_retry]. *)
+(* Failover discovery: probe every address with Role and connect to the
+   primary at the highest epoch, the one listed first on a tie.  A
+   revived ex-primary still answers primary, at the epoch it died at, so
+   the first primary found is not enough.  The server answers every Role
+   with Role_reply, so the list must name the primary itself.  Sweeps
+   are separated by the same full-jitter backoff as [connect_retry]. *)
 let connect_primary ?(attempts = 8) ?(base_delay = 0.02) ?(cap = 1.0)
     ?(seed = default_retry_seed) addrs =
   if List.is_empty addrs then Error "connect_primary: empty address list"
@@ -124,15 +126,28 @@ let connect_primary ?(attempts = 8) ?(base_delay = 0.02) ?(cap = 1.0)
       | Error _ -> None
       | Ok t -> (
           match request t Wire.Role with
-          | Ok (Wire.Role_reply { primary = true; _ }) -> Some (t, addr)
+          | Ok (Wire.Role_reply { primary = true; epoch; _ }) ->
+              Some (epoch, (t, addr))
           | _ ->
               close t;
               None)
     in
+    (* keep the higher epoch and close the other connection; on a tie
+       the address listed first stays *)
+    let newer ((e, (t, _)) as best) ((e', (t', _)) as cand) =
+      if e' > e then begin
+        close t;
+        cand
+      end
+      else begin
+        close t';
+        best
+      end
+    in
     let rec sweep i =
-      match List.find_map probe_addr addrs with
-      | Some found -> Ok found
-      | None ->
+      match List.filter_map probe_addr addrs with
+      | first :: rest -> Ok (snd (List.fold_left newer first rest))
+      | [] ->
           if i + 1 < attempts then begin
             Unix.sleepf (backoff_delay rng ~attempt:i ~base:base_delay ~cap);
             sweep (i + 1)

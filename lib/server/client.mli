@@ -40,11 +40,14 @@ val connect_primary :
   ?seed:int ->
   Wire.addr list ->
   (t * Wire.addr, string) result
-(** Failover discovery: probe the addresses in order with [Role] until
-    one answers as the primary, sleeping a {!backoff_delay} between
-    sweeps.  A replica answers [Role] with its role, not a redirect, so
-    the list must include the primary's own address.  Returns the
-    connected client and the address that worked.  After a failover the
+(** Failover discovery: probe every address with [Role] and connect to
+    the primary with the highest [Role_reply] epoch (on a tie, the one
+    listed first), sleeping a {!backoff_delay} between sweeps that find
+    none.  A revived ex-primary still answers as a primary, at its old
+    epoch, so it loses to the node promoted past it.  A replica answers
+    [Role] with its role, not a redirect, so the list must include the
+    primary's own address.  Returns the connected client and its
+    address.  After a failover the
     caller must re-send its [Hello] and replay unacked rids — at-most-once
     dedup makes the replay exactly-once, with exact answers within the
     62-rid window above. *)

@@ -17,7 +17,8 @@ open Mspar_dynamic
      slowloris timers reap silent/dribbling peers, and the accept loop
      keeps serving everyone else;
    - graceful drain: SIGTERM/SIGINT (or a Drain request) stops accepts,
-     answers in-flight updates, fsyncs, snapshots, flushes, exits 0. *)
+     answers in-flight updates, fsyncs, snapshots (a primary only),
+     flushes, exits 0. *)
 
 type config = {
   addr : Wire.addr;
@@ -591,7 +592,9 @@ let serve ?replica_of cfg ~listen ~(durable : Durable.t) =
       dispatch.Dispatch.draining <- true;
       (try Unix.close listen with Unix.Unix_error (_, _, _) -> ());
       (* final sweep: serve what is already buffered (updates now answer
-         Draining), then make everything durable *)
+         Draining), then make everything durable.  A primary ends on an
+         Epoch; on a replica the snapshot writes nothing, its blobs come
+         only from shipped Epochs *)
       List.iter
         (fun c -> if Conn.(c.state) = Conn.Open then process_frames l c)
         l.conns;

@@ -194,7 +194,7 @@ let test_msp009 () =
     (lint ~file:"bin/main.ml" "let f path = open_out path");
   check_silent "Journal consumers are clean" "MSP009"
     (lint ~file:"lib/dynamic/foo.ml"
-       "let f path = Journal.open_writer ~sync_every:1 path")
+       "let f path = Journal.open_writer path")
 
 (* ---------------------------------------------------------------- *)
 (* MSP010: raw Bigarray unsafe access outside the blessed lanes      *)

@@ -2,10 +2,10 @@
    audit + self-repair, and the recover-equivalence property.
 
    The QCheck property at the bottom is the central durability claim: for
-   any op sequence and any crash point (torn-tail crash model,
-   sync_every = 1), recovering and applying the remaining ops is
-   indistinguishable from never having crashed — same graph edge set,
-   same matched edge set. *)
+   any op sequence and any crash point (torn-tail crash model, after a
+   sync covered every acked op), recovering and applying the remaining
+   ops is indistinguishable from never having crashed — same graph edge
+   set, same matched edge set. *)
 
 open Mspar_prelude
 open Mspar_dynamic
@@ -117,7 +117,7 @@ let sample_records =
     [ Meta "config-bytes"; Insert (0, 1); Insert (2, 3); Epoch 2; Delete (0, 1) ]
 
 let write_sample path =
-  let w = Journal.open_writer ~sync_every:1 path in
+  let w = Journal.open_writer path in
   List.iter (Journal.append w) sample_records;
   Journal.close w
 
@@ -335,12 +335,16 @@ let apply_reqs d ops lo hi =
        else Durable.delete_req d ~client:1 ~rid:(i + 1) u v)
   done
 
+(* n = 16: the audited snapshots at ops 16 and 32 bound the replay *)
 let test_durable_create_recover () =
   with_dir (fun dir ->
-      let d =
-        Durable.create ~sync_every:1 ~snapshot_every:10 ~dir
-          (durable_config 16 3)
-      in
+      check_bool "n < 1 is refused before anything touches disk" true
+        (match Durable.create ~dir (durable_config 0 3) with
+        | exception Invalid_argument _ -> not (Sys.file_exists dir)
+        | d ->
+            Durable.close d;
+            false);
+      let d = Durable.create ~dir (durable_config 16 3) in
       Array.iter
         (fun (ins, u, v) ->
           ignore (if ins then Durable.insert d u v else Durable.delete d u v))
@@ -356,8 +360,8 @@ let test_durable_create_recover () =
       | Ok d' ->
           check_int "op count" 35 (Durable.op_count d');
           let s = Durable.stats d' in
-          check_bool "used a snapshot" true (s.Durable.recovered_epoch = Some 30);
-          check_int "replayed tail" 5 s.Durable.replayed;
+          check_bool "used a snapshot" true (s.Durable.recovered_epoch = Some 32);
+          check_int "replayed tail" 3 s.Durable.replayed;
           check_bool "same graph" true
             (Dyn_graph.edges (Dyn_matching.graph (Durable.matching d')) = edges);
           check_bool "audit clean" true (Durable.audit_now d' = []);
@@ -370,7 +374,7 @@ let test_durable_recover_empty () =
 
 let test_durable_audit_repairs () =
   with_dir (fun dir ->
-      let d = Durable.create ~sync_every:1 ~dir (durable_config 16 4) in
+      let d = Durable.create ~dir (durable_config 16 4) in
       Array.iter
         (fun (ins, u, v) ->
           ignore (if ins then Durable.insert d u v else Durable.delete d u v))
@@ -388,7 +392,7 @@ let test_durable_audit_repairs () =
    every later recovery of the dir fail. *)
 let test_durable_out_of_range_not_journaled () =
   with_dir (fun dir ->
-      let d = Durable.create ~sync_every:1 ~dir (durable_config 8 5) in
+      let d = Durable.create ~dir (durable_config 8 5) in
       ignore (Durable.insert_req d ~client:1 ~rid:1 0 1);
       check_bool "out-of-range insert raises" true
         (match Durable.insert_req d ~client:1 ~rid:2 0 99 with
@@ -406,6 +410,54 @@ let test_durable_out_of_range_not_journaled () =
           check_int "only the applied ops replay" 2 (Durable.op_count d);
           Durable.close d)
 
+(* Replay is bounded with nothing set: at n = 16, 3n + 5 ops leave
+   audited snapshots at ops 16, 32 and 48, of which the newest two
+   blobs stay, and a close without a drain recovers from the newest and
+   replays the 5 ops after it.  With that blob damaged, recovery falls
+   back to the one before it, and the next snapshot keeps the readable
+   fallback, not the damaged blob. *)
+let test_durable_replay_bounded () =
+  with_dir (fun dir ->
+      let n = 16 in
+      let blobs () =
+        List.sort String.compare
+          (List.filter
+             (String.starts_with ~prefix:"snap-")
+             (Array.to_list (Sys.readdir dir)))
+      in
+      let recover_from what epoch replayed =
+        match Durable.recover dir with
+        | Error e -> Alcotest.failf "recover: %s" e
+        | Ok d ->
+            let s = Durable.stats d in
+            check_bool (what ^ ": recovered epoch") true
+              (s.Durable.recovered_epoch = Some epoch);
+            check_int (what ^ ": replayed") replayed s.Durable.replayed;
+            d
+      in
+      let d = Durable.create ~dir (durable_config n 13) in
+      let ops = ops_of_seed 81 ~n ~count:(4 * n) in
+      apply_reqs d ops 0 ((3 * n) + 4);
+      check_int "an audit at every snapshot" 3 (Durable.stats d).Durable.audits;
+      let want = Mspar_server.Dispatch.digest d in
+      Durable.close d;
+      Alcotest.(check (list string))
+        "the newest two blobs, and no other"
+        [ "snap-32.bin"; "snap-48.bin" ]
+        (blobs ());
+      let d = recover_from "from the newest blob" 48 5 in
+      check_bool "same digest" true (Mspar_server.Dispatch.digest d = want);
+      Durable.close d;
+      flip_byte (Filename.concat dir "snap-48.bin") 40;
+      let d = recover_from "past a damaged blob" 32 21 in
+      apply_reqs d ops ((3 * n) + 5) ((4 * n) - 1);
+      Durable.close d;
+      Alcotest.(check (list string))
+        "the next snapshot drops the damaged blob"
+        [ "snap-32.bin"; "snap-64.bin" ]
+        (blobs ());
+      Durable.close (recover_from "from the new blob" 64 0))
+
 (* Snapshot payloads open with a layout tag.  A blob of another layout
    is skipped at recovery like a damaged one, so a primary reaches the
    same state by full replay; bootstrap refuses one outright. *)
@@ -420,10 +472,7 @@ let foreign_layout payload =
 let test_durable_foreign_layout () =
   with_dir (fun dir ->
       with_dir (fun dir_r ->
-          let d =
-            Durable.create ~sync_every:1 ~snapshot_every:10 ~dir
-              (durable_config 16 12)
-          in
+          let d = Durable.create ~dir (durable_config 16 12) in
           apply_reqs d (ops_of_seed 61 ~n:16 ~count:35) 0 34;
           let want = Mspar_server.Dispatch.digest d in
           let config_bytes = Durable.config_bytes d in
@@ -443,7 +492,7 @@ let test_durable_foreign_layout () =
               match Journal.read_blob path with
               | Some payload -> Journal.write_blob path (foreign_layout payload)
               | None -> Alcotest.failf "snap-%d.bin missing" e)
-            [ 10; 20; 30 ];
+            [ 16; 32 ];
           match Durable.recover dir with
           | Error e -> Alcotest.failf "recover: %s" e
           | Ok d ->
@@ -488,6 +537,21 @@ let test_lock_stale_dead_pid () =
       (match Journal.acquire_lock dir with
       | Ok l -> Journal.release_lock l
       | Error e -> Alcotest.failf "stale (dead pid) lock must break: %s" e);
+      (* an older build's "pid epoch" lockfile is read by its first
+         token: dead, it breaks; alive, it holds *)
+      write_file (Filename.concat dir "lock.pid") (Printf.sprintf "%d 2" pid);
+      (match Journal.acquire_lock dir with
+      | Ok l -> Journal.release_lock l
+      | Error e -> Alcotest.failf "stale \"pid epoch\" lock must break: %s" e);
+      write_file (Filename.concat dir "lock.pid")
+        (Printf.sprintf "%d 2" (Unix.getppid ()));
+      (match Journal.acquire_lock dir with
+      | Error msg ->
+          check_bool "a live holder's \"pid epoch\" lock holds" true
+            (is_substring msg "locked by pid")
+      | Ok l ->
+          Journal.release_lock l;
+          Alcotest.fail "a live holder's \"pid epoch\" lock must hold");
       (* unparsable lockfiles are stale too *)
       write_file (Filename.concat dir "lock.pid") "not-a-pid";
       match Journal.acquire_lock dir with
@@ -496,7 +560,7 @@ let test_lock_stale_dead_pid () =
 
 let test_lock_guards_durable () =
   with_dir (fun dir ->
-      let d = Durable.create ~sync_every:1 ~dir (durable_config 16 5) in
+      let d = Durable.create ~dir (durable_config 16 5) in
       ignore (Durable.insert d 0 1);
       (* the live lock must turn concurrent recover into an Error *)
       (match Durable.recover dir with
@@ -523,7 +587,7 @@ let refused_rid f =
 
 let test_dedup_basics () =
   with_dir (fun dir ->
-      let d = Durable.create ~sync_every:1 ~dir (durable_config 16 6) in
+      let d = Durable.create ~dir (durable_config 16 6) in
       check_bool "fresh rid applies" true
         (Durable.insert_req d ~client:1 ~rid:1 0 1 = `Applied true);
       check_bool "resend answers the cached result" true
@@ -547,10 +611,7 @@ let test_dedup_basics () =
    one's: live, after recover, and after a snapshot plus recover *)
 let test_dedup_resend_window () =
   with_dir (fun dir ->
-      let d =
-        Durable.create ~sync_every:1 ~snapshot_every:3 ~dir
-          (durable_config 16 8)
-      in
+      let d = Durable.create ~dir (durable_config 16 8) in
       check_bool "rid 1 inserts (0,1)" true
         (Durable.insert_req d ~client:1 ~rid:1 0 1 = `Applied true);
       check_bool "rid 2 inserts (2,3)" true
@@ -559,18 +620,19 @@ let test_dedup_resend_window () =
         (Durable.insert_req d ~client:1 ~rid:1 0 1 = `Duplicate true);
       Durable.close d;
       let d =
-        match Durable.recover ~snapshot_every:3 dir with
+        match Durable.recover dir with
         | Ok d -> d
         | Error e -> Alcotest.failf "recover: %s" e
       in
       check_bool "resent rid 1 answers true after recover" true
         (Durable.insert_req d ~client:1 ~rid:1 0 1 = `Duplicate true);
-      (* rid 5 leaves rids 3 and 4 unapplied; the third op fires the
-         snapshot, so the window below comes from the blob *)
+      (* rid 5 leaves rids 3 and 4 unapplied; a snapshot after the
+         third op, so the window below comes from the blob *)
       check_bool "rid 5 applies" true
         (Durable.insert_req d ~client:1 ~rid:5 4 5 = `Applied true);
+      Durable.snapshot_now d;
       Durable.close d;
-      match Durable.recover ~snapshot_every:3 dir with
+      match Durable.recover dir with
       | Error e -> Alcotest.failf "recover: %s" e
       | Ok d ->
           check_bool "recovered from the snapshot" true
@@ -593,15 +655,13 @@ let test_dedup_resend_window () =
 
 let test_dedup_survives_recover () =
   with_dir (fun dir ->
-      let d =
-        Durable.create ~sync_every:1 ~snapshot_every:4 ~dir
-          (durable_config 16 7)
-      in
+      let d = Durable.create ~dir (durable_config 16 7) in
       ignore (Durable.insert_req d ~client:9 ~rid:1 0 1);
       ignore (Durable.insert_req d ~client:9 ~rid:2 1 2);
       ignore (Durable.insert_req d ~client:9 ~rid:3 2 3);
       ignore (Durable.insert_req d ~client:9 ~rid:4 3 4);
-      (* snapshot fired at 4 ops: the dedup table must live in the blob *)
+      (* a snapshot at 4 ops: the dedup table must live in the blob *)
+      Durable.snapshot_now d;
       ignore (Durable.delete_req d ~client:9 ~rid:5 2 3);
       Durable.close d;
       match Durable.recover dir with
@@ -633,10 +693,7 @@ let qcheck_crash_recover_equivalence =
       let ops = ops_of_seed (seed + 1) ~n ~count in
       let trial = Rng.create (seed + 2) in
       with_dir (fun ref_dir ->
-          let d =
-            Durable.create ~sync_every:1 ~snapshot_every:9 ~audit_every:13
-              ~dir:ref_dir (durable_config n seed)
-          in
+          let d = Durable.create ~dir:ref_dir (durable_config n seed) in
           Array.iter
             (fun (ins, u, v) ->
               ignore (if ins then Durable.insert d u v else Durable.delete d u v))
@@ -646,10 +703,7 @@ let qcheck_crash_recover_equivalence =
           with_dir (fun dir ->
               (* crash after k acked ops, with a torn partial record *)
               let k = 1 + Rng.int trial count in
-              let d =
-                Durable.create ~sync_every:1 ~snapshot_every:9 ~audit_every:13
-                  ~dir (durable_config n seed)
-              in
+              let d = Durable.create ~dir (durable_config n seed) in
               Array.iter
                 (fun (ins, u, v) ->
                   ignore
@@ -661,13 +715,10 @@ let qcheck_crash_recover_equivalence =
                     Char.chr (Rng.int trial 256))
               in
               append_bytes (Filename.concat dir "journal.wal") torn;
-              match
-                Durable.recover ~sync_every:1 ~snapshot_every:9 ~audit_every:13
-                  dir
-              with
+              match Durable.recover dir with
               | Error e -> QCheck.Test.fail_reportf "recover failed: %s" e
               | Ok d ->
-                  (* sync_every = 1: every acked op must have survived *)
+                  (* close synced them: every acked op must have survived *)
                   if Durable.op_count d <> k then
                     QCheck.Test.fail_reportf "lost acked ops: %d <> %d"
                       (Durable.op_count d) k;
@@ -684,69 +735,6 @@ let qcheck_crash_recover_equivalence =
                   out = reference)))
 
 (* ------------------------------------------------------------------ *)
-(* lockfile epoch fencing (replication failover)                       *)
-(* ------------------------------------------------------------------ *)
-
-let test_lock_epoch_dead_holder () =
-  with_dir (fun dir ->
-      Unix.mkdir dir 0o755;
-      let dead_pid =
-        let pid = Unix.fork () in
-        if pid = 0 then Unix._exit 0;
-        ignore (Unix.waitpid [] pid);
-        pid
-      in
-      (* a dead ex-holder that had promoted to epoch 2 *)
-      write_file (Filename.concat dir "lock.pid")
-        (Printf.sprintf "%d 2" dead_pid);
-      (* a claimant from the past is refused even though the holder is
-         dead: the fence outlives the process that raised it *)
-      (match Journal.acquire_lock ~epoch:1 dir with
-      | Error msg -> check_bool "refusal names the fence" true
-          (is_substring msg "fenced")
-      | Ok _ -> Alcotest.fail "stale-epoch claim must be fenced");
-      (* a strictly newer epoch seizes the dir *)
-      (match Journal.acquire_lock ~epoch:3 dir with
-      | Ok l -> Journal.release_lock l
-      | Error e -> Alcotest.failf "newer epoch must seize: %s" e);
-      (* legacy single-token lockfiles read as epoch 0 *)
-      write_file (Filename.concat dir "lock.pid") (string_of_int dead_pid);
-      match Journal.acquire_lock ~epoch:1 dir with
-      | Ok l -> Journal.release_lock l
-      | Error e -> Alcotest.failf "legacy lockfile is epoch 0: %s" e)
-
-(* the contended failover race: a promoted node fences out a stale
-   primary that is still alive and still holding its lock *)
-let test_lock_promote_vs_stale_primary () =
-  with_dir (fun dir ->
-      Unix.mkdir dir 0o755;
-      let stale =
-        match Journal.acquire_lock ~epoch:0 dir with
-        | Ok l -> l
-        | Error e -> Alcotest.failf "stale primary's claim: %s" e
-      in
-      (* promotion: epoch 1 seizes the dir from the live epoch-0 holder *)
-      let promoted =
-        match Journal.acquire_lock ~epoch:1 dir with
-        | Ok l -> l
-        | Error e -> Alcotest.failf "promotion must seize: %s" e
-      in
-      (* the stale primary retries with its old epoch: fenced, even
-         though it believes it still owns the dir *)
-      (match Journal.acquire_lock ~epoch:0 dir with
-      | Error msg -> check_bool "stale retry fenced" true
-          (is_substring msg "fenced")
-      | Ok _ -> Alcotest.fail "stale primary must not reclaim the dir");
-      (* refresh_lock_epoch raises the fence in place *)
-      Journal.refresh_lock_epoch promoted 5;
-      (match Journal.acquire_lock ~epoch:4 dir with
-      | Error msg -> check_bool "refreshed fence holds" true
-          (is_substring msg "fenced")
-      | Ok _ -> Alcotest.fail "epoch 4 must be fenced after refresh to 5");
-      Journal.release_lock promoted;
-      Journal.release_lock stale)
-
-(* ------------------------------------------------------------------ *)
 (* position-addressed tailing (replication shipping)                   *)
 (* ------------------------------------------------------------------ *)
 
@@ -761,7 +749,7 @@ let tail_records = [
 ]
 
 let write_journal path records =
-  let w = Journal.open_writer ~sync_every:1 path in
+  let w = Journal.open_writer path in
   List.iter (Journal.append w) records;
   Journal.close w
 
@@ -842,7 +830,7 @@ let test_ship_slice_roundtrip () =
         Journal.read_slice src ~pos:Journal.header_bytes
           ~len:(r.Journal.valid_bytes - Journal.header_bytes)
       in
-      let w = Journal.open_writer ~sync_every:1 dst in
+      let w = Journal.open_writer dst in
       Journal.append_raw w body;
       Journal.close w;
       let r' = Journal.read dst in
@@ -911,7 +899,7 @@ let bootstrap_and_recover d dir_r =
    with
   | Ok () -> ()
   | Error e -> Alcotest.failf "bootstrap_replica: %s" e);
-  match Durable.recover ~sync_every:1 dir_r with
+  match Durable.recover dir_r with
   | Ok r -> (op_epoch, wal_offset, r)
   | Error e -> Alcotest.failf "replica recover: %s" e
 
@@ -925,7 +913,7 @@ let test_replica_roundtrip () =
   with_dir (fun dir_p ->
       with_dir (fun dir_r ->
           let n = 16 in
-          let d = Durable.create ~sync_every:1 ~dir:dir_p (durable_config n 8) in
+          let d = Durable.create ~dir:dir_p (durable_config n 8) in
           let ops = ops_of_seed 21 ~n ~count:40 in
           (* state exists before the replica does *)
           apply_reqs d ops 0 19;
@@ -959,7 +947,7 @@ let test_replica_roundtrip () =
           (* a replica crash loses nothing: recover resumes at the same
              cursor with the same state *)
           let r2 =
-            match Durable.recover ~sync_every:1 dir_r with
+            match Durable.recover dir_r with
             | Ok r2 -> r2
             | Error e -> Alcotest.failf "replica re-recover: %s" e
           in
@@ -972,7 +960,7 @@ let test_replica_roundtrip () =
           check_bool "promoted node has no cursor" true
             (Durable.replica_cursor r2 = None);
           Durable.close r2;
-          (match Durable.recover ~sync_every:1 dir_r with
+          (match Durable.recover dir_r with
           | Ok r3 ->
               check_int "epoch survives recovery" 1 (Durable.repl_epoch r3);
               check_bool "promoted dir recovers as primary" true
@@ -987,7 +975,7 @@ let test_apply_shipped_rejects_garbage () =
   with_dir (fun dir_p ->
       with_dir (fun dir_r ->
           let n = 16 in
-          let d = Durable.create ~sync_every:1 ~dir:dir_p (durable_config n 9) in
+          let d = Durable.create ~dir:dir_p (durable_config n 9) in
           ignore (Durable.insert_req d ~client:1 ~rid:1 0 1);
           let _, wal_offset, r = bootstrap_and_recover d dir_r in
           let before = observe r in
@@ -1019,7 +1007,7 @@ let test_apply_shipped_rejects_garbage () =
 let test_replica_recover_needs_blob () =
   with_dir (fun dir_p ->
       with_dir (fun dir_r ->
-          let d = Durable.create ~sync_every:1 ~dir:dir_p (durable_config 16 10) in
+          let d = Durable.create ~dir:dir_p (durable_config 16 10) in
           let ops = ops_of_seed 71 ~n:16 ~count:25 in
           apply_reqs d ops 0 19;
           let op_epoch, wal_offset, r = bootstrap_and_recover d dir_r in
@@ -1033,7 +1021,7 @@ let test_replica_recover_needs_blob () =
           Durable.close r;
           let blob = Printf.sprintf "snap-%d.bin" op_epoch in
           flip_byte (Filename.concat dir_r blob) 40;
-          (match Durable.recover ~sync_every:1 dir_r with
+          (match Durable.recover dir_r with
           | Ok r ->
               Durable.close r;
               Alcotest.fail "replica without its bootstrap blob must not recover"
@@ -1089,16 +1077,14 @@ let () =
             test_durable_out_of_range_not_journaled;
           Alcotest.test_case "foreign layout tag" `Quick
             test_durable_foreign_layout;
+          Alcotest.test_case "replay bounded by n" `Quick
+            test_durable_replay_bounded;
         ] );
       ( "lockfile",
         [
           Alcotest.test_case "contended" `Quick test_lock_contended;
           Alcotest.test_case "stale detection" `Quick test_lock_stale_dead_pid;
           Alcotest.test_case "guards durable" `Quick test_lock_guards_durable;
-          Alcotest.test_case "epoch fence vs dead holder" `Quick
-            test_lock_epoch_dead_holder;
-          Alcotest.test_case "promote vs stale primary" `Quick
-            test_lock_promote_vs_stale_primary;
         ] );
       ( "replication",
         [

@@ -337,7 +337,7 @@ let test_dispatch_read_your_writes () =
           seed = 7;
         }
       in
-      let durable = Mspar_dynamic.Durable.create ~sync_every:1 ~dir config in
+      let durable = Mspar_dynamic.Durable.create ~dir config in
       Fun.protect
         ~finally:(fun () -> Mspar_dynamic.Durable.close durable)
         (fun () ->
@@ -407,7 +407,7 @@ let test_digest_matches_queries () =
           seed = 11;
         }
       in
-      let durable = Mspar_dynamic.Durable.create ~sync_every:1 ~dir config in
+      let durable = Mspar_dynamic.Durable.create ~dir config in
       Fun.protect
         ~finally:(fun () -> Mspar_dynamic.Durable.close durable)
         (fun () ->
@@ -455,7 +455,7 @@ let test_dispatch_out_of_range () =
           seed = 7;
         }
       in
-      let durable = Mspar_dynamic.Durable.create ~sync_every:1 ~dir config in
+      let durable = Mspar_dynamic.Durable.create ~dir config in
       Fun.protect
         ~finally:(fun () -> Mspar_dynamic.Durable.close durable)
         (fun () ->
@@ -505,9 +505,7 @@ let test_role_mismatch_refused () =
       let config =
         { Durable.n = 8; delta = 3; beta = 4; eps = 0.4; multiplier = 2.0; seed = 3 }
       in
-      let primary =
-        Durable.create ~sync_every:1 ~dir:(Filename.concat dir "p") config
-      in
+      let primary = Durable.create ~dir:(Filename.concat dir "p") config in
       let dir_r = Filename.concat dir "r" in
       let op_epoch, snapshot, wal_offset = Durable.bootstrap_payload primary in
       (match
@@ -518,7 +516,7 @@ let test_role_mismatch_refused () =
       | Ok () -> ()
       | Error e -> Alcotest.failf "bootstrap_replica: %s" e);
       let replica =
-        match Durable.recover ~sync_every:1 dir_r with
+        match Durable.recover dir_r with
         | Ok r -> r
         | Error e -> Alcotest.failf "replica recover: %s" e
       in
