@@ -1,9 +1,6 @@
-# Developer entry points.  `make check` is the CI gate: build, formatting
-# (when ocamlformat is installed — skipped with a notice otherwise, so the
-# gate still runs on minimal toolchains), and the test suite, which
-# includes the bench smoke runs (see bench/dune).
+# Developer entry points.  `make ci` is the CI gate (see below).
 
-.PHONY: all build fmt lint lint-fixtures test check ci bench \
+.PHONY: all build fmt lint lint-fixtures test ci bench \
   bench-smoke bench-serve bench-lca bench-replication
 
 all: build
@@ -19,15 +16,14 @@ fmt:
 	fi
 
 # msparlint: the compiler-libs lint pass over the .cmt files of lib/
-# bin/ bench/ test/ (see doc/LINTS.md; also wired into dune runtest via
-# the @lint alias, which builds every .cmt first).  The @lint rule runs
-# with --ci --timings, so per-phase timings land on stderr and the run
-# is held to its 30s budget.
+# bin/ bench/ test/ examples/ (see doc/LINTS.md; also wired into dune
+# runtest via the @lint alias, which builds every .cmt first).  Every run
+# prints per-phase timings to stderr and is held to its 30s budget.
 lint:
 	dune build @lint
 
 # the lint engine's own fixture suite (rule true/false positives,
-# suppression, SARIF shape); every fixture is type-checked in memory
+# suppression, scopes); every fixture is type-checked in memory
 # against the stdlib, unix and the built mspar_prelude/mspar_graph
 # interfaces, so it needs those libraries built (dune exec does that)
 lint-fixtures:
@@ -36,15 +32,14 @@ lint-fixtures:
 test:
 	dune runtest
 
-check: build fmt lint test
-
-# the one-command CI gate: build, full test suite (includes the
-# fault-injection, serve and .msgr-container smoke runs wired
-# into dune runtest — the msgr legs at a small size; `make bench-smoke`
-# is the same gate at ~1M edges), then the gated formatting check
+# the one-command CI gate: build, full test suite (includes the @lint
+# alias, the mspar CLI runs in bin/dune, and the fault-injection, serve
+# and .msgr-container smoke runs wired into dune runtest — the msgr legs
+# at a small size; `make bench-smoke` is the same gate at ~1M edges),
+# then the formatting check (when ocamlformat is installed — skipped
+# with a notice otherwise, so the gate still runs on minimal toolchains)
 ci:
 	dune build
-	$(MAKE) lint
 	dune runtest
 	$(MAKE) fmt
 

@@ -475,6 +475,15 @@ let serve_cmd =
     end;
     if max_conns < 1 || max_frame < 16 then
       fail_config "server limits must be positive (and --max-frame >= 16)";
+    (match port with
+    | Some p when p < 1 || p > 65535 -> fail_config "--port must be in 1..65535"
+    | _ -> ());
+    let check_timeout flag secs =
+      if not (Float.is_finite secs && secs > 0.0) then
+        fail_config (flag ^ " must be finite and > 0")
+    in
+    check_timeout "--idle-timeout" idle_timeout;
+    check_timeout "--frame-timeout" frame_timeout;
     let recover_or_die () =
       match Durable.recover journal with
       | Error msg ->

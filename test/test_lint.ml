@@ -1,14 +1,12 @@
 (* msparlint rule engine: each rule must fire on a minimal bad snippet and
-   stay silent on its good twin; [@lint.allow] and the baseline file must
-   suppress findings.  All fixtures are inline strings, type-checked in
-   memory by Lint_typed.typecheck_impl against the stdlib, unix and the
-   built Mspar_prelude / Mspar_graph interfaces (both opened).  A fixture
-   that does not type-check fails its test; it can never pass as
-   "silent". *)
+   stay silent on its good twin, under the one compiled-in set of scopes
+   (Lint_config); [@lint.allow] must suppress findings.  All fixtures are
+   inline strings, type-checked in memory by Lint_typed.typecheck_impl
+   against the stdlib, unix and the built Mspar_prelude / Mspar_graph
+   interfaces (both opened).  A fixture that does not type-check fails its
+   test; it can never pass as "silent". *)
 
 open Msparlint_lib
-
-let cfg = Lint_config.default
 
 let codes findings = List.map (fun f -> f.Lint_types.code) findings
 let fires code findings = List.exists (fun f -> String.equal f.Lint_types.code code) findings
@@ -25,9 +23,9 @@ let compiled ~file findings =
    exercise one rule at a time instead of also tripping MSP006; use
    [lint_nomli] to model a missing interface. *)
 let lint ?(intf = "") ~file source =
-  compiled ~file (Lint_engine.lint_impl cfg ~file ~source ~mli:(Some intf))
+  compiled ~file (Lint_engine.lint_impl ~file ~source ~mli:(Some intf))
 
-let lint_nomli ~file source = compiled ~file (Lint_engine.lint_impl cfg ~file ~source ~mli:None)
+let lint_nomli ~file source = compiled ~file (Lint_engine.lint_impl ~file ~source ~mli:None)
 
 let check_fires msg code findings =
   Alcotest.(check bool) (msg ^ " fires " ^ code) true (fires code findings)
@@ -61,6 +59,8 @@ let test_msp002 () =
   check_fires "Hashtbl.hash" "MSP002"
     (lint ~file:"lib/core/foo.ml" "let f x = Hashtbl.hash x");
   check_fires "tuple =" "MSP002" (lint ~file:"lib/graph/foo.ml" "let f a b c = (a, b) = c");
+  check_fires "lca is a hot dir" "MSP002"
+    (lint ~file:"lib/lca/foo.ml" "let f l = List.sort compare l");
   check_silent "int = is monomorphic enough" "MSP002"
     (lint ~file:"lib/graph/foo.ml" "let f (a : int) b = a = b");
   check_silent "Int.compare" "MSP002"
@@ -223,8 +223,6 @@ let test_msp010 () =
     (lint ~file:"lib/core/foo.ml" "let f a i = Array.unsafe_get a i")
 
 (* ---------------------------------------------------------------- *)
-(* suppression: [@lint.allow] and the baseline                       *)
-(* ---------------------------------------------------------------- *)
 (* MSP011: raw socket / fd I/O outside the serve funnel              *)
 (* ---------------------------------------------------------------- *)
 
@@ -258,6 +256,8 @@ let test_msp011 () =
     (lint ~file:"lib/prelude/clock.ml" "let f () = Unix.gettimeofday ()")
 
 (* ---------------------------------------------------------------- *)
+(* suppression: [@lint.allow]                                        *)
+(* ---------------------------------------------------------------- *)
 
 let test_allow () =
   check_silent "binding-level [@@lint.allow]" "MSP002"
@@ -277,20 +277,6 @@ let test_allow () =
       "let f l = List.sort compare l [@@lint.allow \"MSP002\"]\nlet g l = List.sort compare l"
   in
   Alcotest.(check (list string)) "sibling still caught" [ "MSP002" ] (codes two)
-
-let test_baseline () =
-  let findings = lint ~file:"lib/graph/foo.ml" "let f l = List.sort compare l" in
-  check_fires "precondition" "MSP002" findings;
-  let key = Lint_types.baseline_key (List.hd findings) in
-  let base = Lint_baseline.of_string (key ^ "\n# a comment\n") in
-  let live, baselined, unused = Lint_baseline.apply base findings in
-  Alcotest.(check int) "baselined" 1 (List.length baselined);
-  Alcotest.(check int) "live" 0 (List.length live);
-  Alcotest.(check int) "no stale entries" 0 (List.length unused);
-  let stale = Lint_baseline.of_string "lib/nowhere.ml [MSP001] ghost\n" in
-  let live, _, unused = Lint_baseline.apply stale findings in
-  Alcotest.(check int) "unrelated entry leaves finding live" 1 (List.length live);
-  Alcotest.(check (list string)) "stale entry reported" [ "lib/nowhere.ml [MSP001] ghost" ] unused
 
 (* ---------------------------------------------------------------- *)
 (* MSP007: match-with-exception is recognised as a handler           *)
@@ -326,7 +312,7 @@ let test_msp007_match_exception () =
 let typed_lint ~file source =
   match Lint_typed.typecheck_impl ~file source with
   | Error e -> Alcotest.failf "fixture %s does not type-check: %s" file e
-  | Ok u -> Lint_engine.suppress [ u ] (Lint_typed_rules.run cfg [ u ])
+  | Ok u -> Lint_engine.suppress [ u ] (Lint_typed_rules.run [ u ])
 
 (* A global written under [Server.run] and outside it; [extra] is
    appended to the reactor's binding. *)
@@ -477,48 +463,13 @@ let test_msp014 () =
       ^ "let peek g v = Graph.iter_neighbors_uncounted g v (fun _ -> ())"))
 
 (* ---------------------------------------------------------------- *)
-(* SARIF shape                                                       *)
-(* ---------------------------------------------------------------- *)
-
-let test_sarif () =
-  let f =
-    {
-      Lint_types.file = "lib/core/a.ml";
-      line = 3;
-      col = 7;
-      cnum = 40;
-      code = "MSP012";
-      message = "racy \"write\"";
-    }
-  in
-  let sarif =
-    Lint_sarif.render
-      ~rules:[ ("MSP012", "domain-race analysis") ]
-      ~findings:[ f ]
-  in
-  let has needle =
-    let nl = String.length needle and sl = String.length sarif in
-    let rec go i = i + nl <= sl && (String.sub sarif i nl = needle || go (i + 1)) in
-    go 0
-  in
-  Alcotest.(check bool) "declares SARIF 2.1.0" true (has {|"version": "2.1.0"|});
-  Alcotest.(check bool) "links the 2.1.0 schema" true (has "sarif-schema-2.1.0");
-  Alcotest.(check bool) "names the driver" true (has {|"name": "msparlint"|});
-  Alcotest.(check bool) "carries the rule id" true (has {|"ruleId": "MSP012"|});
-  Alcotest.(check bool) "1-based line" true (has {|"startLine": 3|});
-  Alcotest.(check bool) "1-based column" true (has {|"startColumn": 8|});
-  Alcotest.(check bool) "escapes the message" true (has {|racy \"write\"|});
-  Alcotest.(check bool) "repo-relative artifact uri" true
-    (has {|"uri": "lib/core/a.ml"|})
-
-(* ---------------------------------------------------------------- *)
 (* engine plumbing                                                   *)
 (* ---------------------------------------------------------------- *)
 
 let test_plumbing () =
   (* parse errors surface as MSP000, never as exceptions *)
   check_fires "syntax error" "MSP000"
-    (Lint_engine.lint_impl cfg ~file:"lib/core/foo.ml" ~source:"let let let" ~mli:(Some ""));
+    (Lint_engine.lint_impl ~file:"lib/core/foo.ml" ~source:"let let let" ~mli:(Some ""));
   (* findings carry 1-based lines and the rule's location *)
   (match lint ~file:"lib/graph/foo.ml" "let a = 1\nlet f l = List.sort compare l" with
   | [ f ] ->
@@ -526,25 +477,13 @@ let test_plumbing () =
       Alcotest.(check int) "line" 2 f.Lint_types.line;
       Alcotest.(check bool) "column within line" true (f.Lint_types.col > 0)
   | fs -> Alcotest.failf "expected exactly one finding, got %d" (List.length fs));
-  (* config round-trip: directives produce the same scoping as default *)
-  let parsed =
-    Lint_config.of_string "hot-dir lib/graph\nallow MSP001 lib/prelude/rng.ml\n# comment\n"
-  in
-  Alcotest.(check bool) "hot" true (Lint_config.in_hot_dir parsed "lib/graph/foo.ml");
+  (* scopes: directory prefixes match whole path segments, and an allow
+     entry switches its rule off *)
+  Alcotest.(check bool) "hot" true (Lint_config.in_hot_dir "lib/graph/foo.ml");
   Alcotest.(check bool) "segment-aware prefix" false
-    (Lint_config.in_hot_dir parsed "lib/graphics/foo.ml");
+    (Lint_config.in_hot_dir "lib/graphics/foo.ml");
   Alcotest.(check bool) "allow disables" false
-    (Lint_config.rule_enabled parsed ~code:"MSP001" ~file:"lib/prelude/rng.ml");
-  (match Lint_config.of_string "no-such-directive x" with
-  | exception Lint_config.Config_error _ -> ()
-  | _ -> Alcotest.fail "expected Config_error");
-  (* JSON mode output is self-describing *)
-  let f =
-    { Lint_types.file = "a.ml"; line = 3; col = 7; cnum = 40; code = "MSP005"; message = "no \"Obj\"" }
-  in
-  Alcotest.(check string) "json"
-    {|{"file":"a.ml","line":3,"col":7,"code":"MSP005","message":"no \"Obj\""}|}
-    (Lint_types.to_json f)
+    (Lint_config.rule_enabled ~code:"MSP001" ~file:"lib/prelude/rng.ml")
 
 let () =
   Alcotest.run "msparlint"
@@ -570,12 +509,7 @@ let () =
           Alcotest.test_case "MSP012 domain race" `Quick test_msp012;
           Alcotest.test_case "MSP013 hot alloc" `Quick test_msp013;
           Alcotest.test_case "MSP014 probe accounting" `Quick test_msp014;
-          Alcotest.test_case "sarif shape" `Quick test_sarif;
         ] );
-      ( "suppression",
-        [
-          Alcotest.test_case "lint.allow" `Quick test_allow;
-          Alcotest.test_case "baseline" `Quick test_baseline;
-        ] );
+      ("suppression", [ Alcotest.test_case "lint.allow" `Quick test_allow ]);
       ("engine", [ Alcotest.test_case "plumbing" `Quick test_plumbing ]);
     ]

@@ -1,53 +1,27 @@
-(** msparlint configuration: which rules apply where.
+(** Where each msparlint rule applies: the one, compiled-in set of scopes
+    (the reason for each sits next to it in [lint_config.ml]).  File
+    arguments are repo-relative paths with [/] separators. *)
 
-    Directive file syntax (one per line, [#] comments):
-    {v
-    hot-dir lib/prelude          # MSP002 scope
-    congest-dir lib/distsim      # MSP003 scope
-    congest-exempt lib/distsim/network.ml
-    congest-forbid Graph.iter_neighbors
-    probe-dir lib/lca            # MSP014 scope beyond congest-dirs
-    require-mli lib              # MSP006 scope
-    allow MSP001 lib/prelude/rng.ml   # switch a rule off under a prefix
-    v} *)
+val congest_forbidden : string list
+(** Identifier paths that count as direct adjacency access under MSP003. *)
 
-type t = {
-  hot_dirs : string list;
-  congest_dirs : string list;
-  congest_exempt : string list;
-  congest_forbidden : string list;
-  probe_dirs : string list;
-  require_mli_dirs : string list;
-  allows : (string * string) list;
-}
+val in_hot_dir : string -> bool
+(** MSP002 (polymorphic compare) applies. *)
 
-exception Config_error of string
+val in_congest_scope : string -> bool
+(** MSP003 (CONGEST fidelity) and MSP014 apply: CONGEST protocol code,
+    minus the network substrate. *)
 
-val default : t
-(** Mirrors the checked-in [tools/lint/msparlint.conf]. *)
+val in_probe_scope : string -> bool
+(** MSP014 (probe accounting) also applies here — the oracle layer reads
+    adjacency through uncounted accessors and must charge the probe
+    counter in the same function. *)
 
-val empty : t
+val requires_mli : string -> bool
+(** MSP006 (.mli required) applies. *)
 
-val of_string : string -> t
-(** Parse directive text. @raise Config_error on a malformed line. *)
-
-val load : string -> t
-(** [of_string] over a file's contents.
-    @raise Sys_error if unreadable.
-    @raise Config_error on a malformed line. *)
-
-val in_hot_dir : t -> string -> bool
-val in_congest_scope : t -> string -> bool
-
-val in_probe_scope : t -> string -> bool
-(** MSP014 (probe accounting) also applies under [probe_dirs] — the
-    oracle layer reads adjacency through uncounted accessors and must
-    charge the probe counter in the same function. *)
-
-val requires_mli : t -> string -> bool
-
-val rule_enabled : t -> code:string -> file:string -> bool
-(** False when an [allow] directive covers [file] for [code]. *)
+val rule_enabled : code:string -> file:string -> bool
+(** False when an allow entry covers [file] for [code]. *)
 
 val under_prefix : prefix:string -> string -> bool
 (** Segment-aware prefix test: ["lib/graph"] covers ["lib/graph/x.ml"] but

@@ -80,7 +80,7 @@ let suppress units findings =
       | Some s -> not (List.exists (fun span -> span_matches span f) (Lazy.force s)))
     findings
 
-let lint_impl cfg ~file ~source ~mli =
+let lint_impl ~file ~source ~mli =
   match Lint_typed.typecheck_impl ~file source with
   | Error message -> [ { Lint_types.file; line = 1; col = 0; cnum = 0; code = "MSP000"; message } ]
-  | Ok u -> List.sort Lint_types.compare_finding (suppress [ u ] (Lint_rules.lint_unit cfg ~mli u))
+  | Ok u -> List.sort Lint_types.compare_finding (suppress [ u ] (Lint_rules.lint_unit ~mli u))

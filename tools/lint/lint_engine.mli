@@ -16,12 +16,11 @@ val suppress : Lint_typed.t list -> Lint_types.finding list -> Lint_types.findin
     through. *)
 
 val lint_impl :
-  Lint_config.t -> file:string -> source:string -> mli:string option ->
-  Lint_types.finding list
+  file:string -> source:string -> mli:string option -> Lint_types.finding list
 (** Lint one implementation given as text, as if it lived at [file]:
     type-check it with {!Lint_typed.typecheck_impl}, run MSP001–MSP011 and
     apply its [@lint.allow] spans.  [mli] is the sibling interface's
-    source ([None] triggers MSP006 under [require-mli] prefixes and
-    disables MSP007).  A source that does not parse or type-check yields
-    the single finding [MSP000] carrying the compiler's diagnostic.
-    Sorted, not baseline-filtered. *)
+    source ([None] triggers MSP006 where {!Lint_config.requires_mli} holds
+    and disables MSP007).  A source that does not parse or type-check
+    yields the single finding [MSP000] carrying the compiler's diagnostic.
+    Sorted. *)

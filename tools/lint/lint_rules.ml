@@ -95,7 +95,6 @@ let mli_exports ~file source =
       Some exported
 
 type ctx = {
-  cfg : Lint_config.t;
   file : string;
   hot : bool;
   congest : bool;
@@ -105,7 +104,7 @@ type ctx = {
 }
 
 let add ctx ~code ~loc message =
-  if Lint_config.rule_enabled ctx.cfg ~code ~file:ctx.file then
+  if Lint_config.rule_enabled ~code ~file:ctx.file then
     ctx.acc <- Lint_types.of_location ~file:ctx.file ~code ~message loc :: ctx.acc
 
 (* ---------------------------------------------------------------- *)
@@ -215,7 +214,7 @@ let check_ident ctx path loc =
           is a silent wild read, not an exception — go through Mspar_prelude.Bigvec, or keep the \
           index discipline inside lib/graph/graph.ml"
          p);
-  if ctx.congest && List.exists (String.equal p) ctx.cfg.congest_forbidden then
+  if ctx.congest && List.exists (String.equal p) Lint_config.congest_forbidden then
     add ctx ~code:"MSP003" ~loc
       (Printf.sprintf
          "%s: CONGEST protocols may only learn about remote vertices through Network messages \
@@ -344,14 +343,13 @@ let check_raise_contract ctx vb =
 (* the combined pass                                                 *)
 (* ---------------------------------------------------------------- *)
 
-let lint_unit cfg ~mli (u : Lint_typed.t) =
+let lint_unit ~mli (u : Lint_typed.t) =
   let file = u.file in
   let ctx =
     {
-      cfg;
       file;
-      hot = Lint_config.in_hot_dir cfg file;
-      congest = Lint_config.in_congest_scope cfg file;
+      hot = Lint_config.in_hot_dir file;
+      congest = Lint_config.in_congest_scope file;
       in_lib = Lint_config.under_prefix ~prefix:"lib" file;
       mli = Option.bind mli (mli_exports ~file:(file ^ "i"));
       acc = [];
@@ -380,8 +378,8 @@ let lint_unit cfg ~mli (u : Lint_typed.t) =
   it.structure it u.str;
   if
     Option.is_none mli
-    && Lint_config.requires_mli cfg file
-    && Lint_config.rule_enabled cfg ~code:"MSP006" ~file
+    && Lint_config.requires_mli file
+    && Lint_config.rule_enabled ~code:"MSP006" ~file
   then
     {
       Lint_types.file;

@@ -136,19 +136,19 @@ let collect_writes e =
   List.rev !acc
 
 (* ------------------------------------------------------------------ *)
-(* MSP012: domain races                                               *)
+(* MSP012: reactor sharing                                            *)
 (* ------------------------------------------------------------------ *)
 
 (* The reactor context: a module-level global written both by a function
    reachable from [Server.run] and by one that is not is shared between
    the reactor and another context. *)
-let msp012 cfg a =
+let msp012 a =
   let g = a.graph in
   let findings = ref [] in
   let seen = Hashtbl.create 32 in
   let emit ~file ~loc msg =
     let k = (file, loc.Location.loc_start.Lexing.pos_cnum) in
-    if (not (Hashtbl.mem seen k)) && Lint_config.rule_enabled cfg ~code:"MSP012" ~file
+    if (not (Hashtbl.mem seen k)) && Lint_config.rule_enabled ~code:"MSP012" ~file
     then begin
       Hashtbl.replace seen k ();
       findings := T.of_location ~file ~code:"MSP012" ~message:msg loc :: !findings
@@ -252,12 +252,12 @@ let rec peel_chain e (sides, bodies) =
         (List.fold_left (fun s vb -> vb.vb_expr :: s) sides vbs, bodies)
   | _ -> (sides, e :: bodies)
 
-let msp013 cfg a =
+let msp013 a =
   let findings = ref [] in
   Lint_callgraph.iter_nodes a.graph (fun nd ->
       if
         has_attr "hot" nd.attrs
-        && Lint_config.rule_enabled cfg ~code:"MSP013" ~file:nd.file
+        && Lint_config.rule_enabled ~code:"MSP013" ~file:nd.file
       then begin
         let emit loc msg =
           findings :=
@@ -337,7 +337,7 @@ let uncounted_accessors =
 
 let charge_fn = "Graph.add_probes"
 
-let msp014 cfg a =
+let msp014 a =
   let g = a.graph in
   (* per node: uncounted-accessor occurrences and whether it charges *)
   let occs = Hashtbl.create 64 in
@@ -380,9 +380,8 @@ let msp014 cfg a =
   let findings = ref [] in
   Lint_callgraph.iter_nodes g (fun nd ->
       if
-        (Lint_config.in_congest_scope cfg nd.file
-        || Lint_config.in_probe_scope cfg nd.file)
-        && Lint_config.rule_enabled cfg ~code:"MSP014" ~file:nd.file
+        (Lint_config.in_congest_scope nd.file || Lint_config.in_probe_scope nd.file)
+        && Lint_config.rule_enabled ~code:"MSP014" ~file:nd.file
         && not (Hashtbl.find charged nd.key)
       then
         List.iter
@@ -400,6 +399,6 @@ let msp014 cfg a =
           (Hashtbl.find occs nd.key));
   List.sort T.compare_finding !findings
 
-let run cfg units =
+let run units =
   let a = prepare units in
-  List.sort T.compare_finding (msp012 cfg a @ msp013 cfg a @ msp014 cfg a)
+  List.sort T.compare_finding (msp012 a @ msp013 a @ msp014 a)

@@ -7,16 +7,16 @@
       CONGEST simulator must be dominated by a [Graph.add_probes] charge.
 
     Findings are raw — the driver applies [\[@lint.allow\]] spans via
-    {!Lint_engine.suppress} and then the baseline. *)
+    {!Lint_engine.suppress}. *)
 
 type analysis
 
 val prepare : Lint_typed.t list -> analysis
 (** Build the call graph once; the three rules share it. *)
 
-val msp012 : Lint_config.t -> analysis -> Lint_types.finding list
-val msp013 : Lint_config.t -> analysis -> Lint_types.finding list
-val msp014 : Lint_config.t -> analysis -> Lint_types.finding list
+val msp012 : analysis -> Lint_types.finding list
+val msp013 : analysis -> Lint_types.finding list
+val msp014 : analysis -> Lint_types.finding list
 
-val run : Lint_config.t -> Lint_typed.t list -> Lint_types.finding list
+val run : Lint_typed.t list -> Lint_types.finding list
 (** All three rules, merged and sorted (convenience for tests). *)

@@ -33,25 +33,3 @@ let compare_finding a b =
         if c <> 0 then c else String.compare a.message b.message
 
 let to_string f = Printf.sprintf "%s:%d:%d: [%s] %s" f.file f.line f.col f.code f.message
-
-(* Baseline entries deliberately omit line/col so that unrelated edits above
-   a grandfathered finding do not invalidate the baseline. *)
-let baseline_key f = Printf.sprintf "%s [%s] %s" f.file f.code f.message
-
-let json_escape s =
-  let b = Buffer.create (String.length s + 8) in
-  String.iter
-    (fun c ->
-      match c with
-      | '"' -> Buffer.add_string b "\\\""
-      | '\\' -> Buffer.add_string b "\\\\"
-      | '\n' -> Buffer.add_string b "\\n"
-      | '\t' -> Buffer.add_string b "\\t"
-      | c when Char.code c < 0x20 -> Buffer.add_string b (Printf.sprintf "\\u%04x" (Char.code c))
-      | c -> Buffer.add_char b c)
-    s;
-  Buffer.contents b
-
-let to_json f =
-  Printf.sprintf {|{"file":"%s","line":%d,"col":%d,"code":"%s","message":"%s"}|}
-    (json_escape f.file) f.line f.col (json_escape f.code) (json_escape f.message)

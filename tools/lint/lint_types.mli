@@ -1,4 +1,4 @@
-(** Finding representation shared by the rule engine, baseline and driver. *)
+(** Finding representation shared by the rule engine and driver. *)
 
 type finding = {
   file : string;  (** repo-relative path *)
@@ -16,9 +16,3 @@ val compare_finding : finding -> finding -> int
 
 val to_string : finding -> string
 (** ["file:line:col: [CODE] message"] — the compiler-style report line. *)
-
-val baseline_key : finding -> string
-(** ["file [CODE] message"], position-free so baselines survive edits. *)
-
-val to_json : finding -> string
-(** One JSON object (no trailing newline). *)
